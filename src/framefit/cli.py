@@ -18,16 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import error_value
 from .diagnostics import (
     level_set,
     residual_bound_check,
     uniqueness_certificate,
     write_level_set_csv,
 )
-from .errors import FramefitError
+from .errors import FramefitError, ScenarioParseError
 from .radar import load_scenario, radar_family, simulate_fdoa, NoiseModel
-from .solver import GridSpec, SolverConfig, localize
+from .solver import GridSpec, SolverConfig, grid_sweep, localize
 from .tracking import load_time_series, shooting_search, write_trajectory_csv
 
 DEGENERACY_RTOL = 1e-12
@@ -52,9 +51,12 @@ def _grid_from_args(parser, lower, upper, counts, dim) -> GridSpec:
     upper = upper if upper is not None else [10.0] * dim
     counts = counts if counts is not None else [21] * dim
     try:
-        return GridSpec(np.asarray(lower), np.asarray(upper), np.asarray(counts))
+        grid = GridSpec(np.asarray(lower), np.asarray(upper), np.asarray(counts))
     except ValueError as exc:
         parser.error(str(exc))
+    if len(grid.counts) != dim:
+        parser.error(f"grid has dimension {len(grid.counts)}, the scene needs {dim}")
+    return grid
 
 
 def _write_json(path: Path, payload) -> None:
@@ -78,8 +80,11 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict, overrides: dict,
 
 
 def _load_measurement(path) -> np.ndarray:
-    with open(path) as fh:
-        return np.asarray(json.load(fh)["w"], dtype=float)
+    try:
+        with open(path) as fh:
+            return np.asarray(json.load(fh)["w"], dtype=float)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ScenarioParseError(f"cannot read measurement {path}: {exc}") from exc
 
 
 def cmd_simulate(parser, args) -> int:
@@ -109,19 +114,17 @@ def cmd_localize(parser, args) -> int:
         w = simulate_fdoa(scenario.geometry, scenario.target, scenario.noise)
     grid = _grid_from_args(parser, args.grid_lower, args.grid_upper, args.grid_counts,
                            family.P)
-    cfg = SolverConfig(
-        gamma=args.gamma, max_iters=args.max_iters, grad_tol=args.grad_tol, grid=grid
-    )
+    try:
+        cfg = SolverConfig(
+            gamma=args.gamma, max_iters=args.max_iters, grad_tol=args.grad_tol, grid=grid
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
     # A square family (N == M) has zero error everywhere: no single-instant fix.
-    max_E = -np.inf
-    for x in grid.points():
-        try:
-            max_E = max(max_E, error_value(family, x, w))
-        except FramefitError:
-            continue
+    _, errors = grid_sweep(family, w, grid)
     w_scale = max(float(w @ w), np.finfo(float).tiny)
-    degenerate = np.isfinite(max_E) and max_E <= DEGENERACY_RTOL * w_scale
+    degenerate = np.nanmax(errors) <= DEGENERACY_RTOL * w_scale
     if degenerate:
         print(
             "warning: error is numerically zero at every grid point "

@@ -31,7 +31,7 @@ def _as_matrix(F) -> np.ndarray:
     return F
 
 
-def dual_synthesis(F, rank_rtol: float = RANK_RTOL) -> np.ndarray:
+def dual_synthesis(F) -> np.ndarray:
     """Return G = F^T (F F^T)^{-1}, the transpose of the canonical dual synthesis.
 
     Computed from the SVD of F rather than by inverting the frame operator, so
@@ -39,13 +39,13 @@ def dual_synthesis(F, rank_rtol: float = RANK_RTOL) -> np.ndarray:
     F @ G = I and G @ F @ G = G.
 
     Raises RankDeficientError when the smallest singular value of F is at or
-    below ``rank_rtol`` times the largest, which signals that the columns of F
+    below RANK_RTOL times the largest, which signals that the columns of F
     do not span R^M.
     """
     F = _as_matrix(F)
     M, N = F.shape
     U, s, Vt = np.linalg.svd(F, full_matrices=False)
-    if len(s) < M or s[0] == 0.0 or s[-1] <= rank_rtol * s[0]:
+    if len(s) < M or s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]:
         raise RankDeficientError(
             f"synthesis matrix is rank deficient (singular values {s})"
         )

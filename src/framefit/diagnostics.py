@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FrameFamily, dual_synthesis, error_value
-from .errors import EmptyDomainError, FramefitError, RankDeficientError
-from .solver import GridSpec
+from .errors import RankDeficientError
+from .solver import GridSpec, grid_sweep
 
 AUGMENTED_RANK_RTOL = 1e-8
 
@@ -44,20 +44,10 @@ class LevelSetReport:
 
 def level_set(family: FrameFamily, w, grid: GridSpec, tau: float) -> LevelSetReport:
     """Exhaustively evaluate the error over the grid and keep points with E <= tau."""
-    w = family.check_measurement(w)
-    points = []
-    in_domain = 0
-    for x in grid.points():
-        try:
-            E = error_value(family, x, w)
-        except FramefitError:
-            continue
-        in_domain += 1
-        if E <= tau:
-            points.append((x, E))
-    if in_domain == 0:
-        raise EmptyDomainError("no grid point lies in the frame domain")
-    return LevelSetReport(tau, points, grid, len(points) / in_domain)
+    points, errors = grid_sweep(family, w, grid)
+    kept = [(x, float(E)) for x, E in zip(points, errors) if E <= tau]
+    in_domain = int(np.count_nonzero(~np.isnan(errors)))
+    return LevelSetReport(tau, kept, grid, len(kept) / in_domain)
 
 
 def write_level_set_csv(report: LevelSetReport, path) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameFamily, FrameJet, dual_synthesis
+from .core import FrameFamily, FrameJet
 from .errors import (
     DimensionMismatchError,
     NearSingularError,
@@ -101,8 +101,10 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ScenarioValidationError("noise sigma must be nonnegative")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ScenarioValidationError("noise sigma must be finite and nonnegative")
+        if self.seed < 0:
+            raise ScenarioValidationError("noise seed must be nonnegative")
 
     def draw(self, n: int) -> np.ndarray:
         rng = np.random.Generator(np.random.Philox(key=self.seed))
@@ -118,6 +120,32 @@ def bistatic_distance(geometry: RadarGeometry, n: int, x) -> float:
     )
 
 
+def _unit_jets(d, order: int, tol: float):
+    """``unit_vector_jet`` at each row of d, shape (K, M), stacked on a leading K axis.
+
+    Raises NearSingularError when some row has norm <= tol (or exactly zero).
+    """
+    r = np.sqrt(np.einsum("km,km->k", d, d))        # (K,)
+    if np.any(r <= tol) or np.any(r == 0.0):
+        raise NearSingularError(
+            f"point at distance {r.min()} from a station (tol {tol})"
+        )
+    u = d / r[:, None]
+    if order < 1:
+        return u, None, None
+    eye = np.eye(d.shape[1])
+    pi = eye[None, :, :] - u[:, :, None] * u[:, None, :]   # (K, M, M)
+    first = pi / r[:, None, None]
+    if order < 2:
+        return u, first, None
+    second = -(
+        d[:, :, None, None] * pi[:, None, :, :]
+        + d[:, None, :, None] * pi[:, :, None, :]
+        + pi[:, :, :, None] * d[:, None, None, :]
+    ) / (r**3)[:, None, None, None]
+    return u, first, second
+
+
 def unit_vector_jet(x, order: int = 2, tol: float = 0.0):
     """Value and derivatives of the normalization map x -> x / |x|.
 
@@ -131,32 +159,18 @@ def unit_vector_jet(x, order: int = 2, tol: float = 0.0):
     (or is exactly zero).
     """
     x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r <= tol or r == 0.0:
-        raise NearSingularError(f"point at distance {r} from a station (tol {tol})")
-    u = x / r
-    if order < 1:
-        return u, None, None
-    M = len(x)
-    pi = np.eye(M) - np.outer(u, u)
-    first = pi / r
-    if order < 2:
-        return u, first, None
-    second = -(
-        x[:, None, None] * pi[None, :, :]
-        + x[None, :, None] * pi[:, None, :]
-        + pi[:, :, None] * x[None, None, :]
-    ) / r**3
-    return u, first, second
+    return tuple(
+        None if part is None else part[0]
+        for part in _unit_jets(x[None, :], order, tol)
+    )
 
 
 def frame_element(geometry: RadarGeometry, n: int, x) -> np.ndarray:
     """Gradient of the n-th bistatic distance: a sum of two unit vectors."""
     x = np.asarray(x, dtype=float)
-    tol = geometry.singularity_tolerance
-    ua, _, _ = unit_vector_jet(x - geometry.transmitters[n], order=0, tol=tol)
-    ub, _, _ = unit_vector_jet(x - geometry.receivers[n], order=0, tol=tol)
-    return ua + ub
+    stations = np.array([geometry.transmitters[n], geometry.receivers[n]])
+    u, _, _ = _unit_jets(x - stations, 0, geometry.singularity_tolerance)
+    return u[0] + u[1]
 
 
 class RadarFrameFamily(FrameFamily):
@@ -172,36 +186,11 @@ class RadarFrameFamily(FrameFamily):
         self.N = geometry.num_pairs
         self.P = geometry.dim
 
-    def _station_jets(self, x, stations, order):
-        """Vectorized unit-vector jets of x - s over all stations s."""
-        d = x[None, :] - stations                       # (N, M)
-        r = np.sqrt(np.einsum("nm,nm->n", d, d))        # (N,)
-        tol = self.geometry.singularity_tolerance
-        if np.any(r <= tol) or np.any(r == 0.0):
-            raise NearSingularError(
-                f"target within tolerance {tol} of a station"
-            )
-        u = d / r[:, None]
-        if order < 1:
-            return u, None, None
-        eye = np.eye(self.M)
-        pi = eye[None, :, :] - u[:, :, None] * u[:, None, :]   # (N, M, M)
-        first = pi / r[:, None, None]
-        if order < 2:
-            return u, first, None
-        # second[n, q, p, m], mirroring the single-vector formula per station
-        second = -(
-            d[:, :, None, None] * pi[:, None, :, :]
-            + d[:, None, :, None] * pi[:, :, None, :]
-            + pi[:, :, :, None] * d[:, None, None, :]
-        ) / (r**3)[:, None, None, None]
-        return u, first, second
-
     def jet(self, x, order: int = 2) -> FrameJet:
         x = self.check_point(x)
-        tx, rx = self.geometry.transmitters, self.geometry.receivers
-        ua, fa, sa = self._station_jets(x, tx, order)
-        ub, fb, sb = self._station_jets(x, rx, order)
+        tol = self.geometry.singularity_tolerance
+        ua, fa, sa = _unit_jets(x - self.geometry.transmitters, order, tol)
+        ub, fb, sb = _unit_jets(x - self.geometry.receivers, order, tol)
         F = (ua + ub).T                                  # (M, N)
         dF = d2F = None
         if order >= 1:
@@ -211,16 +200,6 @@ class RadarFrameFamily(FrameFamily):
             # second[n, q, p, m] -> d2F[q, p, m, n]
             d2F = (sa + sb).transpose(1, 2, 3, 0)
         return FrameJet(F, dF, d2F)
-
-    def contains(self, x) -> bool:
-        from .errors import FramefitError
-
-        try:
-            x = self.check_point(x)
-            dual_synthesis(self.jet(x, order=0).F)
-        except FramefitError:
-            return False
-        return True
 
 
 def radar_family(geometry: RadarGeometry) -> RadarFrameFamily:

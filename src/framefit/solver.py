@@ -25,6 +25,7 @@ from .errors import (
 
 MAX_BACKTRACKS = 20
 MAX_SHIFT_FACTOR = 1e12
+STEP_TOL = 1e-12  # a Newton step shorter than this ends the iteration
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,6 @@ class SolverConfig:
     gamma: float = 1.0          # initial step scale, halved on backtracking
     max_iters: int = 100
     grad_tol: float = 1e-10
-    step_tol: float = 1e-12
-    reg0: float = 0.0           # initial Hessian shift
     grid: GridSpec | None = None
 
     def __post_init__(self):
@@ -81,10 +80,8 @@ class SolverConfig:
             raise ValueError("gamma must lie in (0, 1]")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.grad_tol <= 0.0 or self.step_tol <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
-        if self.reg0 < 0.0:
-            raise ValueError("reg0 must be nonnegative")
+        if not self.grad_tol > 0.0:
+            raise ValueError("grad_tol must be strictly positive")
 
 
 class SolveStatus(Enum):
@@ -104,28 +101,37 @@ class SolveResult:
     status: SolveStatus
 
 
+def grid_sweep(family: FrameFamily, w, grid: GridSpec):
+    """The error at every grid point, one ``error_value`` call per point.
+
+    Returns (points, errors): the (num_points, P) grid points in lexicographic
+    order and their errors, NaN where the point lies outside the domain.
+    Raises EmptyDomainError when no grid point lies inside.
+    """
+    w = family.check_measurement(w)
+    points = np.array(list(grid.points()))
+    errors = np.full(len(points), np.nan)
+    for i, x in enumerate(points):
+        try:
+            errors[i] = error_value(family, x, w)
+        except FramefitError:
+            pass
+    if np.all(np.isnan(errors)):
+        raise EmptyDomainError("no grid point lies in the frame domain")
+    return points, errors
+
+
 def grid_search(family: FrameFamily, w, grid: GridSpec) -> np.ndarray:
     """In-domain grid point with the smallest error; first such point on ties."""
-    w = family.check_measurement(w)
-    best_x = None
-    best_E = np.inf
-    for x in grid.points():
-        try:
-            E = error_value(family, x, w)
-        except FramefitError:
-            continue
-        if E < best_E:
-            best_x, best_E = x, E
-    if best_x is None:
-        raise EmptyDomainError("no grid point lies in the frame domain")
-    return best_x
+    points, errors = grid_sweep(family, w, grid)
+    return points[np.nanargmin(errors)].copy()
 
 
-def _shifted_newton_direction(g, H, reg0):
+def _shifted_newton_direction(g, H):
     """Solve (H + lam I) d = g with the smallest shift making d a descent direction."""
     P = len(g)
     scale = max(float(np.linalg.norm(H)), 1.0)
-    lam = reg0
+    lam = 0.0
     while True:
         try:
             d = np.linalg.solve(H + lam * np.eye(P), g)
@@ -140,8 +146,14 @@ def _shifted_newton_direction(g, H, reg0):
             )
 
 
-def newton_step(family: FrameFamily, w, x_k, cfg: SolverConfig) -> np.ndarray:
+def newton_step(
+    family: FrameFamily, w, x_k, E_k, g_k, H_k, cfg: SolverConfig
+) -> np.ndarray:
     """One damped Newton update from x_k.
+
+    ``E_k``, ``g_k`` and ``H_k`` are the error, gradient and Hessian at x_k,
+    as returned by ``error_gradient_hessian(family, x_k, w)``; the step
+    reuses them instead of evaluating them again.
 
     Halves the step up to MAX_BACKTRACKS times while the error increases or
     the candidate leaves the domain; returns x_k unchanged when no decrease is
@@ -150,10 +162,9 @@ def newton_step(family: FrameFamily, w, x_k, cfg: SolverConfig) -> np.ndarray:
     """
     x_k = family.check_point(x_k)
     w = family.check_measurement(w)
-    E0, g, H = error_gradient_hessian(family, x_k, w)
-    if np.linalg.norm(g) == 0.0:
+    if np.linalg.norm(g_k) == 0.0:
         return x_k
-    direction = _shifted_newton_direction(g, H, cfg.reg0)
+    direction = _shifted_newton_direction(g_k, H_k)
 
     gamma = cfg.gamma
     stayed_inside = False
@@ -165,7 +176,7 @@ def newton_step(family: FrameFamily, w, x_k, cfg: SolverConfig) -> np.ndarray:
             gamma *= 0.5
             continue
         stayed_inside = True
-        if E <= E0:
+        if E <= E_k:
             return candidate
         gamma *= 0.5
     if not stayed_inside:
@@ -182,7 +193,7 @@ def localize(family: FrameFamily, w, cfg: SolverConfig) -> SolveResult:
     iterates = []
     status = SolveStatus.MAX_ITERS
     for k in range(cfg.max_iters + 1):
-        E, g, _ = error_gradient_hessian(family, x, w)
+        E, g, H = error_gradient_hessian(family, x, w)
         iterates.append((x.copy(), E, float(np.linalg.norm(g))))
         if iterates[-1][2] < cfg.grad_tol:
             status = SolveStatus.GRADIENT_CONVERGED
@@ -191,13 +202,13 @@ def localize(family: FrameFamily, w, cfg: SolverConfig) -> SolveResult:
             status = SolveStatus.MAX_ITERS
             break
         try:
-            x_next = newton_step(family, w, x, cfg)
+            x_next = newton_step(family, w, x, E, g, H, cfg)
         except LeftDomainError:
             status = SolveStatus.LEFT_DOMAIN
             break
         step = float(np.linalg.norm(x_next - x))
         x = x_next
-        if step < cfg.step_tol:
+        if step < STEP_TOL:
             E, g, _ = error_gradient_hessian(family, x, w)
             iterates.append((x.copy(), E, float(np.linalg.norm(g))))
             status = SolveStatus.STEP_CONVERGED

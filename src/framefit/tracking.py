@@ -102,15 +102,31 @@ def sampled_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def functional_value(family: FrameFamily, traj: Trajectory, data: TimeSeries) -> float:
-    """Composite-trapezoid value of the integrated squared residual."""
+def _check_width(family: FrameFamily, data: TimeSeries) -> None:
+    if data.values.shape[1] != family.N:
+        raise DimensionMismatchError(
+            f"time series has {data.values.shape[1]} columns, expected one per "
+            f"frame element ({family.N})"
+        )
+
+
+def _residual_pass(family: FrameFamily, traj: Trajectory, data: TimeSeries):
+    """Each sample's F(x_k) and residual F(x_k)^T v_k - w_k, one jet per sample."""
     if traj.positions.shape[0] != data.num_samples:
         raise DimensionMismatchError("trajectory and data grids differ")
-    squares = np.empty(data.num_samples)
+    _check_width(family, data)
+    frames, residuals = [], []
     for k in range(data.num_samples):
         F = family.jet(traj.positions[k], order=0).F
-        r = F.T @ traj.velocities[k] - data.values[k]
-        squares[k] = r @ r
+        frames.append(F)
+        residuals.append(F.T @ traj.velocities[k] - data.values[k])
+    return frames, residuals
+
+
+def functional_value(family: FrameFamily, traj: Trajectory, data: TimeSeries) -> float:
+    """Composite-trapezoid value of the integrated squared residual."""
+    _, residuals = _residual_pass(family, traj, data)
+    squares = np.array([r @ r for r in residuals])
     return float(_trapezoid(squares, dx=data.dt))
 
 
@@ -134,17 +150,9 @@ def el_residual(family: FrameFamily, traj: Trajectory, data: TimeSeries) -> np.n
 
     O(dt^2) small along trajectories that satisfy the stationarity equation.
     """
-    K = data.num_samples
-    r = np.empty((K, family.N))
-    for k in range(K):
-        F = family.jet(traj.positions[k], order=0).F
-        r[k] = F.T @ traj.velocities[k] - data.values[k]
-    rdot = sampled_derivative(r, data.dt)
-    out = np.empty((K, family.M))
-    for k in range(K):
-        F = family.jet(traj.positions[k], order=0).F
-        out[k] = F @ rdot[k]
-    return out
+    frames, residuals = _residual_pass(family, traj, data)
+    rdot = sampled_derivative(residuals, data.dt)
+    return np.array([F @ rd for F, rd in zip(frames, rdot)])
 
 
 def integrate_trajectory(
@@ -158,6 +166,7 @@ def integrate_trajectory(
     """
     x = family.check_point(x0)
     v = np.asarray(v0, dtype=float)
+    _check_width(family, data)
     K, dt = data.num_samples, data.dt
     wdot = sampled_derivative(data.values, dt)
     positions = [x.copy()]
@@ -196,6 +205,7 @@ def shooting_search(
     (x0, v0, value) for every candidate in lexicographic order; candidates
     that fail to integrate are recorded with value inf.
     """
+    _check_width(family, data)
     best = None
     best_value = np.inf
     trace = []

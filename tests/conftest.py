@@ -53,6 +53,22 @@ def noiseless_scene(seed, num_pairs=4, radius=100.0, truth_box=8.0, vel_scale=5.
     return geometry, radar_family(geometry), truth, w
 
 
+def station_node_scene():
+    """4-pair scene and a 5x5 grid on [-10, 10]^2 with a transmitter on four nodes.
+
+    The grid crosses the edge of the frame domain: those four nodes are
+    singular, every other node is inside.  Returns (family, w, grid).
+    """
+    tx = [[10.0, 0.0], [0.0, 10.0], [-10.0, 0.0], [0.0, -10.0]]
+    angles = 0.3 + np.arange(4) * np.pi / 2
+    rx = 40.0 * np.c_[np.cos(angles), np.sin(angles)]
+    geometry = RadarGeometry(tx, rx)
+    truth = TargetState([1.3, -2.1], [2.0, 1.0])
+    w = simulate_fdoa(geometry, truth, NoiseModel(0.0, 0))
+    grid = GridSpec([-10.0, -10.0], [10.0, 10.0], [5, 5])
+    return radar_family(geometry), w, grid
+
+
 def arc_family(center=0.0):
     """1-D family with exactly quadratic error E(x) = (x - center)^2 for w = (1, 0).
 

@@ -96,6 +96,21 @@ class TestSimulate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sigma, extra",
+        [(float("nan"), []), (0.1, ["--seed", "-1"])],
+        ids=["nan_sigma", "negative_seed"],
+    )
+    def test_invalid_noise_exits_one(self, tmp_path, capsys, sigma, extra):
+        geometry, _, truth, _ = noiseless_scene(0)
+        path = write_scenario(
+            tmp_path / "s.json", geometry, truth.position, truth.velocity, sigma=sigma
+        )
+        argv = ["simulate", "--scenario", str(path), "--out-dir", str(tmp_path / "o")]
+        code = main(argv + extra)
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(
             [
@@ -144,6 +159,29 @@ class TestLocalize:
         result = json.loads((out / "result.json").read_text())
         assert np.linalg.norm(np.array(result["minimizer"]) - truth.position) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"v": [1.0, 2.0]}', "not json", "[1.0, 2.0]"],
+        ids=["no_w", "not_json", "list"],
+    )
+    def test_bad_measurement_exits_one(self, scene, tmp_path, capsys, text):
+        _, _, _, _, path = scene
+        mpath = tmp_path / "m.json"
+        mpath.write_text(text)
+        code = main(
+            [
+                "localize",
+                "--scenario",
+                str(path),
+                "--measurement",
+                str(mpath),
+                "--out-dir",
+                str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert "error: cannot read measurement" in capsys.readouterr().err
+
     def test_square_family_warns_degenerate(self, tmp_path, capsys):
         geometry = circular_geometry(np.random.default_rng(2), num_pairs=2, radius=40.0)
         path = write_scenario(tmp_path / "scene.json", geometry, [1.0, 2.0], [3.0, -1.0])
@@ -180,6 +218,36 @@ class TestLocalize:
                 ]
             )
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--max-iters", "0"], ["--gamma", "2"], ["--grad-tol", "0"]],
+        ids=["max_iters", "gamma", "grad_tol"],
+    )
+    def test_bad_solver_flag_exits_two(self, scene, tmp_path, flags):
+        _, _, _, _, path = scene
+        argv = ["localize", "--scenario", str(path), "--out-dir", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + flags)
+        assert excinfo.value.code == 2
+
+    def test_grid_dimension_mismatch_exits_two(self, scene, tmp_path, capsys):
+        _, _, _, _, path = scene
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "localize",
+                    "--scenario",
+                    str(path),
+                    "--grid-lower=-1,-1,-1",
+                    "--grid-upper=1,1,1",
+                    "--grid-counts=3,3,3",
+                    "--out-dir",
+                    str(tmp_path / "o"),
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "grid has dimension 3, the scene needs 2" in capsys.readouterr().err
 
     def test_non_numeric_grid_exits_two(self, scene, tmp_path):
         _, _, _, _, path = scene
@@ -283,6 +351,25 @@ class TestTrack:
         trace = (out / "shooting_trace.csv").read_text().strip().splitlines()
         assert trace[0] == "x0_1,x0_2,v0_1,v0_2,value"
         assert len(trace) == 2
+
+
+    def test_series_width_mismatch_exits_one(self, scene, tmp_path, capsys):
+        _, _, _, _, path = scene
+        series = tmp_path / "series.json"
+        series.write_text(json.dumps({"times": [0.0, 0.5, 1.0], "w": [[0.0] * 5] * 3}))
+        code = main(
+            [
+                "track",
+                "--scenario",
+                str(path),
+                "--series",
+                str(series),
+                "--out-dir",
+                str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert "error: time series has 5 columns" in capsys.readouterr().err
 
 
 class TestVersionFlag:

@@ -16,10 +16,15 @@ from framefit import (
     uniqueness_certificate,
 )
 from framefit.diagnostics import write_level_set_csv
-from framefit.errors import EmptyDomainError
+from framefit.errors import EmptyDomainError, FramefitError
 from framefit.radar import RadarGeometry
 
-from conftest import circular_geometry, noiseless_scene, random_full_rank
+from conftest import (
+    circular_geometry,
+    noiseless_scene,
+    random_full_rank,
+    station_node_scene,
+)
 
 GRID = GridSpec([-10.0, -10.0], [10.0, 10.0], [11, 11])
 
@@ -91,6 +96,22 @@ class TestLevelSet:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x_1,x_2,E"
         assert len(lines) == len(report.points) + 1
+
+    def test_keeps_exactly_points_at_or_below_threshold(self):
+        family, w, grid = station_node_scene()
+        in_domain = []
+        for x in grid.points():
+            try:
+                in_domain.append((x, error_value(family, x, w)))
+            except FramefitError:
+                pass
+        tau = float(np.median([E for _, E in in_domain]))
+        expected = [(x, E) for x, E in in_domain if E <= tau]
+        report = level_set(family, w, grid, tau)
+        assert len(report.points) == len(expected)
+        for (x, E), (x_ref, E_ref) in zip(report.points, expected):
+            assert np.array_equal(x, x_ref) and E == E_ref
+        assert report.fraction == len(expected) / len(in_domain)
 
     def test_scaling_leaves_argmin_invariant(self):
         _, family, _, w = noiseless_scene(7)

@@ -175,6 +175,15 @@ class TestSimulateFdoa:
         assert not np.array_equal(w1, w3)
 
 
+class TestNoiseModel:
+    @pytest.mark.parametrize(
+        "sigma, seed", [(np.nan, 0), (np.inf, 0), (-0.1, 0), (0.1, -1)]
+    )
+    def test_rejects_invalid_settings(self, sigma, seed):
+        with pytest.raises(ScenarioValidationError):
+            NoiseModel(sigma, seed)
+
+
 class TestScenarioIO:
     def scenario_dict(self):
         return {

@@ -2,20 +2,29 @@ import numpy as np
 import pytest
 
 from framefit import (
+    ConstantFrameFamily,
     GridSpec,
     NoiseModel,
     SolveStatus,
     SolverConfig,
     TargetState,
+    error_gradient_hessian,
     error_value,
     grid_search,
     localize,
     newton_step,
     simulate_fdoa,
 )
-from framefit.errors import EmptyDomainError
+from framefit.errors import EmptyDomainError, FramefitError
+from framefit.solver import grid_sweep
 
-from conftest import arc_family, circular_geometry, noiseless_scene
+from conftest import (
+    arc_family,
+    circular_geometry,
+    noiseless_scene,
+    random_full_rank,
+    station_node_scene,
+)
 
 
 class TestGridSpec:
@@ -64,6 +73,28 @@ class TestGridSearch:
         with pytest.raises(EmptyDomainError):
             grid_search(family, np.zeros(1), GridSpec([-1.0, -1.0], [1.0, 1.0], [3, 3]))
 
+    def test_first_argmin_on_ties(self):
+        rng = np.random.default_rng(0)
+        family = ConstantFrameFamily(random_full_rank(rng, 2, 4), P=2)
+        grid = GridSpec([-1.0, -1.0], [1.0, 1.0], [3, 3])
+        w = rng.normal(size=4)
+        assert np.array_equal(grid_search(family, w, grid), [-1.0, -1.0])
+
+
+class TestGridSweep:
+    def test_matches_per_point_reference_across_domain_edge(self):
+        family, w, grid = station_node_scene()
+        reference = []
+        for x in grid.points():
+            try:
+                reference.append(error_value(family, x, w))
+            except FramefitError:
+                reference.append(np.nan)
+        points, errors = grid_sweep(family, w, grid)
+        assert np.array_equal(points, list(grid.points()))
+        assert np.array_equal(errors, reference, equal_nan=True)
+        assert np.count_nonzero(np.isnan(errors)) == 4
+
 
 class TestNewtonStep:
     def test_quadratic_error_solved_in_one_step(self):
@@ -71,26 +102,34 @@ class TestNewtonStep:
         family = arc_family(center=c)
         w = np.array([1.0, 0.0])
         cfg = SolverConfig(gamma=1.0)
-        x1 = newton_step(family, w, np.array([c + 0.5]), cfg)
+        x = np.array([c + 0.5])
+        x1 = newton_step(family, w, x, *error_gradient_hessian(family, x, w), cfg)
         assert abs(x1[0] - c) < 1e-12
 
     def test_zero_gradient_fixed_point(self):
         family = arc_family(center=0.0)
         w = np.array([1.0, 0.0])
-        x1 = newton_step(family, w, np.array([0.0]), SolverConfig())
+        x = np.array([0.0])
+        x1 = newton_step(
+            family, w, x, *error_gradient_hessian(family, x, w), SolverConfig()
+        )
         assert np.allclose(x1, [0.0])
 
     def test_contracts_near_minimum(self):
         _, family, truth, w = noiseless_scene(3)
         x = truth.position + np.array([0.05, -0.04])
-        x1 = newton_step(family, w, x, SolverConfig())
+        x1 = newton_step(
+            family, w, x, *error_gradient_hessian(family, x, w), SolverConfig()
+        )
         assert np.linalg.norm(x1 - truth.position) < np.linalg.norm(x - truth.position)
 
     def test_monotone_under_backtracking(self):
         _, family, truth, w = noiseless_scene(4)
         x = truth.position + np.array([2.0, -1.5])
         E0 = error_value(family, x, w)
-        x1 = newton_step(family, w, x, SolverConfig())
+        x1 = newton_step(
+            family, w, x, *error_gradient_hessian(family, x, w), SolverConfig()
+        )
         assert error_value(family, x1, w) <= E0
 
 
@@ -129,6 +168,22 @@ class TestLocalize:
         _, family, _, w = noiseless_scene(9)
         result = localize(family, w, SolverConfig(grid=self.grid))
         assert np.isclose(result.value, error_value(family, result.minimizer, w), atol=1e-12)
+
+    def test_one_error_gradient_hessian_per_iterate(self, monkeypatch):
+        import framefit.solver
+
+        calls = []
+        original = framefit.solver.error_gradient_hessian
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(framefit.solver, "error_gradient_hessian", counted)
+        _, family, _, w = noiseless_scene(5)
+        result = localize(family, w, SolverConfig(grid=self.grid, max_iters=30))
+        assert len(result.iterates) > 2
+        assert len(calls) == len(result.iterates)
 
     def test_noise_error_trend(self):
         # median localization error should shrink with the noise level

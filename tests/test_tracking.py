@@ -14,6 +14,7 @@ from framefit import (
 )
 from framefit.errors import (
     AllCandidatesFailedError,
+    DimensionMismatchError,
     LeftDomainError,
     ScenarioValidationError,
 )
@@ -176,6 +177,60 @@ class TestElResidual:
             maxres.append(np.abs(el_residual(family, traj, data)).max())
         orders = np.log2(np.array(maxres[:-1]) / np.array(maxres[1:]))
         assert np.all(orders > 1.7) and np.all(orders < 2.3)
+
+
+    def test_builds_one_jet_per_sample(self, monkeypatch):
+        family = radar_scene(9)
+        x0, v0 = np.array([1.0, -2.0]), np.array([3.0, 2.0])
+        times = np.linspace(0.0, 1.0, 11)
+        data, pos, vel = sample_radar_data(
+            family, times, lambda t: x0 + t * v0, lambda t: v0
+        )
+        calls = []
+        original = family.jet
+
+        def counted(x, order=2):
+            calls.append(order)
+            return original(x, order)
+
+        monkeypatch.setattr(family, "jet", counted)
+        el_residual(family, Trajectory(times, pos, vel), data)
+        assert len(calls) == len(times)
+
+
+class TestSeriesWidth:
+    """A series needs one column per frame element."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f, d, tr: integrate_trajectory(
+                f, tr.positions[0], tr.velocities[0], d
+            ),
+            lambda f, d, tr: functional_value(f, tr, d),
+            lambda f, d, tr: el_residual(f, tr, d),
+            lambda f, d, tr: shooting_search(
+                f, d, GridSpec([1.0, -2.0], [2.0, -1.0], [1, 1]),
+                GridSpec([3.0, 2.0], [4.0, 3.0], [1, 1]),
+            ),
+        ],
+        ids=[
+            "integrate_trajectory",
+            "functional_value",
+            "el_residual",
+            "shooting_search",
+        ],
+    )
+    def test_wrong_width_rejected(self, call):
+        family = radar_scene(10)
+        x0, v0 = np.array([1.0, -2.0]), np.array([3.0, 2.0])
+        times = np.linspace(0.0, 1.0, 11)
+        data, pos, vel = sample_radar_data(
+            family, times, lambda t: x0 + t * v0, lambda t: v0
+        )
+        wide = TimeSeries(times, np.hstack([data.values, data.values[:, :1]]))
+        with pytest.raises(DimensionMismatchError):
+            call(family, wide, Trajectory(times, pos, vel))
 
 
 class TestShootingSearch:
