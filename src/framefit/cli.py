@@ -171,6 +171,8 @@ def cmd_localize(parser, args) -> int:
 
 
 def cmd_diagnose(parser, args) -> int:
+    if args.tau is not None and not 0.0 <= args.tau < np.inf:
+        parser.error(f"--tau must be finite and nonnegative, got {args.tau}")
     scenario = load_scenario(args.scenario)
     family = radar_family(scenario.geometry)
     if args.measurement is not None:

@@ -88,6 +88,10 @@ class CallableFrameFamily(FrameFamily):
     def jet(self, x, order: int = 2) -> FrameJet:
         x = self.check_point(x)
         F = np.asarray(self._f(x), dtype=float)
+        if F.shape != (self.M, self.N):
+            raise DimensionMismatchError(
+                f"f(x) has shape {F.shape}, expected ({self.M}, {self.N})"
+            )
         dF = d2F = None
         if order >= 1:
             if self._df is None:

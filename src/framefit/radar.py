@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -120,20 +121,28 @@ def bistatic_distance(geometry: RadarGeometry, n: int, x) -> float:
     )
 
 
+@lru_cache(maxsize=8)
+def _identity(m: int) -> np.ndarray:
+    """Read-only m x m identity, built once per dimension."""
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
+
+
 def _unit_jets(d, order: int, tol: float):
     """``unit_vector_jet`` at each row of d, shape (K, M), stacked on a leading K axis.
 
-    Raises NearSingularError when some row has norm <= tol (or exactly zero).
+    Raises NearSingularError when some row has norm <= tol; tol must be >= 0,
+    so a zero row always raises.
     """
     r = np.sqrt(np.einsum("km,km->k", d, d))        # (K,)
-    if np.any(r <= tol) or np.any(r == 0.0):
-        raise NearSingularError(
-            f"point at distance {r.min()} from a station (tol {tol})"
-        )
+    r_min = r.min()
+    if r_min <= tol:
+        raise NearSingularError(f"point at distance {r_min} from a station (tol {tol})")
     u = d / r[:, None]
     if order < 1:
         return u, None, None
-    eye = np.eye(d.shape[1])
+    eye = _identity(d.shape[1])
     pi = eye[None, :, :] - u[:, :, None] * u[:, None, :]   # (K, M, M)
     first = pi / r[:, None, None]
     if order < 2:
@@ -161,7 +170,7 @@ def unit_vector_jet(x, order: int = 2, tol: float = 0.0):
     x = np.asarray(x, dtype=float)
     return tuple(
         None if part is None else part[0]
-        for part in _unit_jets(x[None, :], order, tol)
+        for part in _unit_jets(x[None, :], order, max(0.0, tol))
     )
 
 
@@ -185,20 +194,24 @@ class RadarFrameFamily(FrameFamily):
         self.M = geometry.dim
         self.N = geometry.num_pairs
         self.P = geometry.dim
+        # transmitters in rows :N, receivers in rows N:, so one _unit_jets
+        # call per jet covers every station
+        self._stations = np.vstack([geometry.transmitters, geometry.receivers])
 
     def jet(self, x, order: int = 2) -> FrameJet:
         x = self.check_point(x)
-        tol = self.geometry.singularity_tolerance
-        ua, fa, sa = _unit_jets(x - self.geometry.transmitters, order, tol)
-        ub, fb, sb = _unit_jets(x - self.geometry.receivers, order, tol)
-        F = (ua + ub).T                                  # (M, N)
+        N = self.N
+        u, first, second = _unit_jets(
+            x - self._stations, order, self.geometry.singularity_tolerance
+        )
+        F = (u[:N] + u[N:]).T                            # (M, N)
         dF = d2F = None
         if order >= 1:
             # first[n, m, p] -> dF[p, m, n]
-            dF = (fa + fb).transpose(2, 1, 0)
+            dF = (first[:N] + first[N:]).transpose(2, 1, 0)
         if order >= 2:
             # second[n, q, p, m] -> d2F[q, p, m, n]
-            d2F = (sa + sb).transpose(1, 2, 3, 0)
+            d2F = (second[:N] + second[N:]).transpose(1, 2, 3, 0)
         return FrameJet(F, dF, d2F)
 
 

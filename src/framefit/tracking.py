@@ -52,6 +52,10 @@ class TimeSeries:
             raise ScenarioValidationError("time series needs at least 3 samples")
         if v.shape[0] != len(t):
             raise ScenarioValidationError("times and values lengths differ")
+        if not np.isfinite(t).all():
+            raise ScenarioValidationError("time series has non-finite times")
+        if not np.isfinite(v).all():
+            raise ScenarioValidationError("time series has non-finite values")
         dt = np.diff(t)
         if np.any(dt <= 0.0):
             raise ScenarioValidationError("times must be strictly increasing")
@@ -230,12 +234,11 @@ def load_time_series(path) -> TimeSeries:
     try:
         with open(path) as fh:
             data = json.load(fh)
-        return TimeSeries(
-            np.asarray(data["times"], dtype=float),
-            np.asarray(data["w"], dtype=float),
-        )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        times = np.asarray(data["times"], dtype=float)
+        values = np.asarray(data["w"], dtype=float)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioParseError(f"cannot read time series {path}: {exc}") from exc
+    return TimeSeries(times, values)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -313,6 +313,27 @@ class TestDiagnose:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["level_set_fraction"] == 0.0
 
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-1.0"])
+    def test_bad_tau_exits_two(self, scene, tmp_path, capsys, tau):
+        _, _, _, _, path = scene
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "diagnose",
+                    "--scenario",
+                    str(path),
+                    "--grid-counts",
+                    "7,7",
+                    f"--tau={tau}",
+                    "--out-dir",
+                    str(out),
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "--tau must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrack:
     def test_single_candidate_recovers_truth(self, scene, tmp_path):
@@ -370,6 +391,51 @@ class TestTrack:
         )
         assert code == 1
         assert "error: time series has 5 columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"times": [0.0, 0.5, 1.0], "w": [[0.0] * 4, [0.0] * 3, [0.0] * 4]},
+            {"times": "abc", "w": [[0.0] * 4] * 3},
+        ],
+    )
+    def test_malformed_series_exits_one(self, scene, tmp_path, capsys, payload):
+        _, _, _, _, path = scene
+        series = tmp_path / "series.json"
+        series.write_text(json.dumps(payload))
+        code = main(
+            [
+                "track",
+                "--scenario",
+                str(path),
+                "--series",
+                str(series),
+                "--out-dir",
+                str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert "error: cannot read time series" in capsys.readouterr().err
+
+    def test_non_finite_series_exits_one(self, scene, tmp_path, capsys):
+        _, _, _, _, path = scene
+        series = tmp_path / "series.json"
+        # json writes the bare token NaN, which json.load reads back as nan
+        w = [[0.0] * 4, [float("nan")] * 4, [0.0] * 4]
+        series.write_text(json.dumps({"times": [0.0, 0.5, 1.0], "w": w}))
+        code = main(
+            [
+                "track",
+                "--scenario",
+                str(path),
+                "--series",
+                str(series),
+                "--out-dir",
+                str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert "error: time series has non-finite values" in capsys.readouterr().err
 
 
 class TestVersionFlag:

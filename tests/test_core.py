@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from framefit import (
+    CallableFrameFamily,
     ConstantFrameFamily,
     FrameJet,
     NoiseModel,
@@ -111,6 +112,13 @@ class TestErrorValue:
             w = rng.normal(size=5)
             E = error_value(family, [0.0], w)
             assert 0.0 <= E <= w @ w * (1 + 1e-12)
+
+    def test_frame_of_wrong_shape_rejected(self):
+        # error_value applies F and its dual without re-checking their shapes,
+        # so a family whose F does not match its declared (M, N) must raise
+        family = CallableFrameFamily((2, 3, 1), lambda x: np.eye(2, 4))
+        with pytest.raises(DimensionMismatchError):
+            error_value(family, [0.0], [1.0, 2.0, 3.0])
 
 
 class TestFrameBounds:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from framefit import (
     NoiseModel,
@@ -75,6 +77,8 @@ class TestUnitVectorJet:
         with pytest.raises(NearSingularError):
             unit_vector_jet(np.zeros(2))
         with pytest.raises(NearSingularError):
+            unit_vector_jet(np.zeros(2), tol=-1.0)
+        with pytest.raises(NearSingularError):
             unit_vector_jet(np.array([1e-12, 0.0]), tol=1e-9)
 
 
@@ -137,6 +141,51 @@ class TestRadarFamily:
         family = radar_family(circular_geometry(rng))
         jet = family.jet(rng.uniform(-10, 10, size=2))
         assert np.array_equal(jet.d2F, jet.d2F.transpose(1, 0, 2, 3))
+
+    def test_near_receiver_raises(self):
+        rng = np.random.default_rng(8)
+        geom = circular_geometry(rng)
+        family = radar_family(geom)
+        x = geom.receivers[2] + [0.5 * geom.singularity_tolerance, 0.0]
+        assert np.min(np.linalg.norm(geom.transmitters - x, axis=1)) > 1.0
+        for order in (0, 1, 2):
+            with pytest.raises(NearSingularError):
+                family.jet(x, order)
+        with pytest.raises(NearSingularError):
+            error_value(family, x, np.ones(geom.num_pairs))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 3]),
+        num_pairs=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        order=st.sampled_from([0, 1, 2]),
+    )
+    def test_jet_equals_per_station_reference(self, dim, num_pairs, seed, order):
+        rng = np.random.default_rng(seed)
+        geom = RadarGeometry(
+            rng.uniform(-100.0, 100.0, size=(num_pairs, dim)),
+            rng.uniform(-100.0, 100.0, size=(num_pairs, dim)),
+        )
+        x = rng.uniform(-50.0, 50.0, size=dim)
+        stations = np.vstack([geom.transmitters, geom.receivers])
+        assume(np.min(np.linalg.norm(stations - x, axis=1)) > 1e-3)
+        jet = radar_family(geom).jet(x, order)
+        # per-station reference: one unit_vector_jet per transmitter and receiver
+        pairs = []
+        for a, b in zip(geom.transmitters, geom.receivers):
+            ja, jb = unit_vector_jet(x - a, order), unit_vector_jet(x - b, order)
+            pairs.append([pa + pb for pa, pb in zip(ja[: order + 1], jb[: order + 1])])
+        assert np.array_equal(jet.F, np.array([p[0] for p in pairs]).T)
+        if order >= 1:
+            # first[m, p] of pair n -> dF[p, m, n]
+            ref = np.array([p[1] for p in pairs]).transpose(2, 1, 0)
+            assert np.array_equal(jet.dF, ref)
+        if order >= 2:
+            # second[q, p, m] of pair n -> d2F[q, p, m, n]
+            ref = np.array([p[2] for p in pairs]).transpose(1, 2, 3, 0)
+            assert np.array_equal(jet.d2F, ref)
+        assert jet.order == order
 
     def test_jets_match_finite_differences(self):
         rng = np.random.default_rng(6)

@@ -46,6 +46,19 @@ class TestTimeSeries:
         with pytest.raises(ScenarioValidationError):
             TimeSeries([0.0, 1.0, 2.5], [[0.0], [0.0], [0.0]])
 
+    @pytest.mark.parametrize(
+        "times, values, what",
+        [
+            ([0.0, np.nan, 2.0], [[0.0], [0.0], [0.0]], "times"),
+            ([0.0, 1.0, np.inf], [[0.0], [0.0], [0.0]], "times"),
+            ([0.0, 1.0, 2.0], [[0.0], [np.nan], [0.0]], "values"),
+            ([0.0, 1.0, 2.0], [[0.0], [0.0], [-np.inf]], "values"),
+        ],
+    )
+    def test_rejects_non_finite(self, times, values, what):
+        with pytest.raises(ScenarioValidationError, match=f"non-finite {what}"):
+            TimeSeries(times, values)
+
     def test_sampled_derivative_exact_for_quadratics(self):
         t = np.linspace(0.0, 1.0, 11)
         vals = (3.0 + 2.0 * t - 5.0 * t**2)[:, None]
