@@ -30,6 +30,8 @@ from .solver import GridSpec, SolverConfig, grid_sweep, localize
 from .tracking import load_time_series, shooting_search, write_trajectory_csv
 
 DEGENERACY_RTOL = 1e-12
+GRID_POINTS_PER_AXIS = 21   # localize and diagnose
+TRACK_POINTS_PER_AXIS = 3   # track: 3^(P+M) shooting candidates, 81 in 2-D
 
 
 def _vector(text: str) -> list[float]:
@@ -46,10 +48,11 @@ def _counts(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text}") from exc
 
 
-def _grid_from_args(parser, lower, upper, counts, dim) -> GridSpec:
+def _grid_from_args(parser, lower, upper, counts, dim,
+                    points_per_axis=GRID_POINTS_PER_AXIS) -> GridSpec:
     lower = lower if lower is not None else [-10.0] * dim
     upper = upper if upper is not None else [10.0] * dim
-    counts = counts if counts is not None else [21] * dim
+    counts = counts if counts is not None else [points_per_axis] * dim
     try:
         grid = GridSpec(np.asarray(lower), np.asarray(upper), np.asarray(counts))
     except ValueError as exc:
@@ -238,9 +241,9 @@ def cmd_track(parser, args) -> int:
     family = radar_family(scenario.geometry)
     data = load_time_series(args.series)
     pos_grid = _grid_from_args(parser, args.grid_lower, args.grid_upper,
-                               args.grid_counts, family.P)
+                               args.grid_counts, family.P, TRACK_POINTS_PER_AXIS)
     vel_grid = _grid_from_args(parser, args.vel_lower, args.vel_upper,
-                               args.vel_counts, family.M)
+                               args.vel_counts, family.M, TRACK_POINTS_PER_AXIS)
     best, value, trace = shooting_search(family, data, pos_grid, vel_grid)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -9,6 +9,7 @@ to the range of F(x)^T, i.e. the energy of w in the null space of F(x).
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,13 @@ class FrameJet:
                 raise DimensionMismatchError(
                     f"d2F has shape {d2F.shape}, expected ({P}, {P}, {M}, {N})"
                 )
-            if not np.allclose(d2F, d2F.transpose(1, 0, 2, 3), rtol=1e-10, atol=1e-12):
+            d2F_T = d2F.transpose(1, 0, 2, 3)
+            # families symmetric by construction pass the exact test; allclose
+            # only runs for jets that are symmetric up to roundoff or not at all
+            if not (
+                np.array_equal(d2F, d2F_T)
+                or np.allclose(d2F, d2F_T, rtol=1e-10, atol=1e-12)
+            ):
                 raise DimensionMismatchError("d2F is not symmetric in (q, p)")
             object.__setattr__(self, "d2F", d2F)
 
@@ -154,7 +161,9 @@ class FrameFamily(abc.ABC):
             raise DimensionMismatchError(
                 f"parameter point has shape {x.shape}, expected ({self.P},)"
             )
-        if not np.isfinite(x).all():
+        # x is 1-D here; the scalar test is several times cheaper than
+        # np.isfinite on the short vectors of the per-point hot path
+        if not all(map(math.isfinite, x.tolist())):
             raise DimensionMismatchError("parameter point has non-finite entries")
         return x
 
@@ -164,7 +173,7 @@ class FrameFamily(abc.ABC):
             raise DimensionMismatchError(
                 f"measurement has shape {w.shape}, expected ({self.N},)"
             )
-        if not np.isfinite(w).all():
+        if not all(map(math.isfinite, w.tolist())):
             raise DimensionMismatchError("measurement has non-finite entries")
         return w
 

@@ -136,7 +136,8 @@ def _unit_jets(d, order: int, tol: float):
     so a zero row always raises.
     """
     r = np.sqrt(np.einsum("km,km->k", d, d))        # (K,)
-    r_min = r.min()
+    # r holds no NaN when d does not, and the builtin min is cheaper on few rows
+    r_min = min(r.tolist())
     if r_min <= tol:
         raise NearSingularError(f"point at distance {r_min} from a station (tol {tol})")
     u = d / r[:, None]

@@ -8,7 +8,6 @@ fails to decrease the error or leaves the domain.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,16 +38,25 @@ class GridSpec:
     def __post_init__(self):
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        counts = np.atleast_1d(np.asarray(self.counts, dtype=int))
-        if not (lower.shape == upper.shape == counts.shape):
-            raise ValueError("grid lower, upper, counts must be congruent")
+        # read counts as floats first, so 2.5 is rejected rather than truncated
+        counts = np.atleast_1d(np.asarray(self.counts, dtype=float))
+        if not (lower.ndim == 1 and lower.shape == upper.shape == counts.shape):
+            raise ValueError("grid lower, upper, counts must be congruent vectors")
+        if lower.size == 0:
+            raise ValueError("grid needs at least one axis")
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+            raise ValueError("grid bounds must be finite")
         if not np.all(lower < upper):
             raise ValueError("grid requires lower < upper componentwise")
-        if not np.all(counts >= 1):
-            raise ValueError("grid counts must be positive")
+        with np.errstate(over="ignore"):
+            span = upper - lower
+        if not np.isfinite(span).all():
+            raise ValueError("grid span upper - lower overflows")
+        if not np.all((counts >= 1) & (counts < 2.0**63) & (counts == np.floor(counts))):
+            raise ValueError("grid counts must be positive integers")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", counts.astype(int))
 
     @property
     def num_points(self) -> int:
@@ -60,10 +68,11 @@ class GridSpec:
             for lo, hi, c in zip(self.lower, self.upper, self.counts)
         ]
 
-    def points(self):
-        """Yield grid points in lexicographic index order (first axis slowest)."""
-        for combo in itertools.product(*self.axes()):
-            yield np.array(combo)
+    def points(self) -> np.ndarray:
+        """The (num_points, P) grid points in lexicographic index order
+        (first axis slowest)."""
+        grids = np.meshgrid(*self.axes(), indexing="ij")
+        return np.stack(grids, axis=-1).reshape(-1, len(grids))
 
 
 @dataclass(frozen=True)
@@ -109,7 +118,7 @@ def grid_sweep(family: FrameFamily, w, grid: GridSpec):
     Raises EmptyDomainError when no grid point lies inside.
     """
     w = family.check_measurement(w)
-    points = np.array(list(grid.points()))
+    points = grid.points()
     errors = np.full(len(points), np.nan)
     for i, x in enumerate(points):
         try:

@@ -213,8 +213,9 @@ def shooting_search(
     best = None
     best_value = np.inf
     trace = []
+    velocities = vel_grid.points()
     for x0 in pos_grid.points():
-        for v0 in vel_grid.points():
+        for v0 in velocities:
             try:
                 traj = integrate_trajectory(family, x0, v0, data)
                 value = functional_value(family, traj, data)

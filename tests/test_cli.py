@@ -249,6 +249,26 @@ class TestLocalize:
         assert excinfo.value.code == 2
         assert "grid has dimension 3, the scene needs 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--grid-upper=inf,inf"], "grid bounds must be finite"),
+            (["--grid-lower=nan,0"], "grid bounds must be finite"),
+            (["--grid-lower=-1e308,-1e308", "--grid-upper=1e308,1e308"],
+             "grid span upper - lower overflows"),
+        ],
+        ids=["inf", "nan", "span_overflow"],
+    )
+    def test_non_finite_grid_exits_two(self, scene, tmp_path, capsys, flags, message):
+        _, _, _, _, path = scene
+        argv = ["localize", "--scenario", str(path), "--out-dir", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + flags)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Warning" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_non_numeric_grid_exits_two(self, scene, tmp_path):
         _, _, _, _, path = scene
         with pytest.raises(SystemExit) as excinfo:
@@ -373,6 +393,25 @@ class TestTrack:
         assert trace[0] == "x0_1,x0_2,v0_1,v0_2,value"
         assert len(trace) == 2
 
+
+    def test_default_grids_are_three_points_per_axis(self, scene, tmp_path):
+        geometry, family, truth, _, path = scene
+        times = np.linspace(0.0, 0.1, 5)
+        vals = [
+            [float(v) for v in family.jet(truth.position + t * truth.velocity, 0).F.T
+             @ truth.velocity]
+            for t in times
+        ]
+        series = tmp_path / "series.json"
+        series.write_text(json.dumps({"times": [float(t) for t in times], "w": vals}))
+        out = tmp_path / "out"
+        argv = ["track", "--scenario", str(path), "--series", str(series)]
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        trace = (out / "shooting_trace.csv").read_text().strip().splitlines()
+        P = M = geometry.dim
+        assert len(trace) == 1 + 3 ** (P + M)
+        # the first candidate sits at the lower corner of both default boxes
+        assert trace[1].split(",")[:4] == ["-10.0"] * 4
 
     def test_series_width_mismatch_exits_one(self, scene, tmp_path, capsys):
         _, _, _, _, path = scene

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from framefit import (
     CallableFrameFamily,
@@ -153,6 +157,28 @@ class TestFrameJet:
         with pytest.raises(DimensionMismatchError):
             FrameJet(F, dF, d2F)
 
+    def test_accepts_asymmetry_within_tolerance(self):
+        # the exact-symmetry test fails here, so allclose decides; d2F is kept as given
+        dF = np.zeros((2, 2, 2))
+        d2F = np.ones((2, 2, 2, 2))
+        d2F[0, 1, 0, 0] += 1e-13
+        jet = FrameJet(np.eye(2), dF, d2F)
+        assert not np.array_equal(jet.d2F, jet.d2F.transpose(1, 0, 2, 3))
+        assert jet.d2F[0, 1, 0, 0] == 1.0 + 1e-13
+
+    @pytest.mark.parametrize("bad", [1.0 + 1e-6, np.nan, np.inf])
+    def test_rejects_asymmetry_beyond_tolerance(self, bad):
+        d2F = np.ones((2, 2, 2, 2))
+        d2F[0, 1, 1, 0] = bad
+        with pytest.raises(DimensionMismatchError):
+            FrameJet(np.eye(2), np.zeros((2, 2, 2)), d2F)
+
+    def test_rejects_symmetric_nan(self):
+        # NaN != NaN, so neither the exact nor the allclose test accepts it
+        d2F = np.full((1, 1, 2, 2), np.nan)
+        with pytest.raises(DimensionMismatchError):
+            FrameJet(np.eye(2), np.zeros((1, 2, 2)), d2F)
+
     def test_order_reporting(self):
         jet = FrameJet(np.eye(2), np.zeros((1, 2, 2)))
         assert jet.order == 1
@@ -165,3 +191,28 @@ def test_family_determinism():
     j2 = family.jet(truth.position)
     assert np.array_equal(j1.F, j2.F)
     assert np.array_equal(j1.d2F, j2.d2F)
+
+
+# finite extremes, subnormals and non-finite values, mixed with arbitrary floats
+FINITENESS_CASES = [
+    math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 5e-324, -5e-324,
+    1e-310, 0.0, -0.0,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(FINITENESS_CASES), st.floats()),
+                min_size=1, max_size=6))
+@example([1.0, math.nan])
+@example([math.inf, 1.0, 2.0])
+@example([1.7e308, -5e-324])
+def test_finiteness_checks_match_numpy(values):
+    n = len(values)
+    family = ConstantFrameFamily(np.ones((1, n)), P=n)
+    x = np.array(values)
+    for check in (family.check_point, family.check_measurement):
+        if np.isfinite(x).all():
+            assert np.array_equal(check(values), x)
+        else:
+            with pytest.raises(DimensionMismatchError, match="non-finite"):
+                check(values)

@@ -263,3 +263,57 @@ class TestScenarioIO:
         data["dim"] = 3
         with pytest.raises(ScenarioValidationError):
             parse_scenario(data)
+
+
+class TestErrorProperties:
+    """Properties of E(x, w) = |Pi(x) w|^2 on random radar geometries."""
+
+    @staticmethod
+    def scene(dim, num_pairs, seed):
+        """A random family, a point in its domain with cond(F) <= 1e3, and a w.
+
+        Half of the measurements lie near the coefficient space of F(x)^T, so
+        E ranges from roundoff level to a large share of |w|^2.
+        """
+        rng = np.random.default_rng(seed)
+        geom = RadarGeometry(
+            rng.uniform(-100.0, 100.0, size=(num_pairs, dim)),
+            rng.uniform(-100.0, 100.0, size=(num_pairs, dim)),
+        )
+        family = radar_family(geom)
+        x = rng.uniform(-50.0, 50.0, size=dim)
+        stations = np.vstack([geom.transmitters, geom.receivers])
+        assume(np.min(np.linalg.norm(stations - x, axis=1)) > 1e-3)
+        F = family.jet(x, 0).F
+        A, B = frame_bounds(F)
+        assume(A > 1e-6 * B)
+        w = rng.normal(size=num_pairs) * 10.0 ** rng.uniform(-3, 3)
+        if seed % 2:
+            w = F.T @ rng.normal(size=dim) + 1e-6 * w
+        return family, x, w
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 3]),
+        num_pairs=st.integers(2, 7),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-40, 40),
+    )
+    def test_bounds_and_power_of_two_scaling(self, dim, num_pairs, seed, k):
+        family, x, w = self.scene(dim, num_pairs, seed)
+        E = error_value(family, x, w)
+        assert 0.0 <= E <= w @ w
+        # scaling by 2^k is exact in binary floating point, so E scales exactly
+        assert error_value(family, x, 2.0**k * w) == 4.0**k * E
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 3]),
+        num_pairs=st.integers(2, 7),
+        seed=st.integers(0, 2**32 - 1),
+        c=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
+    )
+    def test_rescaling_invariance(self, dim, num_pairs, seed, c):
+        family, x, w = self.scene(dim, num_pairs, seed)
+        E, Ec = error_value(family, x, w), error_value(family, x, c * w)
+        assert abs(Ec - c * c * E) <= 1e-12 * c * c * (w @ w)

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from framefit import (
     ConstantFrameFamily,
@@ -40,6 +44,51 @@ class TestGridSpec:
     def test_single_count_axis(self):
         grid = GridSpec([2.0], [3.0], [1])
         assert np.allclose(list(grid.points()), [[2.0]])
+
+    @pytest.mark.parametrize(
+        "lower, upper, counts",
+        [
+            ([-np.inf], [0.0], [3]),
+            ([0.0, 0.0], [1.0, np.inf], [3, 3]),
+            ([np.nan], [1.0], [3]),
+            ([-1e308], [1e308], [3]),          # finite bounds, span overflows
+            ([0.0], [1.0], [2.5]),             # was truncated to 2
+            ([0.0], [1.0], [np.nan]),
+            ([0.0], [1.0], [np.inf]),
+            ([0.0], [1.0], [1e30]),            # not an int64
+            ([0.0], [1.0], [0]),
+            ([], [], []),
+            ([[0.0]], [[1.0]], [[3]]),
+        ],
+        ids=["lower_inf", "upper_inf", "lower_nan", "span_overflow", "fractional_count",
+             "nan_count", "inf_count", "huge_count", "zero_count", "empty", "matrix"],
+    )
+    def test_rejects_invalid_spec(self, lower, upper, counts):
+        with pytest.raises(ValueError):
+            GridSpec(lower, upper, counts)
+
+    def test_integral_float_counts_accepted(self):
+        grid = GridSpec([0.0], [1.0], [3.0])
+        assert grid.counts.dtype.kind == "i" and grid.num_points == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.integers(1, 6)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @example([(0.0, 1.0, 1), (-2.0, 4.0, 5), (3.0, 0.5, 1)])
+    def test_points_match_product_reference(self, axes):
+        lower = [lo for lo, _, _ in axes]
+        upper = [lo + span for lo, span, _ in axes]
+        grid = GridSpec(lower, upper, [c for _, _, c in axes])
+        reference = np.array([np.array(c) for c in itertools.product(*grid.axes())])
+        points = grid.points()
+        assert points.shape == (grid.num_points, len(axes)) == reference.shape
+        assert points.dtype == reference.dtype
+        assert points.tobytes() == reference.tobytes()
 
 
 class TestGridSearch:
