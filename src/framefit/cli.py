@@ -82,12 +82,13 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict, overrides: dict,
     )
 
 
-def _load_measurement(path) -> np.ndarray:
+def _load_measurement(path, family) -> np.ndarray:
     try:
         with open(path) as fh:
-            return np.asarray(json.load(fh)["w"], dtype=float)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+            w = np.asarray(json.load(fh)["w"], dtype=float)
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioParseError(f"cannot read measurement {path}: {exc}") from exc
+    return family.check_measurement(w)
 
 
 def cmd_simulate(parser, args) -> int:
@@ -112,7 +113,7 @@ def cmd_localize(parser, args) -> int:
     scenario = load_scenario(args.scenario)
     family = radar_family(scenario.geometry)
     if args.measurement is not None:
-        w = _load_measurement(args.measurement)
+        w = _load_measurement(args.measurement, family)
     else:
         w = simulate_fdoa(scenario.geometry, scenario.target, scenario.noise)
     grid = _grid_from_args(parser, args.grid_lower, args.grid_upper, args.grid_counts,
@@ -179,7 +180,7 @@ def cmd_diagnose(parser, args) -> int:
     scenario = load_scenario(args.scenario)
     family = radar_family(scenario.geometry)
     if args.measurement is not None:
-        w = _load_measurement(args.measurement)
+        w = _load_measurement(args.measurement, family)
     else:
         w = simulate_fdoa(scenario.geometry, scenario.target, scenario.noise)
     grid = _grid_from_args(parser, args.grid_lower, args.grid_upper, args.grid_counts,

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    FramefitError,
     MissingSecondOrderError,
     RankDeficientError,
 )
@@ -39,14 +40,17 @@ def dual_synthesis(F) -> np.ndarray:
     the result stays accurate for poorly conditioned frames.  G satisfies
     F @ G = I and G @ F @ G = G.
 
-    Raises RankDeficientError when the smallest singular value of F is at or
-    below RANK_RTOL times the largest, which signals that the columns of F
-    do not span R^M.
+    The one domain test: raises RankDeficientError unless the smallest
+    singular value of F exceeds RANK_RTOL times the largest, which fails when
+    the columns of F do not span R^M or F has a NaN or inf entry.
     """
     F = _as_matrix(F)
     M, N = F.shape
-    U, s, Vt = np.linalg.svd(F, full_matrices=False)
-    if len(s) < M or s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]:
+    try:
+        U, s, Vt = np.linalg.svd(F, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficientError(f"synthesis matrix has no SVD ({exc})") from exc
+    if len(s) < M or not s[-1] > RANK_RTOL * s[0]:
         raise RankDeficientError(
             f"synthesis matrix is rank deficient (singular values {s})"
         )
@@ -73,9 +77,12 @@ def project_null(F, G, w) -> np.ndarray:
 def frame_bounds(F) -> tuple[float, float]:
     """Lower and upper frame bounds: the extreme eigenvalues of F F^T.
 
-    Returns (A, B) with A = 0 when the columns of F fail to span R^M.
+    Returns (A, B) with A = 0 when the columns of F fail to span R^M; a NaN
+    or inf entry raises RankDeficientError.
     """
     F = _as_matrix(F)
+    if not np.isfinite(F).all():
+        raise RankDeficientError("synthesis matrix has non-finite entries")
     M = F.shape[0]
     s = np.linalg.svd(F, compute_uv=False)
     s = np.concatenate([s, np.zeros(M - len(s))]) if len(s) < M else s
@@ -143,8 +150,9 @@ class FrameJet:
 class FrameFamily(abc.ABC):
     """A parametrized family of frames for R^M.
 
-    Subclasses fix the dimensions (M, N, P), evaluate jets, and decide
-    membership in the domain where the columns of F(x) form a frame.
+    Subclasses fix the dimensions (M, N, P) and evaluate jets.  The domain is
+    where the columns of F(x) form a frame; ``dual_synthesis`` alone decides
+    it, so no family adds membership rules of its own.
     """
 
     M: int
@@ -153,7 +161,7 @@ class FrameFamily(abc.ABC):
 
     @abc.abstractmethod
     def jet(self, x, order: int = 2) -> FrameJet:
-        """Evaluate F(x) and, for ``order`` >= 1 or 2, its parameter partials."""
+        """F(x) and, for ``order`` >= 1 or 2, its partials; calls check_point(x)."""
 
     def check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -178,11 +186,8 @@ class FrameFamily(abc.ABC):
         return w
 
     def contains(self, x) -> bool:
-        """Whether x lies in the domain where F(x) has full row rank."""
-        from .errors import FramefitError
-
+        """Whether x is in the domain, i.e. error_value(self, x, w) does not raise."""
         try:
-            x = self.check_point(x)
             dual_synthesis(self.jet(x, order=0).F)
         except FramefitError:
             return False
@@ -195,7 +200,6 @@ def error_value(family: FrameFamily, x, w) -> float:
     Evaluates ||Pi(x) w||^2 where Pi(x) projects onto the null space of F(x).
     Always in [0, ||w||^2]; zero exactly when w lies in the range of F(x)^T.
     """
-    x = family.check_point(x)
     w = family.check_measurement(w)
     F = family.jet(x, order=0).F
     # project_null without its checks: G = dual_synthesis(F) fits F by

@@ -42,7 +42,6 @@ class ProjectorPieces:
     Pps_w: np.ndarray     # (P, N)   Pi_p* w
     P_Pps_w: np.ndarray   # (P, N)   Pi Pi_p* w
     Pqp_Pw: np.ndarray    # (P, P, N) Pi_qp Pi w
-    dual: np.ndarray      # (N, M)   G, shared by every quantity above
 
 
 def projector_pieces(jet: FrameJet, w) -> ProjectorPieces:
@@ -75,7 +74,7 @@ def projector_pieces(jet: FrameJet, w) -> ProjectorPieces:
             v = G @ (d2F[q, p] @ Pw)
             Pqp_Pw[q, p] = v
             Pqp_Pw[p, q] = v
-    return ProjectorPieces(Pw, PpPw, Pps_w, P_Pps_w, Pqp_Pw, G)
+    return ProjectorPieces(Pw, PpPw, Pps_w, P_Pps_w, Pqp_Pw)
 
 
 def gradient(pieces: ProjectorPieces, w) -> np.ndarray:
@@ -104,7 +103,6 @@ def hessian(pieces: ProjectorPieces, w) -> np.ndarray:
 
 def error_gradient_hessian(family: FrameFamily, x, w):
     """Convenience wrapper: (E, grad E, hess E) at a single point."""
-    x = family.check_point(x)
     w = family.check_measurement(w)
     pieces = projector_pieces(family.jet(x, order=2), w)
     E = float(pieces.Pw @ pieces.Pw)

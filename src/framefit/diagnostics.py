@@ -66,7 +66,6 @@ def augmented_vectors(family: FrameFamily, x, w) -> np.ndarray:
     Here c is the dual-frame coefficient vector (F F^T)^{-1} F w and Df_n is
     the M x P Jacobian of the n-th frame element.
     """
-    x = family.check_point(x)
     w = family.check_measurement(w)
     jet = family.jet(x, order=1)
     G = dual_synthesis(jet.F)

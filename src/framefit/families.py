@@ -76,14 +76,13 @@ class CallableFrameFamily(FrameFamily):
     """Frame family built from user-supplied evaluation callables.
 
     ``f(x) -> (M, N)``, ``df(x) -> (P, M, N)`` and ``d2f(x) -> (P, P, M, N)``
-    supply the jet pieces; ``member`` optionally restricts the domain beyond
-    the full-row-rank requirement.
+    supply the jet pieces.  Where ``f(x)`` is not a frame, NaN or inf entries
+    included, x lies outside the domain.
     """
 
-    def __init__(self, dims, f, df=None, d2f=None, member=None):
+    def __init__(self, dims, f, df=None, d2f=None):
         self.M, self.N, self.P = dims
         self._f, self._df, self._d2f = f, df, d2f
-        self._member = member
 
     def jet(self, x, order: int = 2) -> FrameJet:
         x = self.check_point(x)
@@ -102,13 +101,3 @@ class CallableFrameFamily(FrameFamily):
                 raise DimensionMismatchError("family has no second-order evaluator")
             d2F = np.asarray(self._d2f(x), dtype=float)
         return FrameJet(F, dF, d2F)
-
-    def contains(self, x) -> bool:
-        if self._member is not None:
-            try:
-                x = self.check_point(x)
-            except DimensionMismatchError:
-                return False
-            if not self._member(x):
-                return False
-        return super().contains(x)

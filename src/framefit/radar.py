@@ -37,7 +37,7 @@ class RadarGeometry:
     def __post_init__(self):
         tx = np.atleast_2d(np.asarray(self.transmitters, dtype=float))
         rx = np.atleast_2d(np.asarray(self.receivers, dtype=float))
-        if tx.shape != rx.shape or tx.shape[0] < 1:
+        if tx.shape != rx.shape or tx.ndim != 2 or tx.shape[0] < 1:
             raise DimensionMismatchError(
                 "transmitter and receiver lists must be nonempty and congruent"
             )
@@ -47,8 +47,9 @@ class RadarGeometry:
             raise DimensionMismatchError("station coordinates must be finite")
         object.__setattr__(self, "transmitters", tx)
         object.__setattr__(self, "receivers", rx)
+        pts = np.vstack([tx, rx])  # (2N, M): transmitters, then receivers
+        object.__setattr__(self, "stations", pts)
         # cache the diameter: jet evaluation reads it in its inner loop
-        pts = np.vstack([tx, rx])
         d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
         diam = float(d.max())
         object.__setattr__(self, "_diameter", diam if diam > 0.0 else 1.0)
@@ -104,8 +105,8 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.sigma < np.inf:
             raise ScenarioValidationError("noise sigma must be finite and nonnegative")
-        if self.seed < 0:
-            raise ScenarioValidationError("noise seed must be nonnegative")
+        if not 0 <= self.seed < 2**128:  # a Philox key has 128 bits
+            raise ScenarioValidationError("noise seed must lie in [0, 2**128)")
 
     def draw(self, n: int) -> np.ndarray:
         rng = np.random.Generator(np.random.Philox(key=self.seed))
@@ -114,7 +115,7 @@ class NoiseModel:
 
 def bistatic_distance(geometry: RadarGeometry, n: int, x) -> float:
     """Transmitter-to-target plus target-to-receiver path length for pair n."""
-    x = np.asarray(x, dtype=float)
+    x = RadarFrameFamily(geometry).check_point(x)
     return float(
         np.linalg.norm(x - geometry.transmitters[n])
         + np.linalg.norm(x - geometry.receivers[n])
@@ -166,9 +167,11 @@ def unit_vector_jet(x, order: int = 2, tol: float = 0.0):
         -(1/|x|^3) [ pi(x)(delta_p x_q + delta_q x_p) + pi(x)[p, q] x ].
 
     ``second`` is None for order < 2.  Raises NearSingularError when |x| <= tol
-    (or is exactly zero).
+    (or is exactly zero), DimensionMismatchError unless x is a finite vector.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or not np.isfinite(x).all():
+        raise DimensionMismatchError(f"expected a finite vector, got {x}")
     return tuple(
         None if part is None else part[0]
         for part in _unit_jets(x[None, :], order, max(0.0, tol))
@@ -176,11 +179,12 @@ def unit_vector_jet(x, order: int = 2, tol: float = 0.0):
 
 
 def frame_element(geometry: RadarGeometry, n: int, x) -> np.ndarray:
-    """Gradient of the n-th bistatic distance: a sum of two unit vectors."""
-    x = np.asarray(x, dtype=float)
-    stations = np.array([geometry.transmitters[n], geometry.receivers[n]])
-    u, _, _ = _unit_jets(x - stations, 0, geometry.singularity_tolerance)
-    return u[0] + u[1]
+    """Gradient of the n-th bistatic distance: column n of the radar frame at x.
+
+    Its domain is the family's: it raises NearSingularError near any station,
+    not only near pair n's, and DimensionMismatchError for a non-finite x.
+    """
+    return RadarFrameFamily(geometry).jet(x, order=0).F[:, n]
 
 
 class RadarFrameFamily(FrameFamily):
@@ -195,15 +199,13 @@ class RadarFrameFamily(FrameFamily):
         self.M = geometry.dim
         self.N = geometry.num_pairs
         self.P = geometry.dim
-        # transmitters in rows :N, receivers in rows N:, so one _unit_jets
-        # call per jet covers every station
-        self._stations = np.vstack([geometry.transmitters, geometry.receivers])
 
     def jet(self, x, order: int = 2) -> FrameJet:
         x = self.check_point(x)
         N = self.N
+        # one _unit_jets call for all stations: transmitters :N, receivers N:
         u, first, second = _unit_jets(
-            x - self._stations, order, self.geometry.singularity_tolerance
+            x - self.geometry.stations, order, self.geometry.singularity_tolerance
         )
         F = (u[:N] + u[N:]).T                            # (M, N)
         dF = d2F = None
@@ -230,8 +232,7 @@ def simulate_fdoa(
     frame at the true position.
     """
     family = radar_family(geometry)
-    x0 = family.check_point(truth.position)
-    F = family.jet(x0, order=0).F
+    F = family.jet(truth.position, order=0).F
     w = F.T @ truth.velocity
     if noise.sigma > 0.0:
         w = w + noise.draw(family.N)
@@ -260,11 +261,13 @@ def parse_scenario(data: dict) -> RadarScenario:
             np.asarray(data["target"]["velocity"], dtype=float),
         )
         noise_spec = data.get("noise", {})
-        noise = NoiseModel(
-            sigma=float(noise_spec.get("sigma", 0.0)),
-            seed=int(noise_spec.get("seed", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        if not isinstance(noise_spec, dict):
+            raise TypeError(f"noise must be an object, got {noise_spec!r}")
+        seed = noise_spec.get("seed", 0)
+        if isinstance(seed, float) and not seed.is_integer():
+            raise ValueError(f"noise seed must be an integer, got {seed!r}")
+        noise = NoiseModel(sigma=float(noise_spec.get("sigma", 0.0)), seed=int(seed))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ScenarioValidationError):
             raise
         raise ScenarioParseError(f"malformed scenario: {exc}") from exc
@@ -274,10 +277,8 @@ def parse_scenario(data: dict) -> RadarScenario:
         )
     if target.position.shape != (dim,):
         raise ScenarioValidationError("target position dimension does not match dim")
-    tol = geometry.singularity_tolerance
-    stations = np.vstack([geometry.transmitters, geometry.receivers])
-    dists = np.linalg.norm(stations - target.position[None, :], axis=1)
-    if np.any(dists <= tol):
+    dists = np.linalg.norm(geometry.stations - target.position[None, :], axis=1)
+    if np.any(dists <= geometry.singularity_tolerance):
         raise ScenarioValidationError(
             "target position coincides with a transmitter or receiver"
         )

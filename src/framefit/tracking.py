@@ -50,8 +50,10 @@ class TimeSeries:
         v = np.atleast_2d(np.asarray(self.values, dtype=float))
         if t.ndim != 1 or len(t) < 3:
             raise ScenarioValidationError("time series needs at least 3 samples")
-        if v.shape[0] != len(t):
-            raise ScenarioValidationError("times and values lengths differ")
+        if v.ndim != 2 or v.shape[0] != len(t):
+            raise ScenarioValidationError(
+                "time series values must be a K x N array, one row per time"
+            )
         if not np.isfinite(t).all():
             raise ScenarioValidationError("time series has non-finite times")
         if not np.isfinite(v).all():
@@ -237,7 +239,7 @@ def load_time_series(path) -> TimeSeries:
             data = json.load(fh)
         times = np.asarray(data["times"], dtype=float)
         values = np.asarray(data["w"], dtype=float)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioParseError(f"cannot read time series {path}: {exc}") from exc
     return TimeSeries(times, values)
 

@@ -92,9 +92,7 @@ def arc_family(center=0.0):
         v = s(x)
         return np.array([[[[-1.0 / (1.0 - v * v) ** 1.5, 0.0]]]])
 
-    return CallableFrameFamily(
-        (1, 2, 1), f, df, d2f, member=lambda x: abs(s(x)) < 0.999
-    )
+    return CallableFrameFamily((1, 2, 1), f, df, d2f)
 
 
 def dense_projector_operators(jet):

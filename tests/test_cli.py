@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framefit import radar_family, simulate_fdoa
 from framefit.cli import main
@@ -110,6 +116,19 @@ class TestSimulate:
         code = main(argv + extra)
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "localize"])
+    @pytest.mark.parametrize("noise", [[], "x", {"sigma": 0.1, "seed": 1.5}],
+                             ids=["list", "string", "fractional_seed"])
+    def test_malformed_noise_exits_one(self, scene, tmp_path, capsys, command, noise):
+        path = scene[-1]
+        data = json.loads(path.read_text())
+        data["noise"] = noise
+        path.write_text(json.dumps(data))
+        code = main([command, "--scenario", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert "error: malformed scenario: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(
@@ -482,3 +501,110 @@ class TestVersionFlag:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
+
+
+# A valid 3-pair scene and a 4-sample series for it; the fuzz below breaks
+# one or two pieces of each (wrong type, missing key, non-finite, ragged,
+# wrong dimension) before handing the files to the CLI.
+FUZZ_SCENARIO = {
+    "dim": 2,
+    "transmitters": [[100.0, 0.0], [-50.0, 86.6], [-50.0, -86.6]],
+    "receivers": [[0.0, 100.0], [-86.6, -50.0], [86.6, -50.0]],
+    "target": {"position": [1.0, -2.0], "velocity": [3.0, 1.0]},
+    "noise": {"sigma": 0.01, "seed": 3},
+}
+FUZZ_SERIES = {"times": [0.0, 0.01, 0.02, 0.03], "w": [[0.1, -0.2, 0.3]] * 4}
+FUZZ_MEASUREMENT = {"w": [0.1, -0.2, 0.3]}
+FUZZ_GRID = {
+    "simulate": [],
+    "localize": ["--grid-counts=3,3"],
+    "diagnose": ["--grid-counts=3,3"],
+    "track": ["--grid-counts=1,1", "--vel-counts=1,1"],
+}
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**130), 2**130),
+    st.floats(),  # NaN and infinities included
+    st.sampled_from([0.0, 1.0, 1.5, -1.0, 1e308, 10**400, "", "x", "1.5", "NaN"]),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["w", "times", "sigma", "seed", "x"]), inner,
+                      max_size=3),
+    max_leaves=8,
+)
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _mutated(data, doc):
+    """``doc`` with one or two nodes replaced, deleted or extended."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_json_paths(doc))))
+        action = data.draw(st.sampled_from(["replace", "delete", "extend"]))
+        junk = data.draw(json_values)
+        if not path:
+            doc = junk
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]]
+        if action == "delete":
+            del parent[path[-1]]
+        elif action == "extend" and isinstance(node, list):
+            node.append(junk)
+        elif action == "extend" and isinstance(node, dict):
+            node["x"] = junk
+        else:
+            parent[path[-1]] = junk
+    return doc
+
+
+def _run_cli(argv):
+    """Exit code and stderr of one in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+class TestFuzz:
+    """Broken scenario, measurement and series files on tiny grids: each run
+    exits 0, 1 or 2 and prints ``error:`` when nonzero; an exception escaping
+    ``main`` (a traceback for the user) fails the test."""
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_GRID))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_json_never_tracebacks(self, command, data):
+        side = FUZZ_SERIES if command == "track" else FUZZ_MEASUREMENT
+        broken = data.draw(st.sampled_from(["scenario", "side", "both"]))
+        scenario = FUZZ_SCENARIO if broken == "side" else _mutated(data, FUZZ_SCENARIO)
+        side = side if broken == "scenario" else _mutated(data, side)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "scene.json").write_text(json.dumps(scenario))
+            (tmp / "side.json").write_text(json.dumps(side))
+            argv = [command, "--scenario", str(tmp / "scene.json"),
+                    "--out-dir", str(tmp / "out")] + FUZZ_GRID[command]
+            if command == "track":
+                argv += ["--series", str(tmp / "side.json")]
+            elif command != "simulate" and data.draw(st.booleans()):
+                argv += ["--measurement", str(tmp / "side.json")]
+            code, err = _run_cli(argv)
+        assert code in (0, 1, 2)
+        assert code == 0 or "error:" in err

@@ -9,17 +9,27 @@ from framefit import (
     CallableFrameFamily,
     ConstantFrameFamily,
     FrameJet,
+    LinearFrameFamily,
     NoiseModel,
     TargetState,
+    augmented_vectors,
     dual_synthesis,
+    error_gradient_hessian,
     error_value,
     frame_bounds,
+    frame_element,
     project_null,
+    radar_family,
     simulate_fdoa,
 )
 from framefit.errors import DimensionMismatchError, RankDeficientError
 
-from conftest import circular_geometry, noiseless_scene, random_full_rank
+from conftest import (
+    circular_geometry,
+    noiseless_scene,
+    random_full_rank,
+    random_quadratic_family,
+)
 
 
 class TestDualSynthesis:
@@ -47,6 +57,14 @@ class TestDualSynthesis:
     def test_tall_matrix_never_full_row_rank(self):
         with pytest.raises(RankDeficientError):
             dual_synthesis(np.array([[1.0], [0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_outside_the_domain(self, bad):
+        # numpy's SVD fails on NaN and returns NaN singular values for inf;
+        # both must read as "not a frame", never as LinAlgError or a NaN dual
+        F = np.array([[1.0, 0.0, bad], [0.0, 1.0, 0.0]])
+        with pytest.raises(RankDeficientError):
+            dual_synthesis(F)
 
 
 class TestProjectNull:
@@ -147,6 +165,11 @@ class TestFrameBounds:
             nFv2 = np.linalg.norm(F.T @ v) ** 2
             assert A * nv2 * (1 - 1e-10) <= nFv2 <= B * nv2 * (1 + 1e-10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        with pytest.raises(RankDeficientError):
+            frame_bounds(np.array([[1.0, bad], [0.0, 1.0]]))
+
 
 class TestFrameJet:
     def test_rejects_asymmetric_second_order(self):
@@ -216,3 +239,51 @@ def test_finiteness_checks_match_numpy(values):
         else:
             with pytest.raises(DimensionMismatchError, match="non-finite"):
                 check(values)
+
+
+def _families_2x4():
+    """One family of each kind with M = P = 2 and N = 4."""
+    rng = np.random.default_rng(5)
+    F0 = random_full_rank(rng, 2, 4)
+    C = rng.normal(size=(2, 2, 4)) * 0.2
+    linear = LinearFrameFamily(F0, C)
+    callable_ = CallableFrameFamily(
+        (2, 4, 2),
+        lambda x: linear.jet(x, 0).F,
+        lambda x: linear.jet(x, 1).dF,
+        lambda x: linear.jet(x, 2).d2F,
+    )
+    return {
+        "constant": ConstantFrameFamily(F0, P=2),
+        "linear": linear,
+        "quadratic": random_quadratic_family(rng, 2, 4, 2),
+        "callable": callable_,
+        "radar": radar_family(circular_geometry(rng)),
+    }
+
+
+BAD_POINTS = {
+    "nan": [np.nan, 0.0],
+    "inf": [0.0, -np.inf],
+    "too_long": [0.0, 0.0, 0.0],
+    "matrix": [[0.0, 0.0]],
+    "scalar": 0.0,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_families_2x4()))
+@pytest.mark.parametrize("point", sorted(BAD_POINTS))
+def test_every_entry_point_rejects_a_bad_point(kind, point):
+    family = _families_2x4()[kind]
+    x = BAD_POINTS[point]
+    w = np.linspace(-1.0, 1.0, 4)
+    for order in (0, 1, 2):
+        with pytest.raises(DimensionMismatchError):
+            family.jet(x, order)
+    for evaluate in (error_value, error_gradient_hessian, augmented_vectors):
+        with pytest.raises(DimensionMismatchError):
+            evaluate(family, x, w)
+    assert not family.contains(x)
+    if kind == "radar":
+        with pytest.raises(DimensionMismatchError):
+            frame_element(family.geometry, 0, x)

@@ -15,7 +15,12 @@ from framefit import (
     simulate_fdoa,
     unit_vector_jet,
 )
-from framefit.errors import NearSingularError, ScenarioValidationError
+from framefit.errors import (
+    DimensionMismatchError,
+    NearSingularError,
+    ScenarioParseError,
+    ScenarioValidationError,
+)
 from framefit.radar import load_scenario, parse_scenario
 
 from conftest import circular_geometry, noiseless_scene
@@ -39,6 +44,11 @@ class TestBistaticDistance:
         for _ in range(20):
             x = rng.normal(size=2) * 10
             assert bistatic_distance(self.geom, 0, x) >= 6.0 - 1e-12
+
+    @pytest.mark.parametrize("x", [[np.inf, 0.0], [3.0, np.nan], [3.0, 4.0, 0.0]])
+    def test_rejects_non_finite_or_wrong_shape_point(self, x):
+        with pytest.raises(DimensionMismatchError):
+            bistatic_distance(self.geom, 0, x)
 
 
 class TestUnitVectorJet:
@@ -81,6 +91,12 @@ class TestUnitVectorJet:
         with pytest.raises(NearSingularError):
             unit_vector_jet(np.array([1e-12, 0.0]), tol=1e-9)
 
+    @pytest.mark.parametrize("x", [[np.nan, 1.0], [1.0, -np.inf], 1.0])
+    def test_rejects_non_finite_or_non_vector_point(self, x):
+        for order in (0, 1, 2):
+            with pytest.raises(DimensionMismatchError):
+                unit_vector_jet(x, order)
+
 
 class TestFrameElement:
     def test_sum_of_unit_vectors(self):
@@ -120,6 +136,35 @@ class TestFrameElement:
                 ]
             )
             assert np.max(np.abs(f - fd)) <= 1e-6 * max(np.max(np.abs(f)), 1e-3)
+
+    def test_is_column_of_the_family_frame(self):
+        rng = np.random.default_rng(4)
+        geom = circular_geometry(rng)
+        family = radar_family(geom)
+        for _ in range(20):
+            x = rng.uniform(-20, 20, size=2)
+            F = family.jet(x, order=0).F
+            for n in range(geom.num_pairs):
+                assert np.array_equal(frame_element(geom, n, x), F[:, n])
+
+    def test_domain_is_the_family_domain(self):
+        # pair 0 is far from x, but x sits on pair 1's transmitter
+        geom = RadarGeometry([[0.0, 0.0], [5.0, 5.0]], [[6.0, 0.0], [0.0, 6.0]])
+        with pytest.raises(NearSingularError):
+            frame_element(geom, 0, [5.0, 5.0])
+
+
+class TestRadarGeometry:
+    def test_stations_stack_transmitters_over_receivers(self):
+        geom = circular_geometry(np.random.default_rng(6), num_pairs=3)
+        assert np.array_equal(
+            geom.stations, np.vstack([geom.transmitters, geom.receivers])
+        )
+
+    def test_rejects_coordinates_of_more_than_two_axes(self):
+        # (N, 2, 1) arrays have a second axis of length 2 but are no point lists
+        with pytest.raises(DimensionMismatchError):
+            RadarGeometry(np.zeros((3, 2, 1)), np.ones((3, 2, 1)))
 
 
 class TestRadarFamily:
@@ -232,6 +277,11 @@ class TestNoiseModel:
         with pytest.raises(ScenarioValidationError):
             NoiseModel(sigma, seed)
 
+    def test_seed_is_a_128_bit_philox_key(self):
+        NoiseModel(0.1, 2**128 - 1).draw(3)
+        with pytest.raises(ScenarioValidationError):
+            NoiseModel(0.1, 2**128)
+
 
 class TestScenarioIO:
     def scenario_dict(self):
@@ -257,6 +307,20 @@ class TestScenarioIO:
         data["target"]["position"] = [0.0, 0.0]
         with pytest.raises(ScenarioValidationError):
             parse_scenario(data)
+
+    @pytest.mark.parametrize(
+        "noise", [[], "x", None, {"seed": 1.5}, {"seed": float("inf")}, {"seed": "1.5"}]
+    )
+    def test_malformed_noise_rejected(self, noise):
+        data = self.scenario_dict()
+        data["noise"] = noise
+        with pytest.raises(ScenarioParseError, match="malformed scenario"):
+            parse_scenario(data)
+
+    def test_integral_float_seed_accepted(self):
+        data = self.scenario_dict()
+        data["noise"] = {"sigma": 0.1, "seed": 7.0}
+        assert parse_scenario(data).noise == NoiseModel(0.1, 7)
 
     def test_dim_mismatch_rejected(self):
         data = self.scenario_dict()

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framefit import (
+    CallableFrameFamily,
     ConstantFrameFamily,
     GridSpec,
     NoiseModel,
@@ -15,11 +16,12 @@ from framefit import (
     error_gradient_hessian,
     error_value,
     grid_search,
+    level_set,
     localize,
     newton_step,
     simulate_fdoa,
 )
-from framefit.errors import EmptyDomainError, FramefitError
+from framefit.errors import EmptyDomainError, FramefitError, RankDeficientError
 from framefit.solver import grid_sweep
 
 from conftest import (
@@ -143,6 +145,51 @@ class TestGridSweep:
         assert np.array_equal(points, list(grid.points()))
         assert np.array_equal(errors, reference, equal_nan=True)
         assert np.count_nonzero(np.isnan(errors)) == 4
+
+
+def line_family(bad):
+    """1-D family F(x) = [1, x] for x <= 0.5 whose second entry is ``bad``
+    (NaN or an infinity) beyond, so F(x) is no frame there."""
+
+    def f(x):
+        return np.array([[1.0, x[0] if x[0] <= 0.5 else bad]])
+
+    return CallableFrameFamily(
+        (1, 2, 1),
+        f,
+        lambda x: np.array([[[0.0, 1.0]]]),
+        lambda x: np.zeros((1, 1, 1, 2)),
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+class TestNonFiniteFrame:
+    """A frame with a NaN or inf entry lies outside the domain everywhere."""
+
+    grid = GridSpec([-1.0], [1.0], [11])    # 0.6, 0.8 and 1.0 are outside
+    w = np.array([1.0, -0.35])               # E = 0 at x = -0.35
+
+    def test_contains_is_false_exactly_where_error_value_raises(self, bad):
+        family = line_family(bad)
+        for x in self.grid.points():
+            try:
+                error_value(family, x, self.w)
+                raised = False
+            except RankDeficientError:
+                raised = True
+            assert raised == (x[0] > 0.5)
+            assert family.contains(x) == (not raised)
+
+    def test_grid_search_level_set_and_localize_skip_those_points(self, bad):
+        family = line_family(bad)
+        points, errors = grid_sweep(family, self.w, self.grid)
+        assert np.array_equal(np.isnan(errors), points[:, 0] > 0.5)
+        assert np.isclose(grid_search(family, self.w, self.grid)[0], -0.4)
+        report = level_set(family, self.w, self.grid, float(self.w @ self.w))
+        assert [float(x[0]) for x, _ in report.points] == list(points[:8, 0])
+        assert report.fraction == 1.0
+        result = localize(family, self.w, SolverConfig(grid=self.grid))
+        assert abs(result.minimizer[0] + 0.35) <= 1e-10
 
 
 class TestNewtonStep:

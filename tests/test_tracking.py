@@ -59,6 +59,11 @@ class TestTimeSeries:
         with pytest.raises(ScenarioValidationError, match=f"non-finite {what}"):
             TimeSeries(times, values)
 
+    def test_rejects_values_of_more_than_two_axes(self):
+        # a (K, N, 1) array has N in its second axis but is no K x N table
+        with pytest.raises(ScenarioValidationError, match="K x N"):
+            TimeSeries([0.0, 1.0, 2.0], np.zeros((3, 4, 1)))
+
     def test_sampled_derivative_exact_for_quadratics(self):
         t = np.linspace(0.0, 1.0, 11)
         vals = (3.0 + 2.0 * t - 5.0 * t**2)[:, None]
