@@ -24,7 +24,7 @@ from .diagnostics import (
     uniqueness_certificate,
     write_level_set_csv,
 )
-from .errors import FramefitError, ScenarioParseError
+from .errors import FramefitError, ScenarioParseError, ScenarioValidationError
 from .radar import load_scenario, radar_family, simulate_fdoa, NoiseModel
 from .solver import GridSpec, SolverConfig, grid_sweep, localize
 from .tracking import load_time_series, shooting_search, write_trajectory_csv
@@ -82,13 +82,21 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict, overrides: dict,
     )
 
 
-def _load_measurement(path, family) -> np.ndarray:
-    try:
-        with open(path) as fh:
-            w = np.asarray(json.load(fh)["w"], dtype=float)
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioParseError(f"cannot read measurement {path}: {exc}") from exc
-    return family.check_measurement(w)
+def _measurement(args, scenario, family) -> np.ndarray:
+    path = args.measurement
+    if path is None:
+        w = simulate_fdoa(scenario.geometry, scenario.target, scenario.noise)
+    else:
+        try:
+            with open(path) as fh:
+                w = np.asarray(json.load(fh)["w"], dtype=float)
+        except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioParseError(f"cannot read measurement {path}: {exc}") from exc
+        w = family.check_measurement(w)
+    # every error lies in [0, |w|^2]; Python floats overflow to inf silently
+    if not np.isfinite(sum(v * v for v in w.tolist())):
+        raise ScenarioValidationError("measurement too large: |w|^2 overflows")
+    return w
 
 
 def cmd_simulate(parser, args) -> int:
@@ -112,10 +120,7 @@ def cmd_simulate(parser, args) -> int:
 def cmd_localize(parser, args) -> int:
     scenario = load_scenario(args.scenario)
     family = radar_family(scenario.geometry)
-    if args.measurement is not None:
-        w = _load_measurement(args.measurement, family)
-    else:
-        w = simulate_fdoa(scenario.geometry, scenario.target, scenario.noise)
+    w = _measurement(args, scenario, family)
     grid = _grid_from_args(parser, args.grid_lower, args.grid_upper, args.grid_counts,
                            family.P)
     try:
@@ -179,10 +184,7 @@ def cmd_diagnose(parser, args) -> int:
         parser.error(f"--tau must be finite and nonnegative, got {args.tau}")
     scenario = load_scenario(args.scenario)
     family = radar_family(scenario.geometry)
-    if args.measurement is not None:
-        w = _load_measurement(args.measurement, family)
-    else:
-        w = simulate_fdoa(scenario.geometry, scenario.target, scenario.noise)
+    w = _measurement(args, scenario, family)
     grid = _grid_from_args(parser, args.grid_lower, args.grid_upper, args.grid_counts,
                            family.P)
     tau = args.tau if args.tau is not None else float(w @ w)

@@ -33,6 +33,18 @@ def _as_matrix(F) -> np.ndarray:
     return F
 
 
+def check_vector(x, size, what: str) -> np.ndarray:
+    """x as a finite float vector, of length ``size`` unless size is None."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or (size is not None and len(x) != size):
+        expected = "a vector" if size is None else f"({size},)"
+        raise DimensionMismatchError(f"{what} has shape {x.shape}, expected {expected}")
+    # several times cheaper than np.isfinite on the short per-point vectors
+    if not all(map(math.isfinite, x.tolist())):
+        raise DimensionMismatchError(f"{what} has non-finite entries")
+    return x
+
+
 def dual_synthesis(F) -> np.ndarray:
     """Return G = F^T (F F^T)^{-1}, the transpose of the canonical dual synthesis.
 
@@ -152,7 +164,9 @@ class FrameFamily(abc.ABC):
 
     Subclasses fix the dimensions (M, N, P) and evaluate jets.  The domain is
     where the columns of F(x) form a frame; ``dual_synthesis`` alone decides
-    it, so no family adds membership rules of its own.
+    it, so no family adds membership rules of its own.  ``error_value`` and
+    the derivative routines pass x to ``jet`` unchecked: a subclass whose
+    ``jet`` skips ``check_point`` gets no validation of x.
     """
 
     M: int
@@ -164,26 +178,10 @@ class FrameFamily(abc.ABC):
         """F(x) and, for ``order`` >= 1 or 2, its partials; calls check_point(x)."""
 
     def check_point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.P,):
-            raise DimensionMismatchError(
-                f"parameter point has shape {x.shape}, expected ({self.P},)"
-            )
-        # x is 1-D here; the scalar test is several times cheaper than
-        # np.isfinite on the short vectors of the per-point hot path
-        if not all(map(math.isfinite, x.tolist())):
-            raise DimensionMismatchError("parameter point has non-finite entries")
-        return x
+        return check_vector(x, self.P, "parameter point")
 
     def check_measurement(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        if w.shape != (self.N,):
-            raise DimensionMismatchError(
-                f"measurement has shape {w.shape}, expected ({self.N},)"
-            )
-        if not all(map(math.isfinite, w.tolist())):
-            raise DimensionMismatchError("measurement has non-finite entries")
-        return w
+        return check_vector(w, self.N, "measurement")
 
     def contains(self, x) -> bool:
         """Whether x is in the domain, i.e. error_value(self, x, w) does not raise."""

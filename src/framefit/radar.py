@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FrameFamily, FrameJet
+from .core import FrameFamily, FrameJet, check_vector
 from .errors import (
     DimensionMismatchError,
     NearSingularError,
@@ -80,12 +80,8 @@ class TargetState:
     velocity: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float)
-        vel = np.asarray(self.velocity, dtype=float)
-        if pos.shape != vel.shape or pos.ndim != 1:
-            raise DimensionMismatchError("position and velocity must be congruent vectors")
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
-            raise DimensionMismatchError("target state must be finite")
+        pos = check_vector(self.position, None, "target position")
+        vel = check_vector(self.velocity, len(pos), "target velocity")
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "velocity", vel)
 
@@ -115,7 +111,7 @@ class NoiseModel:
 
 def bistatic_distance(geometry: RadarGeometry, n: int, x) -> float:
     """Transmitter-to-target plus target-to-receiver path length for pair n."""
-    x = RadarFrameFamily(geometry).check_point(x)
+    x = check_vector(x, geometry.dim, "parameter point")
     return float(
         np.linalg.norm(x - geometry.transmitters[n])
         + np.linalg.norm(x - geometry.receivers[n])
@@ -169,9 +165,7 @@ def unit_vector_jet(x, order: int = 2, tol: float = 0.0):
     ``second`` is None for order < 2.  Raises NearSingularError when |x| <= tol
     (or is exactly zero), DimensionMismatchError unless x is a finite vector.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or not np.isfinite(x).all():
-        raise DimensionMismatchError(f"expected a finite vector, got {x}")
+    x = check_vector(x, None, "point")
     return tuple(
         None if part is None else part[0]
         for part in _unit_jets(x[None, :], order, max(0.0, tol))
@@ -248,10 +242,17 @@ class RadarScenario:
     noise: NoiseModel
 
 
+def _json_integer(value, what: str) -> int:
+    """A JSON number with an integral value (7 or 7.0): no bool, str, NaN, inf or 2.5."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_scenario(data: dict) -> RadarScenario:
     """Build and validate a scenario from its JSON dictionary form."""
     try:
-        dim = int(data["dim"])
+        dim = _json_integer(data["dim"], "dim")
         geometry = RadarGeometry(
             np.asarray(data["transmitters"], dtype=float),
             np.asarray(data["receivers"], dtype=float),
@@ -263,10 +264,10 @@ def parse_scenario(data: dict) -> RadarScenario:
         noise_spec = data.get("noise", {})
         if not isinstance(noise_spec, dict):
             raise TypeError(f"noise must be an object, got {noise_spec!r}")
-        seed = noise_spec.get("seed", 0)
-        if isinstance(seed, float) and not seed.is_integer():
-            raise ValueError(f"noise seed must be an integer, got {seed!r}")
-        noise = NoiseModel(sigma=float(noise_spec.get("sigma", 0.0)), seed=int(seed))
+        noise = NoiseModel(
+            sigma=float(noise_spec.get("sigma", 0.0)),
+            seed=_json_integer(noise_spec.get("seed", 0), "noise seed"),
+        )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ScenarioValidationError):
             raise

@@ -24,6 +24,8 @@ from .errors import (
 
 MAX_BACKTRACKS = 20
 MAX_SHIFT_FACTOR = 1e12
+# shifts 1e-12 |H| * 2^k that stay within MAX_SHIFT_FACTOR |H|: k < 80
+SHIFT_DOUBLINGS = int(np.log2(MAX_SHIFT_FACTOR / 1e-12)) + 1
 STEP_TOL = 1e-12  # a Newton step shorter than this ends the iteration
 
 
@@ -137,11 +139,16 @@ def grid_search(family: FrameFamily, w, grid: GridSpec) -> np.ndarray:
 
 
 def _shifted_newton_direction(g, H):
-    """Solve (H + lam I) d = g with the smallest shift making d a descent direction."""
+    """Solve (H + lam I) d = g with the smallest shift making d a descent direction.
+
+    Tries a fixed number of shifts, so it ends even when |H| overflows.
+    """
+    if not (np.isfinite(g).all() and np.isfinite(H).all()):
+        raise SingularHessianError("Newton system has non-finite entries")
     P = len(g)
     scale = max(float(np.linalg.norm(H)), 1.0)
     lam = 0.0
-    while True:
+    for _ in range(SHIFT_DOUBLINGS + 1):
         try:
             d = np.linalg.solve(H + lam * np.eye(P), g)
             if np.all(np.isfinite(d)) and float(g @ d) > 0.0:
@@ -149,10 +156,7 @@ def _shifted_newton_direction(g, H):
         except np.linalg.LinAlgError:
             pass
         lam = max(2.0 * lam, 1e-12 * scale)
-        if lam > MAX_SHIFT_FACTOR * scale:
-            raise SingularHessianError(
-                "Newton system unsolvable even after shifting"
-            )
+    raise SingularHessianError("Newton system unsolvable even after shifting")
 
 
 def newton_step(

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,29 @@ from framefit import (
     radar_family,
     simulate_fdoa,
 )
+
+
+class TimeLimitExceeded(Exception):
+    """Raised by ``time_limit``; no framefit or CLI handler catches it."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail a block that runs longer than ``seconds`` instead of hanging the run.
+
+    Uses SIGALRM, so it only works in the main thread of a POSIX process.
+    """
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_full_rank(rng, M, N):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from framefit.cli import main
 from framefit.core import error_value
 from framefit.radar import NoiseModel
 
-from conftest import circular_geometry, noiseless_scene
+from conftest import circular_geometry, noiseless_scene, time_limit
 
 
 def write_scenario(path, geometry, position, velocity, sigma=0.0, seed=0):
@@ -200,6 +201,23 @@ class TestLocalize:
         )
         assert code == 1
         assert "error: cannot read measurement" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["localize", "diagnose"])
+    def test_measurement_whose_square_overflows_exits_one(
+        self, scene, tmp_path, capsys, command
+    ):
+        # |w|^2 = inf makes every error inf and g, H inf or NaN: the run must
+        # end with exit 1, not hang in the Newton shift search
+        _, family, _, _, path = scene
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({"w": [1e200] + [0.0] * (family.N - 1)}))
+        out = tmp_path / "o"
+        with time_limit(30.0):
+            code = main([command, "--scenario", str(path), "--measurement", str(mpath),
+                         "--grid-counts=3,3", "--out-dir", str(out)])
+        assert code == 1
+        assert "error: measurement too large" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_square_family_warns_degenerate(self, tmp_path, capsys):
         geometry = circular_geometry(np.random.default_rng(2), num_pairs=2, radius=40.0)
@@ -572,9 +590,9 @@ def _mutated(data, doc):
 
 
 def _run_cli(argv):
-    """Exit code and stderr of one in-process CLI run."""
+    """Exit code and stderr of one in-process CLI run; a hang fails after 30 s."""
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    with contextlib.redirect_stderr(err), time_limit(30.0):
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -585,10 +603,11 @@ def _run_cli(argv):
 class TestFuzz:
     """Broken scenario, measurement and series files on tiny grids: each run
     exits 0, 1 or 2 and prints ``error:`` when nonzero; an exception escaping
-    ``main`` (a traceback for the user) fails the test."""
+    ``main`` (a traceback for the user) fails the test.  The examples are
+    derandomized, so every run draws the same ones and a failure reproduces."""
 
     @pytest.mark.parametrize("command", sorted(FUZZ_GRID))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=timedelta(seconds=10), derandomize=True)
     @given(data=st.data())
     def test_fuzzed_json_never_tracebacks(self, command, data):
         side = FUZZ_SERIES if command == "track" else FUZZ_MEASUREMENT

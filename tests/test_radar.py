@@ -247,6 +247,23 @@ class TestRadarFamily:
             assert np.max(np.abs(jet.d2F[p] - fd2)) <= 1e-5 * np.max(np.abs(jet.d2F[p]))
 
 
+class TestTargetState:
+    @pytest.mark.parametrize(
+        "position, velocity",
+        [
+            ([1.0, 2.0], [3.0]),
+            ([1.0, 2.0], [[3.0, 4.0]]),
+            (1.0, 3.0),
+            ([np.nan, 2.0], [3.0, 4.0]),
+            ([1.0, 2.0], [3.0, np.inf]),
+        ],
+        ids=["ragged", "matrix", "scalar", "nan", "inf"],
+    )
+    def test_rejects_non_vector_or_non_finite(self, position, velocity):
+        with pytest.raises(DimensionMismatchError):
+            TargetState(position, velocity)
+
+
 class TestSimulateFdoa:
     def test_stationary_target_zero_measurement(self):
         rng = np.random.default_rng(7)
@@ -309,13 +326,31 @@ class TestScenarioIO:
             parse_scenario(data)
 
     @pytest.mark.parametrize(
-        "noise", [[], "x", None, {"seed": 1.5}, {"seed": float("inf")}, {"seed": "1.5"}]
+        "noise",
+        [
+            [], "x", None, {"seed": 1.5}, {"seed": float("inf")}, {"seed": "1.5"},
+            {"seed": True}, {"seed": "7"}, {"seed": None}, {"seed": [7]},
+        ],
     )
     def test_malformed_noise_rejected(self, noise):
         data = self.scenario_dict()
         data["noise"] = noise
         with pytest.raises(ScenarioParseError, match="malformed scenario"):
             parse_scenario(data)
+
+    @pytest.mark.parametrize(
+        "dim", [2.5, True, "2", None, float("nan"), float("inf"), [2]]
+    )
+    def test_dim_that_is_no_integer_rejected(self, dim):
+        data = self.scenario_dict()
+        data["dim"] = dim
+        with pytest.raises(ScenarioParseError, match="malformed scenario"):
+            parse_scenario(data)
+
+    def test_integral_float_dim_accepted(self):
+        data = self.scenario_dict()
+        data["dim"] = 2.0
+        assert parse_scenario(data).geometry.dim == 2
 
     def test_integral_float_seed_accepted(self):
         data = self.scenario_dict()

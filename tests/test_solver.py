@@ -21,8 +21,18 @@ from framefit import (
     newton_step,
     simulate_fdoa,
 )
-from framefit.errors import EmptyDomainError, FramefitError, RankDeficientError
-from framefit.solver import grid_sweep
+from framefit.errors import (
+    EmptyDomainError,
+    FramefitError,
+    RankDeficientError,
+    SingularHessianError,
+)
+from framefit.solver import (
+    MAX_SHIFT_FACTOR,
+    SHIFT_DOUBLINGS,
+    _shifted_newton_direction,
+    grid_sweep,
+)
 
 from conftest import (
     arc_family,
@@ -30,6 +40,7 @@ from conftest import (
     noiseless_scene,
     random_full_rank,
     station_node_scene,
+    time_limit,
 )
 
 
@@ -227,6 +238,52 @@ class TestNewtonStep:
             family, w, x, *error_gradient_hessian(family, x, w), SolverConfig()
         )
         assert error_value(family, x1, w) <= E0
+
+
+class TestShiftSearch:
+    """The shifted Newton solve tries a fixed number of shifts and then raises,
+    whatever the size of g and H: a shift compared with MAX_SHIFT_FACTOR |H|
+    never passes it when |H| is inf or NaN."""
+
+    def test_shift_count_matches_max_shift_factor(self):
+        # the last shift tried, 1e-12 |H| 2^(SHIFT_DOUBLINGS - 1), is within the
+        # bound and one more doubling would not be
+        assert 1e-12 * 2.0 ** (SHIFT_DOUBLINGS - 1) <= MAX_SHIFT_FACTOR
+        assert 1e-12 * 2.0**SHIFT_DOUBLINGS > MAX_SHIFT_FACTOR
+
+    @pytest.mark.parametrize(
+        "g, H",
+        [
+            ([1.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]]),
+            ([1.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]]),
+            ([np.inf, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+            ([np.nan, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+        ],
+        ids=["H_inf", "H_nan", "g_inf", "g_nan"],
+    )
+    def test_non_finite_system_raises(self, g, H):
+        with time_limit(10.0), pytest.raises(SingularHessianError, match="non-finite"):
+            _shifted_newton_direction(np.array(g), np.array(H))
+
+    def test_hessian_whose_norm_overflows(self):
+        H = np.diag([1e200, -1e200])  # finite entries, |H| = inf
+        with time_limit(10.0), np.errstate(all="ignore"):
+            d = _shifted_newton_direction(np.array([1.0, 0.0]), H)
+            assert np.array_equal(d, [1e-200, 0.0])
+            # a descent direction needs a shift, and every shift is inf
+            with pytest.raises(SingularHessianError, match="unsolvable"):
+                _shifted_newton_direction(np.array([0.0, 1.0]), H)
+
+    def test_localize_with_huge_measurement(self):
+        _, family, truth, w = noiseless_scene(0)
+        cfg = SolverConfig(grid=GridSpec([-10.0, -10.0], [10.0, 10.0], [5, 5]))
+        with time_limit(30.0), np.errstate(all="ignore"):
+            # E, g and H are finite but |H| overflows
+            result = localize(family, 1e100 * w, cfg)
+            assert np.linalg.norm(result.minimizer - truth.position) <= 1e-6
+            # |w|^2 overflows: E is inf at every grid point
+            with pytest.raises(SingularHessianError, match="non-finite"):
+                localize(family, 1e200 * w, cfg)
 
 
 class TestLocalize:
