@@ -18,16 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import (
-    level_set,
-    residual_bound_check,
-    uniqueness_certificate,
-    write_level_set_csv,
-)
+from .diagnostics import level_set, residual_bound_check, uniqueness_certificate
 from .errors import FramefitError, ScenarioParseError, ScenarioValidationError
 from .radar import load_scenario, radar_family, simulate_fdoa, NoiseModel
 from .solver import GridSpec, SolverConfig, grid_sweep, localize
-from .tracking import load_time_series, shooting_search, write_trajectory_csv
+from .tracking import load_time_series, shooting_search
 
 DEGENERACY_RTOL = 1e-12
 GRID_POINTS_PER_AXIS = 21   # localize and diagnose
@@ -48,11 +43,12 @@ def _counts(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text}") from exc
 
 
-def _grid_from_args(parser, lower, upper, counts, dim,
-                    points_per_axis=GRID_POINTS_PER_AXIS) -> GridSpec:
-    lower = lower if lower is not None else [-10.0] * dim
-    upper = upper if upper is not None else [10.0] * dim
-    counts = counts if counts is not None else [points_per_axis] * dim
+def _grid(parser, args, prefix: str, dim: int, per_axis: int) -> GridSpec:
+    """The grid of the ``--{prefix}-lower/upper/counts`` flags; unset ones
+    default to [-10, 10] with ``per_axis`` points on every axis."""
+    lower = getattr(args, f"{prefix}_lower") or [-10.0] * dim
+    upper = getattr(args, f"{prefix}_upper") or [10.0] * dim
+    counts = getattr(args, f"{prefix}_counts") or [per_axis] * dim
     try:
         grid = GridSpec(np.asarray(lower), np.asarray(upper), np.asarray(counts))
     except ValueError as exc:
@@ -66,6 +62,20 @@ def _write_json(path: Path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _names(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}_{i + 1}" for i in range(n)]
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Every output table: a header row, then the rows; ints as they are and
+    any other cell as ``repr(float(v))``, which reads back to the same float."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, int) else repr(float(v)) for v in row])
 
 
 def _write_manifest(out_dir: Path, command: str, inputs: dict, overrides: dict,
@@ -121,8 +131,7 @@ def cmd_localize(parser, args) -> int:
     scenario = load_scenario(args.scenario)
     family = radar_family(scenario.geometry)
     w = _measurement(args, scenario, family)
-    grid = _grid_from_args(parser, args.grid_lower, args.grid_upper, args.grid_counts,
-                           family.P)
+    grid = _grid(parser, args, "grid", family.P, GRID_POINTS_PER_AXIS)
     try:
         cfg = SolverConfig(
             gamma=args.gamma, max_iters=args.max_iters, grad_tol=args.grad_tol, grid=grid
@@ -155,13 +164,8 @@ def cmd_localize(parser, args) -> int:
             "degenerate_grid": bool(degenerate),
         },
     )
-    with open(out / "trace.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["k"] + [f"x_{p + 1}" for p in range(family.P)] + ["E", "grad_norm"]
-        )
-        for k, (x, E, gn) in enumerate(result.iterates):
-            writer.writerow([k] + [repr(float(v)) for v in x] + [repr(E), repr(gn)])
+    _write_csv(out / "trace.csv", ["k", *_names("x", family.P), "E", "grad_norm"],
+               ([k, *x, E, gn] for k, (x, E, gn) in enumerate(result.iterates)))
     _write_manifest(
         out,
         "localize",
@@ -185,14 +189,14 @@ def cmd_diagnose(parser, args) -> int:
     scenario = load_scenario(args.scenario)
     family = radar_family(scenario.geometry)
     w = _measurement(args, scenario, family)
-    grid = _grid_from_args(parser, args.grid_lower, args.grid_upper, args.grid_counts,
-                           family.P)
+    grid = _grid(parser, args, "grid", family.P, GRID_POINTS_PER_AXIS)
     tau = args.tau if args.tau is not None else float(w @ w)
 
     report = level_set(family, w, grid, tau)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_level_set_csv(report, out / "level_set.csv")
+    _write_csv(out / "level_set.csv", [*_names("x", family.P), "E"],
+               ([*x, E] for x, E in report.points))
 
     # Residual bound at the scenario truth, against the actual noise realization.
     x0 = scenario.target.position
@@ -243,27 +247,18 @@ def cmd_track(parser, args) -> int:
     scenario = load_scenario(args.scenario)
     family = radar_family(scenario.geometry)
     data = load_time_series(args.series)
-    pos_grid = _grid_from_args(parser, args.grid_lower, args.grid_upper,
-                               args.grid_counts, family.P, TRACK_POINTS_PER_AXIS)
-    vel_grid = _grid_from_args(parser, args.vel_lower, args.vel_upper,
-                               args.vel_counts, family.M, TRACK_POINTS_PER_AXIS)
+    pos_grid = _grid(parser, args, "grid", family.P, TRACK_POINTS_PER_AXIS)
+    vel_grid = _grid(parser, args, "vel", family.M, TRACK_POINTS_PER_AXIS)
     best, value, trace = shooting_search(family, data, pos_grid, vel_grid)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(best, out / "trajectory.csv")
-    with open(out / "shooting_trace.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"x0_{p + 1}" for p in range(family.P)]
-            + [f"v0_{m + 1}" for m in range(family.M)]
-            + ["value"]
-        )
-        for x0, v0, val in trace:
-            writer.writerow(
-                [repr(float(v)) for v in x0]
-                + [repr(float(v)) for v in v0]
-                + [repr(float(val))]
-            )
+    samples = zip(best.times, best.positions, best.velocities)
+    _write_csv(out / "trajectory.csv",
+               ["t", *_names("x", family.M), *_names("v", family.M)],
+               ([t, *x, *v] for t, x, v in samples))
+    _write_csv(out / "shooting_trace.csv",
+               [*_names("x0", family.P), *_names("v0", family.M), "value"],
+               ([*x0, *v0, value] for x0, v0, value in trace))
     _write_json(out / "tracking.json", {"best_value": float(value)})
     _write_manifest(
         out,
@@ -275,10 +270,10 @@ def cmd_track(parser, args) -> int:
     return 0
 
 
-def _add_grid_flags(sub):
-    sub.add_argument("--grid-lower", type=_vector)
-    sub.add_argument("--grid-upper", type=_vector)
-    sub.add_argument("--grid-counts", type=_counts)
+def _add_grid_flags(sub, prefix: str) -> None:
+    sub.add_argument(f"--{prefix}-lower", type=_vector)
+    sub.add_argument(f"--{prefix}-upper", type=_vector)
+    sub.add_argument(f"--{prefix}-counts", type=_counts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     loc = subs.add_parser("localize", help="grid + Newton position estimate")
     loc.add_argument("--scenario", required=True)
     loc.add_argument("--measurement")
-    _add_grid_flags(loc)
+    _add_grid_flags(loc, "grid")
     loc.add_argument("--gamma", type=float, default=1.0)
     loc.add_argument("--max-iters", type=int, default=100)
     loc.add_argument("--grad-tol", type=float, default=1e-10)
@@ -309,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag = subs.add_parser("diagnose", help="level sets, residual bound, uniqueness")
     diag.add_argument("--scenario", required=True)
     diag.add_argument("--measurement")
-    _add_grid_flags(diag)
+    _add_grid_flags(diag, "grid")
     diag.add_argument("--tau", type=float)
     diag.add_argument("--out-dir", required=True)
     diag.set_defaults(func=cmd_diagnose)
@@ -317,10 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     trk = subs.add_parser("track", help="shooting search over initial states")
     trk.add_argument("--scenario", required=True)
     trk.add_argument("--series", required=True)
-    _add_grid_flags(trk)
-    trk.add_argument("--vel-lower", type=_vector)
-    trk.add_argument("--vel-upper", type=_vector)
-    trk.add_argument("--vel-counts", type=_counts)
+    _add_grid_flags(trk, "grid")
+    _add_grid_flags(trk, "vel")
     trk.add_argument("--out-dir", required=True)
     trk.set_defaults(func=cmd_track)
     return parser
@@ -331,10 +324,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except FramefitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FramefitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,6 @@ R^{M+P}, the zero set of the error contains no smooth curve.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,6 @@ class LevelSetReport:
 
     threshold: float
     points: list  # (x, E) pairs in lexicographic grid order
-    grid: GridSpec
     fraction: float  # covered fraction of in-domain grid points
 
 
@@ -47,17 +45,7 @@ def level_set(family: FrameFamily, w, grid: GridSpec, tau: float) -> LevelSetRep
     points, errors = grid_sweep(family, w, grid)
     kept = [(x, float(E)) for x, E in zip(points, errors) if E <= tau]
     in_domain = int(np.count_nonzero(~np.isnan(errors)))
-    return LevelSetReport(tau, kept, grid, len(kept) / in_domain)
-
-
-def write_level_set_csv(report: LevelSetReport, path) -> None:
-    """Rows x_1,...,x_P,E for downstream plotting."""
-    P = len(report.grid.lower)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x_{p + 1}" for p in range(P)] + ["E"])
-        for x, E in report.points:
-            writer.writerow([repr(float(v)) for v in x] + [repr(float(E))])
+    return LevelSetReport(tau, kept, len(kept) / in_domain)
 
 
 def augmented_vectors(family: FrameFamily, x, w) -> np.ndarray:

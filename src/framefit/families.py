@@ -8,24 +8,6 @@ from .core import FrameFamily, FrameJet
 from .errors import DimensionMismatchError
 
 
-class ConstantFrameFamily(FrameFamily):
-    """F(x) = F0 for every x; all parameter derivatives vanish."""
-
-    def __init__(self, F0, P: int = 1):
-        F0 = np.asarray(F0, dtype=float)
-        if F0.ndim != 2:
-            raise DimensionMismatchError("F0 must be a matrix")
-        self.F0 = F0
-        self.M, self.N = F0.shape
-        self.P = P
-
-    def jet(self, x, order: int = 2) -> FrameJet:
-        self.check_point(x)
-        dF = np.zeros((self.P, self.M, self.N)) if order >= 1 else None
-        d2F = np.zeros((self.P, self.P, self.M, self.N)) if order >= 2 else None
-        return FrameJet(self.F0.copy(), dF, d2F)
-
-
 class QuadraticFrameFamily(FrameFamily):
     """Entrywise quadratic family
 
@@ -70,6 +52,16 @@ class LinearFrameFamily(QuadraticFrameFamily):
 
     def __init__(self, F0, C):
         super().__init__(F0, C, D=None)
+
+
+class ConstantFrameFamily(QuadraticFrameFamily):
+    """F(x) = F0 for every x; all parameter derivatives vanish."""
+
+    def __init__(self, F0, P: int = 1):
+        F0 = np.asarray(F0, dtype=float)
+        if F0.ndim != 2:
+            raise DimensionMismatchError("F0 must be a matrix")
+        super().__init__(F0, np.zeros((P,) + F0.shape))
 
 
 class CallableFrameFamily(FrameFamily):

@@ -50,8 +50,13 @@ class RadarGeometry:
         pts = np.vstack([tx, rx])  # (2N, M): transmitters, then receivers
         object.__setattr__(self, "stations", pts)
         # cache the diameter: jet evaluation reads it in its inner loop
-        d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        with np.errstate(over="ignore"):
+            d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
         diam = float(d.max())
+        if not np.isfinite(diam):
+            raise DimensionMismatchError(
+                "station coordinates too large: the scene diameter overflows"
+            )
         object.__setattr__(self, "_diameter", diam if diam > 0.0 else 1.0)
 
     @property
@@ -227,9 +232,14 @@ def simulate_fdoa(
     """
     family = radar_family(geometry)
     F = family.jet(truth.position, order=0).F
-    w = F.T @ truth.velocity
-    if noise.sigma > 0.0:
-        w = w + noise.draw(family.N)
+    with np.errstate(over="ignore"):
+        w = F.T @ truth.velocity
+        if noise.sigma > 0.0:
+            w = w + noise.draw(family.N)
+    if not np.isfinite(w).all():
+        raise ScenarioValidationError(
+            "simulated measurement overflows: target velocity or noise sigma too large"
+        )
     return w
 
 
@@ -278,7 +288,12 @@ def parse_scenario(data: dict) -> RadarScenario:
         )
     if target.position.shape != (dim,):
         raise ScenarioValidationError("target position dimension does not match dim")
-    dists = np.linalg.norm(geometry.stations - target.position[None, :], axis=1)
+    with np.errstate(over="ignore"):
+        dists = np.linalg.norm(geometry.stations - target.position[None, :], axis=1)
+    if not np.isfinite(dists).all():
+        raise ScenarioValidationError(
+            "target too far from the stations: the distances overflow"
+        )
     if np.any(dists <= geometry.singularity_tolerance):
         raise ScenarioValidationError(
             "target position coincides with a transmitter or receiver"

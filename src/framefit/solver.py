@@ -138,6 +138,12 @@ def grid_search(family: FrameFamily, w, grid: GridSpec) -> np.ndarray:
     return points[np.nanargmin(errors)].copy()
 
 
+def _norm(v) -> float:
+    """Euclidean norm of v; inf, with no overflow warning, when |v|^2 overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(v))
+
+
 def _shifted_newton_direction(g, H):
     """Solve (H + lam I) d = g with the smallest shift making d a descent direction.
 
@@ -146,16 +152,19 @@ def _shifted_newton_direction(g, H):
     if not (np.isfinite(g).all() and np.isfinite(H).all()):
         raise SingularHessianError("Newton system has non-finite entries")
     P = len(g)
-    scale = max(float(np.linalg.norm(H)), 1.0)
+    # capped, so the first shift is finite even when |H| overflows
+    scale = min(max(_norm(H), 1.0), np.finfo(float).max)
     lam = 0.0
-    for _ in range(SHIFT_DOUBLINGS + 1):
-        try:
-            d = np.linalg.solve(H + lam * np.eye(P), g)
-            if np.all(np.isfinite(d)) and float(g @ d) > 0.0:
-                return d
-        except np.linalg.LinAlgError:
-            pass
-        lam = max(2.0 * lam, 1e-12 * scale)
+    # a shift or solve that overflows gives a non-finite d, which is rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(SHIFT_DOUBLINGS + 1):
+            try:
+                d = np.linalg.solve(H + lam * np.eye(P), g)
+                if np.all(np.isfinite(d)) and float(g @ d) > 0.0:
+                    return d
+            except np.linalg.LinAlgError:
+                pass
+            lam = max(2.0 * lam, 1e-12 * scale)
     raise SingularHessianError("Newton system unsolvable even after shifting")
 
 
@@ -175,7 +184,7 @@ def newton_step(
     """
     x_k = family.check_point(x_k)
     w = family.check_measurement(w)
-    if np.linalg.norm(g_k) == 0.0:
+    if _norm(g_k) == 0.0:
         return x_k
     direction = _shifted_newton_direction(g_k, H_k)
 
@@ -207,7 +216,7 @@ def localize(family: FrameFamily, w, cfg: SolverConfig) -> SolveResult:
     status = SolveStatus.MAX_ITERS
     for k in range(cfg.max_iters + 1):
         E, g, H = error_gradient_hessian(family, x, w)
-        iterates.append((x.copy(), E, float(np.linalg.norm(g))))
+        iterates.append((x.copy(), E, _norm(g)))
         if iterates[-1][2] < cfg.grad_tol:
             status = SolveStatus.GRADIENT_CONVERGED
             break
@@ -223,7 +232,7 @@ def localize(family: FrameFamily, w, cfg: SolverConfig) -> SolveResult:
         x = x_next
         if step < STEP_TOL:
             E, g, _ = error_gradient_hessian(family, x, w)
-            iterates.append((x.copy(), E, float(np.linalg.norm(g))))
+            iterates.append((x.copy(), E, _norm(g)))
             status = SolveStatus.STEP_CONVERGED
             break
     minimizer, value, _ = iterates[-1]

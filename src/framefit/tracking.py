@@ -15,7 +15,6 @@ and the candidate with the smallest Ehat wins.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -63,6 +62,12 @@ class TimeSeries:
             raise ScenarioValidationError("times must be strictly increasing")
         if np.max(np.abs(dt - dt[0])) > UNIFORM_RTOL * max(abs(dt[0]), 1.0):
             raise ScenarioValidationError("time grid must be uniform")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = sampled_derivative(v, dt[0])
+        if not np.isfinite(rates).all():
+            raise ScenarioValidationError(
+                "time series values too large: their time derivative overflows"
+            )
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -242,22 +247,3 @@ def load_time_series(path) -> TimeSeries:
     except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioParseError(f"cannot read time series {path}: {exc}") from exc
     return TimeSeries(times, values)
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Rows t, x_1..x_M, v_1..v_M."""
-    M = traj.positions.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t"]
-            + [f"x_{m + 1}" for m in range(M)]
-            + [f"v_{m + 1}" for m in range(M)]
-        )
-        for k in range(len(traj.times)):
-            row = (
-                [repr(float(traj.times[k]))]
-                + [repr(float(v)) for v in traj.positions[k]]
-                + [repr(float(v)) for v in traj.velocities[k]]
-            )
-            writer.writerow(row)

@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framefit import radar_family, simulate_fdoa
+from framefit import (
+    GridSpec,
+    SolverConfig,
+    TimeSeries,
+    level_set,
+    localize,
+    radar_family,
+    shooting_search,
+    simulate_fdoa,
+)
 from framefit.cli import main
 from framefit.core import error_value
 from framefit.radar import NoiseModel
@@ -325,7 +334,7 @@ class TestLocalize:
 
 class TestDiagnose:
     def test_outputs_and_residual_bound(self, scene, tmp_path):
-        _, _, _, _, path = scene
+        _, family, _, w, path = scene
         out = tmp_path / "out"
         code = main(
             [
@@ -346,6 +355,9 @@ class TestDiagnose:
         assert cert["passed"]
         lines = (out / "level_set.csv").read_text().strip().splitlines()
         assert lines[0] == "x_1,x_2,E"
+        grid = GridSpec([-10.0, -10.0], [10.0, 10.0], [11, 11])
+        report = level_set(family, w, grid, float(w @ w))
+        assert len(lines) == len(report.points) + 1
 
     def test_tau_zero_empties_level_set(self, tmp_path):
         geometry, family, truth, _ = noiseless_scene(3)
@@ -514,6 +526,65 @@ class TestTrack:
         assert "error: time series has non-finite values" in capsys.readouterr().err
 
 
+def _rows(path):
+    """The rows of a CSV output below its header, each split into cells."""
+    return [row.split(",") for row in path.read_text().splitlines()[1:]]
+
+
+def _floats(rows):
+    return [[float(cell) for cell in row] for row in rows]
+
+
+class TestOutputTables:
+    def test_cells_read_back_to_library_values(self, scene, tmp_path):
+        geometry, family, truth, w, path = scene
+        grid = GridSpec([-10.0, -10.0], [10.0, 10.0], [11, 11])
+        for command in ("localize", "diagnose"):
+            argv = [command, "--scenario", str(path), "--grid-counts=11,11"]
+            assert main(argv + ["--out-dir", str(tmp_path / command)]) == 0
+
+        result = localize(family, w, SolverConfig(grid=grid))
+        rows = _rows(tmp_path / "localize" / "trace.csv")
+        assert [row[0] for row in rows] == [str(k) for k in range(len(result.iterates))]
+        assert _floats(row[1:] for row in rows) == [
+            [*x.tolist(), E, gn] for x, E, gn in result.iterates
+        ]
+
+        report = level_set(family, w, grid, float(w @ w))
+        rows = _rows(tmp_path / "diagnose" / "level_set.csv")
+        assert _floats(rows) == [[*x.tolist(), E] for x, E in report.points]
+
+        # the first position candidate sits on a station, so its value is inf
+        times = np.linspace(0.0, 0.1, 11)
+        vals = [family.jet(truth.position + t * truth.velocity, 0).F.T @ truth.velocity
+                for t in times]
+        series = tmp_path / "series.json"
+        series.write_text(json.dumps({"times": times.tolist(),
+                                      "w": [v.tolist() for v in vals]}))
+        station = geometry.transmitters[0]
+        pos_grid = GridSpec(station, truth.position, [2, 1])
+        vel_grid = GridSpec(truth.velocity, truth.velocity + 1.0, [1, 2])
+        bounds = {"grid-lower": station, "grid-upper": truth.position,
+                  "vel-lower": truth.velocity, "vel-upper": truth.velocity + 1.0}
+        flags = [f"--{name}=" + ",".join(repr(float(v)) for v in values)
+                 for name, values in bounds.items()]
+        flags += ["--grid-counts=2,1", "--vel-counts=1,2"]
+        out = tmp_path / "track"
+        argv = ["track", "--scenario", str(path), "--series", str(series)]
+        assert main(argv + flags + ["--out-dir", str(out)]) == 0
+        best, _, trace = shooting_search(
+            family, TimeSeries(times, vals), pos_grid, vel_grid)
+        rows = _rows(out / "trajectory.csv")
+        assert _floats(rows) == [
+            [t, *x.tolist(), *v.tolist()]
+            for t, x, v in zip(best.times, best.positions, best.velocities)
+        ]
+        rows = _rows(out / "shooting_trace.csv")
+        assert _floats(rows) == [[*x0.tolist(), *v0.tolist(), value]
+                                 for x0, v0, value in trace]
+        assert rows[0][-1] == "inf" and len(rows) == 4
+
+
 class TestVersionFlag:
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -627,3 +698,57 @@ class TestFuzz:
             code, err = _run_cli(argv)
         assert code in (0, 1, 2)
         assert code == 0 or "error:" in err
+
+
+def _scene_file(tmp_path, **changes):
+    """FUZZ_SCENARIO, with ``changes`` applied, written to a file."""
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({**FUZZ_SCENARIO, **changes}))
+    return path
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflow:
+    """Inputs that are finite but so large that numpy overflows, run with
+    RuntimeWarning as an error, as under ``python -W error::RuntimeWarning``."""
+
+    def test_huge_measurement_converges(self, tmp_path):
+        scene = _scene_file(tmp_path)
+        minimizers = []
+        for scale in (1.0, 1e100, 1e150):
+            mpath = tmp_path / "m.json"
+            mpath.write_text(json.dumps({"w": [scale, 0.0, 0.0]}))
+            out = tmp_path / f"out{scale}"
+            code, err = _run_cli(["localize", "--scenario", str(scene), "--measurement",
+                                  str(mpath), "--out-dir", str(out)])
+            assert code == 0, err
+            minimizers.append(json.loads((out / "result.json").read_text())["minimizer"])
+        assert np.allclose(minimizers[1:], minimizers[0], rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "command, changes, series, message",
+        [
+            ("simulate",
+             {"transmitters": [[1.4e154, 0.0], [-50.0, 86.6], [-50.0, -86.6]]},
+             None, "scene diameter overflows"),
+            ("simulate", {"target": {"position": [1e200, 0.0], "velocity": [3.0, 1.0]}},
+             None, "distances overflow"),
+            ("simulate", {"target": {"position": [1.0, -2.0], "velocity": [1e308, 1e308]}},
+             None, "simulated measurement overflows"),
+            ("track", {}, [[0.1, -0.2, 0.3], [1e308, 0.0, 0.0]] + [[0.1, -0.2, 0.3]] * 2,
+             "time derivative overflows"),
+        ],
+        ids=["station", "target", "velocity", "series"],
+    )
+    def test_overflowing_input_exits_one(self, tmp_path, command, changes, series,
+                                         message):
+        argv = [command, "--scenario", str(_scene_file(tmp_path, **changes)),
+                "--out-dir", str(tmp_path / "out")]
+        if series is not None:
+            spath = tmp_path / "series.json"
+            spath.write_text(json.dumps({"times": FUZZ_SERIES["times"], "w": series}))
+            argv += ["--series", str(spath)] + FUZZ_GRID["track"]
+        code, err = _run_cli(argv)
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()

@@ -15,7 +15,7 @@ from framefit import (
     simulate_fdoa,
     uniqueness_certificate,
 )
-from framefit.diagnostics import write_level_set_csv
+from framefit.cli import _names, _write_csv
 from framefit.errors import EmptyDomainError, FramefitError
 from framefit.radar import RadarGeometry
 
@@ -92,7 +92,8 @@ class TestLevelSet:
         _, family, _, w = noiseless_scene(6)
         report = level_set(family, w, GRID, float(w @ w))
         path = tmp_path / "ls.csv"
-        write_level_set_csv(report, path)
+        _write_csv(path, [*_names("x", family.P), "E"],
+                   ([*x, E] for x, E in report.points))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x_1,x_2,E"
         assert len(lines) == len(report.points) + 1

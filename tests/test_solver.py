@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -267,12 +268,17 @@ class TestShiftSearch:
 
     def test_hessian_whose_norm_overflows(self):
         H = np.diag([1e200, -1e200])  # finite entries, |H| = inf
-        with time_limit(10.0), np.errstate(all="ignore"):
+        with time_limit(10.0), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             d = _shifted_newton_direction(np.array([1.0, 0.0]), H)
             assert np.array_equal(d, [1e-200, 0.0])
-            # a descent direction needs a shift, and every shift is inf
+            # a descent direction needs a shift: the capped scale keeps it finite
+            d = _shifted_newton_direction(np.array([0.0, 1.0]), H)
+            assert d[0] == 0.0 and 0.0 < d[1] < np.inf
+            # it would need a shift beyond the largest float
             with pytest.raises(SingularHessianError, match="unsolvable"):
-                _shifted_newton_direction(np.array([0.0, 1.0]), H)
+                _shifted_newton_direction(np.array([0.0, 1.0]),
+                                          np.diag([1.7e308, -1.7e308]))
 
     def test_localize_with_huge_measurement(self):
         _, family, truth, w = noiseless_scene(0)

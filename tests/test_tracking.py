@@ -18,9 +18,10 @@ from framefit.errors import (
     LeftDomainError,
     ScenarioValidationError,
 )
+from framefit.cli import _names, _write_csv
 from framefit.radar import RadarGeometry
 from framefit import radar_family
-from framefit.tracking import load_time_series, sampled_derivative, write_trajectory_csv
+from framefit.tracking import load_time_series, sampled_derivative
 
 from conftest import circular_geometry, random_full_rank
 
@@ -304,7 +305,9 @@ class TestTimeSeriesIO:
         times = np.linspace(0.0, 1.0, 3)
         traj = Trajectory(times, np.zeros((3, 2)), np.ones((3, 2)))
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
+        samples = zip(traj.times, traj.positions, traj.velocities)
+        _write_csv(path, ["t", *_names("x", 2), *_names("v", 2)],
+                   ([t, *x, *v] for t, x, v in samples))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,x_1,x_2,v_1,v_2"
         assert len(lines) == 4
