@@ -6,6 +6,7 @@ from .core import (
     FrameJet,
     dual_synthesis,
     error_value,
+    error_values,
     frame_bounds,
     project_null,
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import abc
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +20,16 @@ from .errors import (
     FramefitError,
     MissingSecondOrderError,
     RankDeficientError,
+    ScenarioValidationError,
 )
 
 # Relative threshold on the smallest singular value of F below which the
 # columns are not considered a frame.
 RANK_RTOL = 1e-8
+
+# Points per stacked SVD in error_values.  Blocks bound the stacked
+# temporaries, so a large grid costs no more memory than a small one.
+ERROR_BLOCK = 256
 
 
 def _as_matrix(F) -> np.ndarray:
@@ -45,6 +51,16 @@ def check_vector(x, size, what: str) -> np.ndarray:
     return x
 
 
+def _spans(s, M: int):
+    """The rank rule: whether singular values s (..., K), largest first, are
+    those of a frame for R^M.  The smallest must exceed RANK_RTOL times the
+    largest, so K < M or a NaN value fails."""
+    s = s.T  # (K, ...): s[0] largest, s[-1] smallest; scalars for one frame
+    if len(s) < M:
+        return np.zeros(s.shape[1:], dtype=bool)
+    return s[-1] > RANK_RTOL * s[0]
+
+
 def dual_synthesis(F) -> np.ndarray:
     """Return G = F^T (F F^T)^{-1}, the transpose of the canonical dual synthesis.
 
@@ -52,17 +68,16 @@ def dual_synthesis(F) -> np.ndarray:
     the result stays accurate for poorly conditioned frames.  G satisfies
     F @ G = I and G @ F @ G = G.
 
-    The one domain test: raises RankDeficientError unless the smallest
-    singular value of F exceeds RANK_RTOL times the largest, which fails when
-    the columns of F do not span R^M or F has a NaN or inf entry.
+    The one domain test: raises RankDeficientError unless the singular values
+    of F pass the rank rule (``_spans``), which fails when the columns of F do
+    not span R^M or F has a NaN or inf entry.
     """
     F = _as_matrix(F)
-    M, N = F.shape
     try:
         U, s, Vt = np.linalg.svd(F, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise RankDeficientError(f"synthesis matrix has no SVD ({exc})") from exc
-    if len(s) < M or not s[-1] > RANK_RTOL * s[0]:
+    if not _spans(s, F.shape[0]):
         raise RankDeficientError(
             f"synthesis matrix is rank deficient (singular values {s})"
         )
@@ -177,11 +192,46 @@ class FrameFamily(abc.ABC):
     def jet(self, x, order: int = 2) -> FrameJet:
         """F(x) and, for ``order`` >= 1 or 2, its partials; calls check_point(x)."""
 
+    def frames(self, X):
+        """F(x) at every row of X, shape (B, P): the stack (B, M, N) and a mask
+        of the rows where ``jet(x, 0)`` does not raise.  F is NaN on the other
+        rows.  This base version calls ``jet`` once per row; a family with a
+        stacked evaluation overrides it."""
+        X = self.check_points(X)
+        F = np.full((len(X), self.M, self.N), np.nan)
+        inside = np.zeros(len(X), dtype=bool)
+        for i, x in enumerate(X):
+            try:
+                F[i] = self.jet(x, order=0).F
+            except FramefitError:
+                continue
+            inside[i] = True
+        return F, inside
+
     def check_point(self, x) -> np.ndarray:
         return check_vector(x, self.P, "parameter point")
 
+    def check_points(self, X) -> np.ndarray:
+        """X as a float (B, P) array; rows with NaN or inf lie outside the domain."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.P:
+            raise DimensionMismatchError(
+                f"parameter points have shape {X.shape}, expected (B, {self.P})"
+            )
+        return X
+
     def check_measurement(self, w) -> np.ndarray:
-        return check_vector(w, self.N, "measurement")
+        """w as a finite vector of length N whose squared norm is finite too:
+        every error lies in [0, |w|^2], so that bound must not overflow."""
+        w = np.asarray(w, dtype=float)
+        if w.ndim == 1 and len(w) == self.N:
+            # a finite |w|^2 has finite terms; Python floats overflow to inf
+            # silently, with no numpy warning
+            values = w.tolist()
+            if math.isfinite(sum(map(operator.mul, values, values))):
+                return w
+        check_vector(w, self.N, "measurement")  # raises for a bad shape or entry
+        raise ScenarioValidationError("measurement too large: |w|^2 overflows")
 
     def contains(self, x) -> bool:
         """Whether x is in the domain, i.e. error_value(self, x, w) does not raise."""
@@ -204,3 +254,43 @@ def error_value(family: FrameFamily, x, w) -> float:
     # construction, and every family's jet has F of shape (M, N)
     Pw = w - dual_synthesis(F) @ (F @ w)
     return float(Pw @ Pw)
+
+
+def _null_energies(F, w, M: int) -> np.ndarray:
+    """|Pi w|^2 for each finite matrix of the stack F (B, M, N); NaN where it
+    is not a frame.  One stacked SVD, then error_value's products as stacked
+    ``@`` with their per-point shapes (einsum would sum in another order), so
+    each value equals error_value's bitwise.
+    """
+    try:
+        U, s, Vt = np.linalg.svd(F, full_matrices=False)
+    except np.linalg.LinAlgError:
+        # one failed SVD fails the whole stack; alone, it has no frame
+        if len(F) == 1:
+            return np.full(1, np.nan)
+        return np.concatenate([_null_energies(F[i:i + 1], w, M) for i in range(len(F))])
+    energies = np.full(len(F), np.nan)
+    keep = _spans(s, M)
+    F, U, s, Vt = F[keep], U[keep], s[keep], Vt[keep]
+    G = (Vt.transpose(0, 2, 1) / s[:, None, :]) @ U.transpose(0, 2, 1)
+    Pw = w - (G @ (F @ w)[:, :, None])[:, :, 0]
+    energies[keep] = (Pw[:, None, :] @ Pw[:, :, None])[:, 0, 0]
+    return energies
+
+
+def error_values(family: FrameFamily, X, w) -> np.ndarray:
+    """``error_value`` at every row of X, shape (B, P); NaN exactly where it raises.
+
+    Evaluates ``family.frames`` and one stacked SVD per ERROR_BLOCK rows.  The
+    values equal error_value's bitwise when ``frames`` lays out each F as
+    ``jet`` does, as the radar family and the quadratic families do.
+    """
+    w = family.check_measurement(w)
+    X = family.check_points(X)
+    values = np.full(len(X), np.nan)
+    for start in range(0, len(X), ERROR_BLOCK):
+        F, inside = family.frames(X[start:start + ERROR_BLOCK])
+        rows = np.flatnonzero(inside & np.isfinite(F).all(axis=(1, 2)))
+        if len(rows):
+            values[start + rows] = _null_energies(F[rows], w, family.M)
+    return values

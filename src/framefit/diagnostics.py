@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameFamily, dual_synthesis, error_value
+from .core import FrameFamily, dual_synthesis, error_value, error_values
 from .errors import RankDeficientError
-from .solver import GridSpec, grid_sweep
+from .solver import GridSpec, in_domain_count
 
 AUGMENTED_RANK_RTOL = 1e-8
 
@@ -41,11 +41,17 @@ class LevelSetReport:
 
 
 def level_set(family: FrameFamily, w, grid: GridSpec, tau: float) -> LevelSetReport:
-    """Exhaustively evaluate the error over the grid and keep points with E <= tau."""
-    points, errors = grid_sweep(family, w, grid)
-    kept = [(x, float(E)) for x, E in zip(points, errors) if E <= tau]
-    in_domain = int(np.count_nonzero(~np.isnan(errors)))
-    return LevelSetReport(tau, kept, len(kept) / in_domain)
+    """Exhaustively evaluate the error over the grid and keep points with E <= tau.
+
+    One ``error_values`` sweep; raises EmptyDomainError when no grid point
+    lies inside the domain.
+    """
+    points = grid.points()
+    errors = error_values(family, points, w)
+    in_domain = in_domain_count(errors)
+    kept = np.flatnonzero(errors <= tau)
+    return LevelSetReport(tau, [(points[i], float(errors[i])) for i in kept],
+                          len(kept) / in_domain)
 
 
 def augmented_vectors(family: FrameFamily, x, w) -> np.ndarray:

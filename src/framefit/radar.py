@@ -131,16 +131,21 @@ def _identity(m: int) -> np.ndarray:
     return eye
 
 
+def _near_station(r, tol):
+    """The singular set: a distance r to a station of at most tol.  Elementwise
+    on arrays; tol must be >= 0, so a zero distance is always near."""
+    return r <= tol
+
+
 def _unit_jets(d, order: int, tol: float):
     """``unit_vector_jet`` at each row of d, shape (K, M), stacked on a leading K axis.
 
-    Raises NearSingularError when some row has norm <= tol; tol must be >= 0,
-    so a zero row always raises.
+    Raises NearSingularError when some row is ``_near_station``.
     """
     r = np.sqrt(np.einsum("km,km->k", d, d))        # (K,)
     # r holds no NaN when d does not, and the builtin min is cheaper on few rows
     r_min = min(r.tolist())
-    if r_min <= tol:
+    if _near_station(r_min, tol):
         raise NearSingularError(f"point at distance {r_min} from a station (tol {tol})")
     u = d / r[:, None]
     if order < 1:
@@ -215,6 +220,20 @@ class RadarFrameFamily(FrameFamily):
             # second[n, q, p, m] -> d2F[q, p, m, n]
             d2F = (second[:N] + second[N:]).transpose(1, 2, 3, 0)
         return FrameJet(F, dF, d2F)
+
+    def frames(self, X):
+        """``jet(x, 0).F`` at every row of X in one pass over all points and
+        stations, each F in jet's (transposed) layout; see FrameFamily.frames."""
+        X = self.check_points(X)
+        N = self.N
+        d = X[:, None, :] - self.geometry.stations          # (B, 2N, M)
+        r = np.sqrt(np.einsum("bkm,bkm->bk", d, d))          # (B, 2N)
+        near = _near_station(r, self.geometry.singularity_tolerance).any(axis=1)
+        inside = np.isfinite(X).all(axis=1) & ~near
+        # rows outside stay NaN: no 0/0 at a station node, no inf/inf
+        u = np.divide(d, r[:, :, None], out=np.full_like(d, np.nan),
+                      where=inside[:, None, None])
+        return (u[:, :N] + u[:, N:]).transpose(0, 2, 1), inside
 
 
 def radar_family(geometry: RadarGeometry) -> RadarFrameFamily:

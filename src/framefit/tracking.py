@@ -16,7 +16,7 @@ and the candidate with the smallest Ehat wins.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,10 +39,14 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Uniformly sampled FDOA data: times (K,) and values (K, N), K >= 3."""
+    """Uniformly sampled FDOA data: times (K,) and values (K, N), K >= 3.
+
+    ``rates`` is ``sampled_derivative(values, dt)``, computed once.
+    """
 
     times: np.ndarray
     values: np.ndarray
+    rates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -70,6 +74,7 @@ class TimeSeries:
             )
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "rates", rates)
 
     @property
     def dt(self) -> float:
@@ -122,22 +127,27 @@ def _check_width(family: FrameFamily, data: TimeSeries) -> None:
 
 
 def _residual_pass(family: FrameFamily, traj: Trajectory, data: TimeSeries):
-    """Each sample's F(x_k) and residual F(x_k)^T v_k - w_k, one jet per sample."""
+    """The stacked F(x_k), shape (K, M, N), and residuals F(x_k)^T v_k - w_k,
+    shape (K, N), from one ``frames`` call.
+
+    Each product has the per-sample shapes, so every value equals the
+    per-sample ``jet`` computation bitwise.  Raises the error ``jet`` raises
+    at the first sample outside the domain.
+    """
     if traj.positions.shape[0] != data.num_samples:
         raise DimensionMismatchError("trajectory and data grids differ")
     _check_width(family, data)
-    frames, residuals = [], []
-    for k in range(data.num_samples):
-        F = family.jet(traj.positions[k], order=0).F
-        frames.append(F)
-        residuals.append(F.T @ traj.velocities[k] - data.values[k])
-    return frames, residuals
+    frames, inside = family.frames(traj.positions)
+    if not inside.all():
+        family.jet(traj.positions[np.argmin(inside)], order=0)  # raises
+    Ft_v = frames.transpose(0, 2, 1) @ traj.velocities[:, :, None]
+    return frames, Ft_v[:, :, 0] - data.values
 
 
 def functional_value(family: FrameFamily, traj: Trajectory, data: TimeSeries) -> float:
     """Composite-trapezoid value of the integrated squared residual."""
     _, residuals = _residual_pass(family, traj, data)
-    squares = np.array([r @ r for r in residuals])
+    squares = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
     return float(_trapezoid(squares, dx=data.dt))
 
 
@@ -163,7 +173,7 @@ def el_residual(family: FrameFamily, traj: Trajectory, data: TimeSeries) -> np.n
     """
     frames, residuals = _residual_pass(family, traj, data)
     rdot = sampled_derivative(residuals, data.dt)
-    return np.array([F @ rd for F, rd in zip(frames, rdot)])
+    return (frames @ rdot[:, :, None])[:, :, 0]
 
 
 def integrate_trajectory(
@@ -171,7 +181,7 @@ def integrate_trajectory(
 ) -> Trajectory:
     """Propagate the stationarity dynamics with classical RK4 on the data grid.
 
-    The data derivative is precomputed at the sample times and linearly
+    The data derivative ``data.rates`` at the sample times is linearly
     interpolated at half steps.  If any stage point leaves the frame domain, a
     LeftDomainError carrying the completed prefix as ``partial`` is raised.
     """
@@ -179,7 +189,7 @@ def integrate_trajectory(
     v = np.asarray(v0, dtype=float)
     _check_width(family, data)
     K, dt = data.num_samples, data.dt
-    wdot = sampled_derivative(data.values, dt)
+    wdot = data.rates
     positions = [x.copy()]
     velocities = [v.copy()]
 

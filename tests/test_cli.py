@@ -725,6 +725,26 @@ class TestOverflow:
             minimizers.append(json.loads((out / "result.json").read_text())["minimizer"])
         assert np.allclose(minimizers[1:], minimizers[0], rtol=0.0, atol=1e-6)
 
+    def test_diagnose_grid_far_outside_the_domain_exits_one(self, tmp_path):
+        # every frame at 1e200 is zero: no grid point lies in the domain
+        code, err = _run_cli(["diagnose", "--scenario", str(_scene_file(tmp_path)),
+                              "--grid-lower=1e200,1e200", "--grid-upper=2e200,2e200",
+                              "--grid-counts=3,3", "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert err.startswith("error: no grid point")
+        assert not (tmp_path / "out").exists()
+
+    def test_diagnose_grid_with_station_nodes_exits_zero(self, tmp_path):
+        # (100, 0) and (0, 100) are stations: the level set skips those nodes
+        out = tmp_path / "out"
+        code, err = _run_cli(["diagnose", "--scenario", str(_scene_file(tmp_path)),
+                              "--grid-lower=-100,-100", "--grid-upper=100,100",
+                              "--grid-counts=3,3", "--out-dir", str(out)])
+        assert code == 0, err
+        rows = (out / "level_set.csv").read_text().splitlines()[1:]
+        assert len(rows) == 7
+        assert "100.0,0.0" not in {row.rsplit(",", 1)[0] for row in rows}
+
     @pytest.mark.parametrize(
         "command, changes, series, message",
         [

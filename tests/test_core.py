@@ -16,13 +16,21 @@ from framefit import (
     dual_synthesis,
     error_gradient_hessian,
     error_value,
+    error_values,
     frame_bounds,
     frame_element,
     project_null,
     radar_family,
     simulate_fdoa,
 )
-from framefit.errors import DimensionMismatchError, RankDeficientError
+from framefit.core import ERROR_BLOCK
+from framefit.errors import (
+    DimensionMismatchError,
+    FramefitError,
+    RankDeficientError,
+    ScenarioValidationError,
+)
+from framefit.radar import RadarGeometry
 
 from conftest import (
     circular_geometry,
@@ -143,6 +151,122 @@ class TestErrorValue:
             error_value(family, [0.0], [1.0, 2.0, 3.0])
 
 
+def per_point_frames(family, X):
+    """jet(x, 0).F at each row of X, NaN where jet raises, and where it does not."""
+    F = np.full((len(X), family.M, family.N), np.nan)
+    inside = np.zeros(len(X), dtype=bool)
+    for i, x in enumerate(X):
+        try:
+            F[i] = family.jet(x, order=0).F
+            inside[i] = True
+        except FramefitError:
+            pass
+    return F, inside
+
+
+def per_point_errors(family, X, w):
+    """error_value at each row of X, NaN where it raises."""
+    values = np.full(len(X), np.nan)
+    for i, x in enumerate(X):
+        try:
+            values[i] = error_value(family, x, w)
+        except FramefitError:
+            pass
+    return values
+
+
+def assert_stacked_matches_per_point(family, X, w):
+    F, inside = family.frames(X)
+    F_ref, inside_ref = per_point_frames(family, X)
+    assert np.array_equal(inside, inside_ref)
+    assert np.array_equal(F, F_ref, equal_nan=True)
+    values = error_values(family, X, w)
+    assert np.array_equal(values, per_point_errors(family, X, w), equal_nan=True)
+    return values
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestErrorValues:
+    """``frames`` and ``error_values`` against per-point ``jet`` and ``error_value``:
+    bitwise equal, NaN in the same places, and no numpy warning."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 3]),
+        num_pairs=st.integers(1, 6),
+        num_points=st.sampled_from([1, 5, ERROR_BLOCK, 2 * ERROR_BLOCK + 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_radar_matches_per_point(self, dim, num_pairs, num_points, seed):
+        rng = np.random.default_rng(seed)
+        geometry = RadarGeometry(rng.normal(size=(num_pairs, dim)) * 50.0,
+                                 rng.normal(size=(num_pairs, dim)) * 50.0)
+        family = radar_family(geometry)
+        X = rng.uniform(-80.0, 80.0, size=(num_points, dim))
+        # stations, a point just off one, and non-finite points among the rows
+        extras = [geometry.transmitters[0], geometry.receivers[-1],
+                  geometry.transmitters[-1] + 0.5 * geometry.singularity_tolerance,
+                  np.full(dim, np.nan), np.r_[np.inf, np.zeros(dim - 1)]]
+        rows = rng.choice(num_points, size=min(num_points, len(extras)), replace=False)
+        X[rows] = extras[: len(rows)]
+        assert_stacked_matches_per_point(family, X, rng.normal(size=num_pairs))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        M=st.integers(1, 3),
+        extra=st.integers(0, 3),
+        P=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_quadratic_matches_per_point(self, M, extra, P, seed):
+        rng = np.random.default_rng(seed)
+        family = random_quadratic_family(rng, M, M + extra, P)
+        X = rng.normal(size=(ERROR_BLOCK + 17, P)) * 3.0
+        assert_stacked_matches_per_point(family, X, rng.normal(size=M + extra))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_callable_family_with_non_finite_frames(self, bad):
+        # F(x) = [1, x] up to x = 0.5 and [1, bad] beyond: no frame there
+        family = CallableFrameFamily(
+            (1, 2, 1), lambda x: np.array([[1.0, x[0] if x[0] <= 0.5 else bad]])
+        )
+        X = np.linspace(-1.0, 1.0, 301)[:, None]
+        values = assert_stacked_matches_per_point(family, X, np.array([1.0, -0.35]))
+        assert np.array_equal(np.isnan(values), X[:, 0] > 0.5)
+
+    def test_too_few_columns_are_never_a_frame(self):
+        geometry = RadarGeometry([[10.0, 0.0]], [[0.0, 10.0]])  # N = 1 < M = 2
+        values = error_values(radar_family(geometry), np.ones((3, 2)), [1.0])
+        assert np.isnan(values).all()
+
+    def test_failed_svd_is_outside_the_domain(self, monkeypatch):
+        # numpy fails a whole stack when one SVD does not converge; that point
+        # alone must read NaN, as error_value raises there
+        family = ConstantFrameFamily(np.array([[1.0, 0.0, 0.5]]), P=1)
+        svd = np.linalg.svd
+
+        def failing(F, *args, **kwargs):
+            if np.any(np.asarray(F)[..., 0, 0] == 7.0):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(F, *args, **kwargs)
+
+        family.jet = lambda x, order=2, jet=family.jet: (
+            FrameJet(np.array([[7.0, 0.0, 0.5]])) if x[0] == 2.0 else jet(x, order)
+        )
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        X = np.arange(6.0)[:, None]
+        values = assert_stacked_matches_per_point(family, X, np.array([1.0, 2.0, 3.0]))
+        assert np.array_equal(np.isnan(values), X[:, 0] == 2.0)
+
+    def test_rejects_points_of_the_wrong_shape(self):
+        _, family, _, w = noiseless_scene(0)
+        for X in (np.zeros(2), np.zeros((4, 3)), np.zeros((1, 2, 2))):
+            with pytest.raises(DimensionMismatchError):
+                error_values(family, X, w)
+            with pytest.raises(DimensionMismatchError):
+                family.frames(X)
+
+
 class TestFrameBounds:
     def test_identity(self):
         assert frame_bounds(np.eye(3)) == (1.0, 1.0)
@@ -234,11 +358,17 @@ def test_finiteness_checks_match_numpy(values):
     family = ConstantFrameFamily(np.ones((1, n)), P=n)
     x = np.array(values)
     for check in (family.check_point, family.check_measurement):
-        if np.isfinite(x).all():
-            assert np.array_equal(check(values), x)
-        else:
+        if not np.isfinite(x).all():
             with pytest.raises(DimensionMismatchError, match="non-finite"):
                 check(values)
+        elif check == family.check_measurement and not math.isfinite(
+            sum(v * v for v in values)
+        ):
+            # finite, but |w|^2, the bound on every error, overflows
+            with pytest.raises(ScenarioValidationError, match="overflows"):
+                check(values)
+        else:
+            assert np.array_equal(check(values), x)
 
 
 def _families_2x4():

@@ -16,7 +16,7 @@ from framefit import (
     uniqueness_certificate,
 )
 from framefit.cli import _names, _write_csv
-from framefit.errors import EmptyDomainError, FramefitError
+from framefit.errors import EmptyDomainError, FramefitError, ScenarioValidationError
 from framefit.radar import RadarGeometry
 
 from conftest import (
@@ -64,6 +64,13 @@ class TestLevelSet:
         _, family, _, w = noiseless_scene(2)
         report = level_set(family, w, GRID, float(w @ w))
         assert report.fraction == 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_measurement_whose_square_overflows_is_rejected(self):
+        # every error would be inf or NaN: no silently empty report
+        _, family, _, w = noiseless_scene(2)
+        with pytest.raises(ScenarioValidationError, match="overflows"):
+            level_set(family, 1e200 * w, GRID, 1.0)
 
     def test_zero_threshold_nearly_empty(self):
         rng = np.random.default_rng(3)

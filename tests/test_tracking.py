@@ -16,6 +16,7 @@ from framefit.errors import (
     AllCandidatesFailedError,
     DimensionMismatchError,
     LeftDomainError,
+    NearSingularError,
     ScenarioValidationError,
 )
 from framefit.cli import _names, _write_csv
@@ -70,6 +71,13 @@ class TestTimeSeries:
         vals = (3.0 + 2.0 * t - 5.0 * t**2)[:, None]
         d = sampled_derivative(vals, t[1] - t[0])
         assert np.allclose(d[:, 0], 2.0 - 10.0 * t, atol=1e-10)
+
+    def test_rates_are_the_sampled_derivative(self):
+        t = np.linspace(0.0, 0.3, 7)
+        vals = np.c_[np.sin(t), t**3, np.exp(t)]
+        data = TimeSeries(t, vals)
+        assert np.array_equal(data.rates, sampled_derivative(vals, data.dt))
+        assert "rates" not in repr(data)
 
 
 class TestFunctionalValue:
@@ -198,7 +206,7 @@ class TestElResidual:
         assert np.all(orders > 1.7) and np.all(orders < 2.3)
 
 
-    def test_builds_one_jet_per_sample(self, monkeypatch):
+    def test_builds_all_frames_in_one_pass(self, monkeypatch):
         family = radar_scene(9)
         x0, v0 = np.array([1.0, -2.0]), np.array([3.0, 2.0])
         times = np.linspace(0.0, 1.0, 11)
@@ -206,15 +214,33 @@ class TestElResidual:
             family, times, lambda t: x0 + t * v0, lambda t: v0
         )
         calls = []
-        original = family.jet
+        jet, frames = family.jet, family.frames
 
-        def counted(x, order=2):
-            calls.append(order)
-            return original(x, order)
+        def counted_jet(x, order=2):
+            calls.append("jet")
+            return jet(x, order)
 
-        monkeypatch.setattr(family, "jet", counted)
+        def counted_frames(X):
+            calls.append(len(X))
+            return frames(X)
+
+        monkeypatch.setattr(family, "jet", counted_jet)
+        monkeypatch.setattr(family, "frames", counted_frames)
         el_residual(family, Trajectory(times, pos, vel), data)
-        assert len(calls) == len(times)
+        assert calls == [len(times)]
+
+
+@pytest.mark.parametrize("evaluate", [functional_value, el_residual],
+                         ids=["functional_value", "el_residual"])
+def test_trajectory_through_a_station_raises(evaluate):
+    family = radar_scene(9)
+    station = family.geometry.transmitters[0]
+    times = np.linspace(0.0, 1.0, 5)
+    pos = station[None, :] + (times[:, None] - 0.5) * np.array([[4.0, 2.0]])
+    vel = np.tile([4.0, 2.0], (5, 1))
+    data = TimeSeries(times, np.ones((5, family.N)))
+    with pytest.raises(NearSingularError):
+        evaluate(family, Trajectory(times, pos, vel), data)
 
 
 class TestSeriesWidth:
