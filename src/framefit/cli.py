@@ -10,9 +10,9 @@ Exit codes: 0 success, 1 runtime/solver error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,8 @@ from .tracking import load_time_series, shooting_search
 DEGENERACY_RTOL = 1e-12
 GRID_POINTS_PER_AXIS = 21   # localize and diagnose
 TRACK_POINTS_PER_AXIS = 3   # track: 3^(P+M) shooting candidates, 81 in 2-D
+# Rows per write in _write_csv: joining a whole table at once costs memory.
+CSV_BLOCK_ROWS = 1024
 
 
 def _vector(text: str) -> list[float]:
@@ -68,14 +70,18 @@ def _names(prefix: str, n: int) -> list[str]:
     return [f"{prefix}_{i + 1}" for i in range(n)]
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Every output table: a header row, then the rows; ints as they are and
-    any other cell as ``repr(float(v))``, which reads back to the same float."""
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Every output table, from equal-length columns: a header row, then row
+    i of every column.  Cells are ``repr`` of ``np.asarray(column).tolist()``,
+    so an int column prints as ints and a float column as the shortest decimal
+    that reads back to the same float (``inf``, ``nan``).  The bytes are those
+    of ``csv.writer``'s excel dialect, which quotes none of these cells."""
+    cells = [map(repr, np.asarray(c).tolist()) for c in columns]
+    lines = map(",".join, zip(*cells, strict=True))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, int) else repr(float(v)) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        while block := list(islice(lines, CSV_BLOCK_ROWS)):
+            fh.write("\r\n".join(block) + "\r\n")
 
 
 def _write_manifest(out_dir: Path, command: str, inputs: dict, overrides: dict,
@@ -160,8 +166,9 @@ def cmd_localize(parser, args) -> int:
             "degenerate_grid": bool(degenerate),
         },
     )
+    xs, Es, grad_norms = zip(*result.iterates)
     _write_csv(out / "trace.csv", ["k", *_names("x", family.P), "E", "grad_norm"],
-               ([k, *x, E, gn] for k, (x, E, gn) in enumerate(result.iterates)))
+               [np.arange(len(xs)), *np.transpose(xs), Es, grad_norms])
     _write_manifest(
         out,
         "localize",
@@ -192,7 +199,7 @@ def cmd_diagnose(parser, args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "level_set.csv", [*_names("x", family.P), "E"],
-               ([*x, E] for x, E in report.points))
+               [*report.points.T, report.errors])
 
     # Residual bound at the scenario truth, against the actual noise realization.
     x0 = scenario.target.position
@@ -248,13 +255,13 @@ def cmd_track(parser, args) -> int:
     best, value, trace = shooting_search(family, data, pos_grid, vel_grid)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    samples = zip(best.times, best.positions, best.velocities)
     _write_csv(out / "trajectory.csv",
                ["t", *_names("x", family.M), *_names("v", family.M)],
-               ([t, *x, *v] for t, x, v in samples))
+               [best.times, *best.positions.T, *best.velocities.T])
+    x0s, v0s, values = zip(*trace)
     _write_csv(out / "shooting_trace.csv",
                [*_names("x0", family.P), *_names("v0", family.M), "value"],
-               ([*x0, *v0, value] for x0, v0, value in trace))
+               [*np.transpose(x0s), *np.transpose(v0s), values])
     _write_json(out / "tracking.json", {"best_value": float(value)})
     _write_manifest(
         out,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import abc
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +30,28 @@ RANK_RTOL = 1e-8
 # Points per stacked SVD in error_values.  Blocks bound the stacked
 # temporaries, so a large grid costs no more memory than a small one.
 ERROR_BLOCK = 256
+
+
+def _values_equal(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return len(a) == len(b) and all(map(_values_equal, a, b))
+    return bool(a == b)
+
+
+def fields_equal(self, other):
+    """``==`` for the frozen dataclasses with array fields: the compared
+    fields by value, arrays by ``np.array_equal`` and lists and tuples
+    element by element, so it never raises.  NaN compares unequal, as under
+    ``==``.  A class takes ``eq=False`` and sets ``__eq__ = fields_equal``."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(
+        _values_equal(getattr(self, f.name), getattr(other, f.name))
+        for f in fields(self)
+        if f.compare
+    )
 
 
 def _as_matrix(F) -> np.ndarray:
@@ -116,7 +138,7 @@ def frame_bounds(F) -> tuple[float, float]:
     return float(s[-1] ** 2), float(s[0] ** 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameJet:
     """Synthesis matrix at a point together with its parameter derivatives.
 
@@ -128,6 +150,8 @@ class FrameJet:
     F: np.ndarray
     dF: np.ndarray | None = None
     d2F: np.ndarray | None = None
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         F = _as_matrix(self.F)
@@ -283,7 +307,8 @@ def error_values(family: FrameFamily, X, w) -> np.ndarray:
 
     Evaluates ``family.frames`` and one stacked SVD per ERROR_BLOCK rows.  The
     values equal error_value's bitwise when ``frames`` lays out each F as
-    ``jet`` does, as the radar family and the quadratic families do.
+    ``jet`` does, as every family in this package does; a subclass whose
+    ``jet`` returns a non-C-ordered F may differ in the last bit.
     """
     w = family.check_measurement(w)
     X = family.check_points(X)

@@ -22,14 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameFamily, FrameJet, dual_synthesis, error_value
+from .core import FrameFamily, FrameJet, dual_synthesis, error_value, fields_equal
 from .errors import InvalidStepError
 
 FD_GRAD_STEP = 1e-5
 FD_HESS_STEP = 1e-4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectorPieces:
     """Cached vectors from which the gradient and Hessian are assembled.
 
@@ -42,6 +42,8 @@ class ProjectorPieces:
     Pps_w: np.ndarray     # (P, N)   Pi_p* w
     P_Pps_w: np.ndarray   # (P, N)   Pi Pi_p* w
     Pqp_Pw: np.ndarray    # (P, P, N) Pi_qp Pi w
+
+    __eq__ = fields_equal
 
 
 def projector_pieces(jet: FrameJet, w) -> ProjectorPieces:

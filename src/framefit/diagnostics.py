@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameFamily, dual_synthesis, error_value, error_values
+from .core import FrameFamily, dual_synthesis, error_value, error_values, fields_equal
 from .errors import RankDeficientError
 from .solver import GridSpec, in_domain_count
 
@@ -31,27 +31,30 @@ def residual_bound_check(family: FrameFamily, x0, w, eps_norm: float):
     return E, E <= eps_norm**2 + 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelSetReport:
     """Grid points whose error does not exceed the threshold."""
 
     threshold: float
-    points: list  # (x, E) pairs in lexicographic grid order
+    points: np.ndarray  # (K, P) kept grid points in lexicographic grid order
+    errors: np.ndarray  # (K,) their errors
     fraction: float  # covered fraction of in-domain grid points
+
+    __eq__ = fields_equal
 
 
 def level_set(family: FrameFamily, w, grid: GridSpec, tau: float) -> LevelSetReport:
     """Exhaustively evaluate the error over the grid and keep points with E <= tau.
 
-    One ``error_values`` sweep; raises EmptyDomainError when no grid point
-    lies inside the domain.
+    One ``error_values`` sweep, sliced by one mask; raises EmptyDomainError
+    when no grid point lies inside the domain.
     """
     points = grid.points()
     errors = error_values(family, points, w)
     in_domain = in_domain_count(errors)
-    kept = np.flatnonzero(errors <= tau)
-    return LevelSetReport(tau, [(points[i], float(errors[i])) for i in kept],
-                          len(kept) / in_domain)
+    kept = errors <= tau
+    return LevelSetReport(tau, points[kept], errors[kept],
+                          int(np.count_nonzero(kept)) / in_domain)
 
 
 def augmented_vectors(family: FrameFamily, x, w) -> np.ndarray:
@@ -68,7 +71,7 @@ def augmented_vectors(family: FrameFamily, x, w) -> np.ndarray:
     return np.vstack([jet.F, bottom])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniquenessCertificate:
     """Point-sample check of the augmented-frame spanning condition.
 
@@ -79,6 +82,8 @@ class UniquenessCertificate:
     samples: list
     smallest_singular_values: list
     passed: bool
+
+    __eq__ = fields_equal
 
 
 def uniqueness_certificate(

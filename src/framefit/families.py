@@ -78,7 +78,8 @@ class CallableFrameFamily(FrameFamily):
 
     def jet(self, x, order: int = 2) -> FrameJet:
         x = self.check_point(x)
-        F = np.asarray(self._f(x), dtype=float)
+        # C order, as frames() stacks it, so error_values matches error_value bitwise
+        F = np.ascontiguousarray(self._f(x), dtype=float)
         if F.shape != (self.M, self.N):
             raise DimensionMismatchError(
                 f"f(x) has shape {F.shape}, expected ({self.M}, {self.N})"

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FrameFamily, FrameJet, check_vector
+from .core import FrameFamily, FrameJet, check_vector, fields_equal
 from .errors import (
     DimensionMismatchError,
     NearSingularError,
@@ -27,12 +27,14 @@ from .errors import (
 SINGULARITY_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadarGeometry:
     """Fixed transmitter and receiver positions, N of each, in R^M (meters)."""
 
     transmitters: np.ndarray  # (N, M)
     receivers: np.ndarray     # (N, M)
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         tx = np.atleast_2d(np.asarray(self.transmitters, dtype=float))
@@ -77,12 +79,14 @@ class RadarGeometry:
         return SINGULARITY_RTOL * self._diameter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetState:
     """Target position and velocity at one instant (meters, meters/second)."""
 
     position: np.ndarray
     velocity: np.ndarray
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         pos = check_vector(self.position, None, "target position")

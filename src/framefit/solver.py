@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import FrameFamily, error_value
+from .core import FrameFamily, error_value, fields_equal
 from .derivatives import error_gradient_hessian
 from .errors import (
     EmptyDomainError,
@@ -29,13 +29,15 @@ SHIFT_DOUBLINGS = int(np.log2(MAX_SHIFT_FACTOR / 1e-12)) + 1
 STEP_TOL = 1e-12  # a Newton step shorter than this ends the iteration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSpec:
     """Axis-aligned evaluation grid: counts[p] points on [lower[p], upper[p]]."""
 
     lower: np.ndarray
     upper: np.ndarray
     counts: np.ndarray
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
@@ -102,7 +104,7 @@ class SolveStatus(Enum):
     LEFT_DOMAIN = "LeftDomain"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     """Outcome of a localization run, with the full iterate trace."""
 
@@ -110,6 +112,8 @@ class SolveResult:
     value: float
     iterates: list  # (x_k, E(x_k), |grad E(x_k)|) per recorded iterate
     status: SolveStatus
+
+    __eq__ = fields_equal
 
 
 def in_domain_count(errors) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FrameFamily, dual_synthesis
+from .core import FrameFamily, dual_synthesis, fields_equal
 from .errors import (
     AllCandidatesFailedError,
     DimensionMismatchError,
@@ -37,7 +37,7 @@ UNIFORM_RTOL = 1e-12
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Uniformly sampled FDOA data: times (K,) and values (K, N), K >= 3.
 
@@ -47,6 +47,8 @@ class TimeSeries:
     times: np.ndarray
     values: np.ndarray
     rates: np.ndarray = field(init=False, repr=False, compare=False)
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -85,13 +87,15 @@ class TimeSeries:
         return len(self.times)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Positions and velocities on a shared time grid."""
 
     times: np.ndarray
     positions: np.ndarray   # (K, M)
     velocities: np.ndarray  # (K, M)
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)

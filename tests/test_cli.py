@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framefit import (
@@ -20,7 +21,7 @@ from framefit import (
     shooting_search,
     simulate_fdoa,
 )
-from framefit.cli import main
+from framefit.cli import CSV_BLOCK_ROWS, _write_csv, main
 from framefit.core import error_value
 from framefit.radar import NoiseModel
 
@@ -552,7 +553,7 @@ class TestOutputTables:
 
         report = level_set(family, w, grid, float(w @ w))
         rows = _rows(tmp_path / "diagnose" / "level_set.csv")
-        assert _floats(rows) == [[*x.tolist(), E] for x, E in report.points]
+        assert _floats(rows) == np.column_stack([report.points, report.errors]).tolist()
 
         # the first position candidate sits on a station, so its value is inf
         times = np.linspace(0.0, 0.1, 11)
@@ -583,6 +584,40 @@ class TestOutputTables:
         assert _floats(rows) == [[*x0.tolist(), *v0.tolist(), value]
                                  for x0, v0, value in trace]
         assert rows[0][-1] == "inf" and len(rows) == 4
+
+
+def _reference_csv(path, header, columns):
+    """The row-wise writer the column writer replaced: csv.writer, ints as
+    they are and repr(float(v)) for every other cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(len(columns[0]) if columns else 0):
+            writer.writerow([c[i] if isinstance(c[i], int) else repr(float(c[i]))
+                             for c in columns])
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_COLUMNS = st.integers(0, 12).flatmap(lambda n: st.lists(
+    st.one_of(st.lists(_INT64, min_size=n, max_size=n),
+              st.lists(st.floats(), min_size=n, max_size=n)),
+    min_size=1, max_size=4))
+_BLOCKS = 2 * CSV_BLOCK_ROWS + 1
+
+
+class TestWriteCsv:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(columns=_COLUMNS)
+    @example(columns=[[0, 1, 2, 3, 4], [np.inf, -0.0, 5e-324, 1e308, -np.inf]])
+    @example(columns=[[], []])
+    @example(columns=[list(range(_BLOCKS)), [0.1 * k for k in range(_BLOCKS)]])
+    def test_same_bytes_as_csv_writer(self, columns):
+        header = [f"c_{j}" for j in range(len(columns))]
+        with tempfile.TemporaryDirectory() as tmp:
+            ref, out = Path(tmp) / "ref.csv", Path(tmp) / "out.csv"
+            _reference_csv(ref, header, columns)
+            _write_csv(out, header, [np.asarray(c) for c in columns])
+            assert out.read_bytes() == ref.read_bytes()
 
 
 class TestVersionFlag:

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -9,9 +11,13 @@ from framefit import (
     CallableFrameFamily,
     ConstantFrameFamily,
     FrameJet,
+    GridSpec,
     LinearFrameFamily,
     NoiseModel,
+    SolverConfig,
     TargetState,
+    TimeSeries,
+    Trajectory,
     augmented_vectors,
     dual_synthesis,
     error_gradient_hessian,
@@ -19,9 +25,13 @@ from framefit import (
     error_values,
     frame_bounds,
     frame_element,
+    level_set,
+    localize,
     project_null,
+    projector_pieces,
     radar_family,
     simulate_fdoa,
+    uniqueness_certificate,
 )
 from framefit.core import ERROR_BLOCK
 from framefit.errors import (
@@ -234,6 +244,18 @@ class TestErrorValues:
         values = assert_stacked_matches_per_point(family, X, np.array([1.0, -0.35]))
         assert np.array_equal(np.isnan(values), X[:, 0] > 0.5)
 
+    def test_callable_family_with_fortran_ordered_frames(self):
+        # frames() stacks C-ordered copies; jet must hand error_value the same
+        # layout, or BLAS takes another path and the last bit differs
+        rng = np.random.default_rng(12)
+        quadratic = random_quadratic_family(rng, 3, 6, 2)
+        family = CallableFrameFamily(
+            (3, 6, 2), lambda x: np.asfortranarray(quadratic.jet(x, order=0).F)
+        )
+        X = rng.normal(size=(400, 2)) * 3.0
+        values = assert_stacked_matches_per_point(family, X, rng.normal(size=6))
+        assert not np.isnan(values).any()
+
     def test_too_few_columns_are_never_a_frame(self):
         geometry = RadarGeometry([[10.0, 0.0]], [[0.0, 10.0]])  # N = 1 < M = 2
         values = error_values(radar_family(geometry), np.ones((3, 2)), [1.0])
@@ -417,3 +439,50 @@ def test_every_entry_point_rejects_a_bad_point(kind, point):
     if kind == "radar":
         with pytest.raises(DimensionMismatchError):
             frame_element(family.geometry, 0, x)
+
+
+def _equality_cases():
+    """Per frozen dataclass with array fields: an instance and a changed copy."""
+    t = np.linspace(0.0, 1.0, 5)
+    v = np.arange(10.0).reshape(5, 2)
+    geometry, family, truth, w = noiseless_scene(1)
+    jet = family.jet(truth.position, order=2)
+    grid = GridSpec([-10.0, -10.0], [10.0, 10.0], [7, 7])
+    result = localize(family, w, SolverConfig(grid=grid))
+    report = level_set(family, w, grid, float(w @ w))
+    cert = uniqueness_certificate(family, w, [truth.position, truth.position + 1.0])
+    pieces = projector_pieces(jet, w)
+    return {
+        "GridSpec": (GridSpec([0, 0], [1, 1], [2, 2]), GridSpec([0, 0], [1, 1], [2, 3])),
+        "GridSpec_shape": (GridSpec([0, 0], [1, 1], [2, 2]), GridSpec([0], [1], [2])),
+        "TimeSeries": (TimeSeries(t, v), TimeSeries(t, v + 1.0)),
+        "Trajectory": (Trajectory(t, v, v), Trajectory(t, v, -v)),
+        "RadarGeometry": (geometry, RadarGeometry(geometry.transmitters,
+                                                  2.0 * geometry.receivers)),
+        "TargetState": (truth, TargetState(truth.position, truth.velocity + 1.0)),
+        "FrameJet": (jet, FrameJet(jet.F, jet.dF)),
+        "ProjectorPieces": (pieces, dataclasses.replace(pieces, Pw=2.0 * pieces.Pw)),
+        "SolveResult": (result, dataclasses.replace(result, iterates=result.iterates[:-1])),
+        "LevelSetReport": (report, dataclasses.replace(report, errors=report.errors + 1.0)),
+        "UniquenessCertificate": (cert, dataclasses.replace(cert, samples=cert.samples[::-1])),
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", [
+    "GridSpec", "GridSpec_shape", "TimeSeries", "Trajectory", "RadarGeometry", "TargetState",
+    "FrameJet", "ProjectorPieces", "SolveResult", "LevelSetReport", "UniquenessCertificate",
+])
+def test_equality_compares_fields_by_value(name):
+    a, changed = _equality_cases()[name]
+    same = copy.deepcopy(a)  # equal values in distinct arrays
+    assert a == same and not a != same
+    assert a != changed and changed != a and not a == changed
+    assert a != 3 and a == dataclasses.replace(a)  # replace() re-runs __post_init__
+
+
+@pytest.mark.filterwarnings("error")
+def test_equality_of_equal_arrays_in_distinct_objects():
+    t, v = np.linspace(0.0, 1.0, 4), np.ones((4, 3))
+    assert GridSpec([0, 0], [1, 1], [2, 2]) == GridSpec([0, 0], [1, 1], [2, 2])
+    assert TimeSeries(t, v) == TimeSeries(t.copy(), v)

@@ -83,8 +83,8 @@ class TestLevelSet:
         _, family, _, w = noiseless_scene(4)
         small = level_set(family, w, GRID, 1.0)
         large = level_set(family, w, GRID, 10.0)
-        small_keys = {tuple(x) for x, _ in small.points}
-        large_keys = {tuple(x) for x, _ in large.points}
+        small_keys = set(map(tuple, small.points.tolist()))
+        large_keys = set(map(tuple, large.points.tolist()))
         assert small_keys <= large_keys
 
     def test_square_family_everything_included(self):
@@ -99,27 +99,30 @@ class TestLevelSet:
         _, family, _, w = noiseless_scene(6)
         report = level_set(family, w, GRID, float(w @ w))
         path = tmp_path / "ls.csv"
-        _write_csv(path, [*_names("x", family.P), "E"],
-                   ([*x, E] for x, E in report.points))
+        _write_csv(path, [*_names("x", family.P), "E"], [*report.points.T, report.errors])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x_1,x_2,E"
         assert len(lines) == len(report.points) + 1
 
     def test_keeps_exactly_points_at_or_below_threshold(self):
         family, w, grid = station_node_scene()
-        in_domain = []
-        for x in grid.points():
-            try:
-                in_domain.append((x, error_value(family, x, w)))
-            except FramefitError:
-                pass
-        tau = float(np.median([E for _, E in in_domain]))
-        expected = [(x, E) for x, E in in_domain if E <= tau]
-        report = level_set(family, w, grid, tau)
-        assert len(report.points) == len(expected)
-        for (x, E), (x_ref, E_ref) in zip(report.points, expected):
-            assert np.array_equal(x, x_ref) and E == E_ref
-        assert report.fraction == len(expected) / len(in_domain)
+        noisy = w + np.random.default_rng(11).normal(size=w.shape) * 0.05
+        # 23x23 = 529 points: three error_values blocks
+        for w, grid in ((w, grid), (noisy, GridSpec([-10.0, -10.0], [10.0, 10.0], [23, 23]))):
+            in_domain = []
+            for x in grid.points():
+                try:
+                    in_domain.append((x, error_value(family, x, w)))
+                except FramefitError:
+                    pass
+            tau = float(np.median([E for _, E in in_domain]))
+            expected = [(x, E) for x, E in in_domain if E <= tau]
+            report = level_set(family, w, grid, tau)
+            # the per-point sweep, bitwise and in grid order
+            assert np.array_equal(report.points, [x for x, _ in expected])
+            assert np.array_equal(report.errors, [E for _, E in expected])
+            assert report.points.shape == (len(expected), family.P)
+            assert report.fraction == len(expected) / len(in_domain)
 
     def test_scaling_leaves_argmin_invariant(self):
         _, family, _, w = noiseless_scene(7)

@@ -199,7 +199,7 @@ class TestNonFiniteFrame:
         assert np.array_equal(np.isnan(errors), points[:, 0] > 0.5)
         assert np.isclose(grid_search(family, self.w, self.grid)[0], -0.4)
         report = level_set(family, self.w, self.grid, float(self.w @ self.w))
-        assert [float(x[0]) for x, _ in report.points] == list(points[:8, 0])
+        assert np.array_equal(report.points, points[:8])
         assert report.fraction == 1.0
         result = localize(family, self.w, SolverConfig(grid=self.grid))
         assert abs(result.minimizer[0] + 0.35) <= 1e-10

@@ -331,9 +331,8 @@ class TestTimeSeriesIO:
         times = np.linspace(0.0, 1.0, 3)
         traj = Trajectory(times, np.zeros((3, 2)), np.ones((3, 2)))
         path = tmp_path / "traj.csv"
-        samples = zip(traj.times, traj.positions, traj.velocities)
         _write_csv(path, ["t", *_names("x", 2), *_names("v", 2)],
-                   ([t, *x, *v] for t, x, v in samples))
+                   [traj.times, *traj.positions.T, *traj.velocities.T])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,x_1,x_2,v_1,v_2"
         assert len(lines) == 4
