@@ -141,6 +141,18 @@ def cmd_localize(parser, args) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
+    # E vanishes where w lies in the M-dimensional range of F(x)^T.  Over
+    # (x, v) that range sweeps up to M + P dimensions of R^N, so with fewer
+    # than M + P pairs the zero set has M + P - N dimensions: a curve or more.
+    surplus = family.M + family.P - family.N
+    if surplus > 0:
+        print(
+            f"warning: {family.N} pairs are fewer than M + P = {family.M + family.P}, "
+            f"so E vanishes on a {surplus}-dimensional set of positions; the "
+            "position is not identifiable from a single-instant measurement, and "
+            "the result is one exact fit of many",
+            file=sys.stderr,
+        )
     # A square family (N == M) has zero error everywhere: no single-instant fix.
     _, errors = grid_sweep(family, w, grid)
     w_scale = max(float(w @ w), np.finfo(float).tiny)
@@ -252,6 +264,14 @@ def cmd_track(parser, args) -> int:
     data = load_time_series(args.series)
     pos_grid = _grid(parser, args, "grid", family.P, TRACK_POINTS_PER_AXIS)
     vel_grid = _grid(parser, args, "vel", family.M, TRACK_POINTS_PER_AXIS)
+    if family.N == family.M:
+        print(
+            f"warning: {family.N} pairs in {family.M} dimensions make a square frame: "
+            "from any start x0 the velocity F(x0)^{-T} w(0) starts a path that fits "
+            "the whole series exactly, so the track is not identifiable and the "
+            "answer depends on the grids",
+            file=sys.stderr,
+        )
     best, value, trace = shooting_search(family, data, pos_grid, vel_grid)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

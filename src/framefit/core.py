@@ -232,6 +232,17 @@ class FrameFamily(abc.ABC):
             inside[i] = True
         return F, inside
 
+    def frame_rate(self, x, v):
+        """F(x) and its rate along a parameter velocity v, Fdot = sum_p v_p
+        dF[p], both (M, N): a Jacobian-vector product, all that the tracking
+        dynamics need of the first derivatives.  Raises where ``jet(x, 1)``
+        raises, then DimensionMismatchError unless v is a finite vector of
+        length P.  This base version contracts ``jet(x, 1).dF`` with v; a
+        family with a cheaper directional derivative overrides it."""
+        jet = self.jet(x, order=1)
+        v = check_vector(v, self.P, "velocity")
+        return jet.F, np.tensordot(v, jet.dF, axes=1)
+
     def check_point(self, x) -> np.ndarray:
         return check_vector(x, self.P, "parameter point")
 

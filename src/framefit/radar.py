@@ -141,8 +141,8 @@ def _near_station(r, tol):
     return r <= tol
 
 
-def _unit_jets(d, order: int, tol: float):
-    """``unit_vector_jet`` at each row of d, shape (K, M), stacked on a leading K axis.
+def _unit_vectors(d, tol: float):
+    """The lengths r (K,) of the rows of d (K, M) and the unit vectors d / r.
 
     Raises NearSingularError when some row is ``_near_station``.
     """
@@ -151,7 +151,15 @@ def _unit_jets(d, order: int, tol: float):
     r_min = min(r.tolist())
     if _near_station(r_min, tol):
         raise NearSingularError(f"point at distance {r_min} from a station (tol {tol})")
-    u = d / r[:, None]
+    return d / r[:, None], r
+
+
+def _unit_jets(d, order: int, tol: float):
+    """``unit_vector_jet`` at each row of d, shape (K, M), stacked on a leading K axis.
+
+    Raises NearSingularError when some row is ``_near_station``.
+    """
+    u, r = _unit_vectors(d, tol)
     if order < 1:
         return u, None, None
     eye = _identity(d.shape[1])
@@ -224,6 +232,18 @@ class RadarFrameFamily(FrameFamily):
             # second[n, q, p, m] -> d2F[q, p, m, n]
             d2F = (second[:N] + second[N:]).transpose(1, 2, 3, 0)
         return FrameJet(F, dF, d2F)
+
+    def frame_rate(self, x, v):
+        """``jet(x, 0).F``, bitwise, and its rate along v from one station
+        pass; see FrameFamily.frame_rate.  The unit vector u to a station at
+        distance r moves at (v - u (u . v)) / r, the first-order unit jet
+        applied to v, so no (2N, M, M) projector is built."""
+        x = self.check_point(x)
+        N = self.N
+        u, r = _unit_vectors(x - self.geometry.stations, self.geometry.singularity_tolerance)
+        v = check_vector(v, self.P, "velocity")
+        u_dot = (v - u * (u @ v)[:, None]) / r[:, None]   # (2N, M)
+        return (u[:N] + u[N:]).T, (u_dot[:N] + u_dot[N:]).T
 
     def frames(self, X):
         """``jet(x, 0).F`` at every row of X in one pass over all points and

@@ -8,9 +8,10 @@ is minimized by shooting: candidate initial states are propagated with the
 explicit form of the stationarity equation
 
     F(x) d/dt [F(x)^T xdot - w] = 0
-    =>  xddot = (F F^T)^{-1} F [ wdot - sum_m v_m dF_m^T v ],
+    =>  xddot = (F F^T)^{-1} F [ wdot - Fdot^T v ],   Fdot = sum_p v_p dF_p,
 
-and the candidate with the smallest Ehat wins.
+and the candidate with the smallest Ehat wins.  The parameters are positions,
+so the family must have P = M.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FrameFamily, dual_synthesis, fields_equal
+from .core import FrameFamily, check_vector, dual_synthesis, fields_equal
 from .errors import (
     AllCandidatesFailedError,
     DimensionMismatchError,
@@ -122,6 +123,14 @@ def sampled_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def _check_positions(family: FrameFamily) -> None:
+    if family.P != family.M:
+        raise DimensionMismatchError(
+            f"tracking needs a family whose parameters are positions (P = M), "
+            f"got P = {family.P}, M = {family.M}"
+        )
+
+
 def _check_width(family: FrameFamily, data: TimeSeries) -> None:
     if data.values.shape[1] != family.N:
         raise DimensionMismatchError(
@@ -158,16 +167,15 @@ def functional_value(family: FrameFamily, traj: Trajectory, data: TimeSeries) ->
 def el_acceleration(family: FrameFamily, x, v, wdot) -> np.ndarray:
     """Acceleration solving the stationarity equation at one state.
 
-    Returns (F F^T)^{-1} F [ wdot - sum_m v_m dF_m^T v ], applied through the
-    dual synthesis rather than an explicit inverse.
+    Returns (F F^T)^{-1} F [ wdot - Fdot^T v ], with F and its rate Fdot
+    along v from ``family.frame_rate``, applied through the dual synthesis
+    rather than an explicit inverse.  Raises DimensionMismatchError unless x
+    and v are finite vectors of length M (= P) and wdot one of length N.
     """
-    v = np.asarray(v, dtype=float)
-    wdot = np.asarray(wdot, dtype=float)
-    jet = family.jet(x, order=1)  # validates x
-    G = dual_synthesis(jet.F)
-    # sum_m v_m dF_m^T v, one N-vector
-    quad = np.einsum("p,pmn,m->n", v, jet.dF, v)
-    return G.T @ (wdot - quad)
+    _check_positions(family)
+    F, Fdot = family.frame_rate(x, v)  # validates x and v
+    wdot = check_vector(wdot, family.N, "data rate")
+    return dual_synthesis(F).T @ (wdot - Fdot.T @ v)
 
 
 def el_residual(family: FrameFamily, traj: Trajectory, data: TimeSeries) -> np.ndarray:
@@ -188,9 +196,12 @@ def integrate_trajectory(
     The data derivative ``data.rates`` at the sample times is linearly
     interpolated at half steps.  If any stage point leaves the frame domain, a
     LeftDomainError carrying the completed prefix as ``partial`` is raised.
+    A start x0 or v0 that is not a finite vector of length M (= P) raises
+    DimensionMismatchError before any step.
     """
+    _check_positions(family)
     x = family.check_point(x0)
-    v = np.asarray(v0, dtype=float)
+    v = check_vector(v0, family.M, "initial velocity")
     _check_width(family, data)
     K, dt = data.num_samples, data.dt
     wdot = data.rates
@@ -200,24 +211,30 @@ def integrate_trajectory(
     def rhs(x_s, v_s, wd):
         return v_s, el_acceleration(family, x_s, v_s, wd)
 
-    for k in range(K - 1):
-        wd_half = 0.5 * (wdot[k] + wdot[k + 1])
-        try:
-            k1x, k1v = rhs(x, v, wdot[k])
-            k2x, k2v = rhs(x + 0.5 * dt * k1x, v + 0.5 * dt * k1v, wd_half)
-            k3x, k3v = rhs(x + 0.5 * dt * k2x, v + 0.5 * dt * k2v, wd_half)
-            k4x, k4v = rhs(x + dt * k3x, v + dt * k3v, wdot[k + 1])
-        except FramefitError as exc:
-            partial = Trajectory(
-                data.times[: k + 1], np.array(positions), np.array(velocities)
-            )
-            raise LeftDomainError(
-                f"integration left the domain at step {k}: {exc}", partial=partial
-            ) from exc
-        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        positions.append(x.copy())
-        velocities.append(v.copy())
+    # A state that overflows leaves the domain: the checks of the next stage
+    # raise for it, so numpy's overflow warnings are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K - 1):
+            wd_half = 0.5 * (wdot[k] + wdot[k + 1])
+            try:
+                k1x, k1v = rhs(x, v, wdot[k])
+                k2x, k2v = rhs(x + 0.5 * dt * k1x, v + 0.5 * dt * k1v, wd_half)
+                k3x, k3v = rhs(x + 0.5 * dt * k2x, v + 0.5 * dt * k2v, wd_half)
+                k4x, k4v = rhs(x + dt * k3x, v + dt * k3v, wdot[k + 1])
+                x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+                v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+                if k == K - 2:  # no next stage checks the last state
+                    check_vector(x, family.M, "position")
+                    check_vector(v, family.M, "velocity")
+            except FramefitError as exc:
+                partial = Trajectory(
+                    data.times[: k + 1], np.array(positions), np.array(velocities)
+                )
+                raise LeftDomainError(
+                    f"integration left the domain at step {k}: {exc}", partial=partial
+                ) from exc
+            positions.append(x)
+            velocities.append(v)
     return Trajectory(data.times, np.array(positions), np.array(velocities))
 
 
@@ -228,8 +245,15 @@ def shooting_search(
 
     Returns (best trajectory, best value, trace), where the trace records
     (x0, v0, value) for every candidate in lexicographic order; candidates
-    that fail to integrate are recorded with value inf.
+    that fail to integrate are recorded with value inf.  Grids of the wrong
+    dimension raise DimensionMismatchError before any candidate runs.
     """
+    _check_positions(family)
+    for grid, what in ((pos_grid, "position"), (vel_grid, "velocity")):
+        if len(grid.counts) != family.M:
+            raise DimensionMismatchError(
+                f"{what} grid has dimension {len(grid.counts)}, expected {family.M}"
+            )
     _check_width(family, data)
     best = None
     best_value = np.inf

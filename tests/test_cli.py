@@ -248,6 +248,25 @@ class TestLocalize:
         assert "warning" in capsys.readouterr().err
         assert json.loads((out / "result.json").read_text())["degenerate_grid"]
 
+    def test_fewer_pairs_than_m_plus_p_warns(self, tmp_path, capsys):
+        # the 3-pair scene of the CI smoke step: E vanishes on a curve through
+        # the truth (1, -2), and localize returns an exact zero far along it
+        out = tmp_path / "out"
+        code = main(["localize", "--scenario", str(_scene_file(tmp_path)),
+                     "--out-dir", str(out)])
+        assert code == 0
+        assert "warning: 3 pairs are fewer than M + P = 4" in capsys.readouterr().err
+        result = json.loads((out / "result.json").read_text())
+        assert result["value"] <= 1e-18 and not result["degenerate_grid"]
+        assert np.linalg.norm(np.subtract(result["minimizer"], [1.0, -2.0])) > 1.0
+
+    def test_four_pairs_do_not_warn(self, scene, tmp_path, capsys):
+        _, _, _, _, path = scene
+        code = main(["localize", "--scenario", str(path), "--grid-counts=5,5",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_malformed_grid_exits_two(self, scene, tmp_path):
         _, _, _, _, path = scene
         with pytest.raises(SystemExit) as excinfo:
@@ -406,7 +425,7 @@ class TestDiagnose:
 
 
 class TestTrack:
-    def test_single_candidate_recovers_truth(self, scene, tmp_path):
+    def test_single_candidate_recovers_truth(self, scene, tmp_path, capsys):
         geometry, family, truth, _, path = scene
         x0, v0 = truth.position, truth.velocity
         times = np.linspace(0.0, 1.0, 101)
@@ -442,7 +461,19 @@ class TestTrack:
         trace = (out / "shooting_trace.csv").read_text().strip().splitlines()
         assert trace[0] == "x0_1,x0_2,v0_1,v0_2,value"
         assert len(trace) == 2
+        assert capsys.readouterr().err == ""  # four pairs in 2-D: no warning
 
+    def test_square_frame_warns(self, tmp_path, capsys):
+        geometry = circular_geometry(np.random.default_rng(2), num_pairs=2, radius=40.0)
+        path = write_scenario(tmp_path / "scene.json", geometry, [1.0, 2.0], [3.0, -1.0])
+        series = tmp_path / "series.json"
+        series.write_text(json.dumps({"times": [0.0, 0.01, 0.02], "w": [[0.5, -0.5]] * 3}))
+        code = main(["track", "--scenario", str(path), "--series", str(series),
+                     "--grid-counts=1,1", "--vel-counts=1,1",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert "warning: 2 pairs in 2 dimensions make a square frame" in (
+            capsys.readouterr().err)
 
     def test_default_grids_are_three_points_per_axis(self, scene, tmp_path):
         geometry, family, truth, _, path = scene

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from framefit import (
+    FrameFamily,
     NoiseModel,
     RadarGeometry,
     TargetState,
@@ -17,6 +18,7 @@ from framefit import (
 )
 from framefit.errors import (
     DimensionMismatchError,
+    FramefitError,
     NearSingularError,
     ScenarioParseError,
     ScenarioValidationError,
@@ -245,6 +247,56 @@ class TestRadarFamily:
             assert np.max(np.abs(jet.dF[p] - fd1)) <= 1e-6 * np.max(np.abs(jet.dF[p]))
             fd2 = (family.jet(x + step, 1).dF - family.jet(x - step, 1).dF) / (2 * h)
             assert np.max(np.abs(jet.d2F[p] - fd2)) <= 1e-5 * np.max(np.abs(jet.d2F[p]))
+
+
+class TestFrameRate:
+    """The radar override of ``frame_rate`` against the base version, which
+    contracts ``jet(x, 1).dF`` with v."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        dim=st.sampled_from([2, 3]),
+        num_pairs=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        where=st.sampled_from(["inside", "inside", "near_station", "non_finite"]),
+    )
+    def test_equals_the_contracted_jet(self, dim, num_pairs, seed, where):
+        rng = np.random.default_rng(seed)
+        geom = RadarGeometry(
+            rng.uniform(-100.0, 100.0, size=(num_pairs, dim)),
+            rng.uniform(-100.0, 100.0, size=(num_pairs, dim)),
+        )
+        family = radar_family(geom)
+        x = rng.uniform(-50.0, 50.0, size=dim)
+        if where == "near_station":
+            x = geom.stations[rng.integers(2 * num_pairs)] + 0.5 * geom.singularity_tolerance
+        elif where == "non_finite":
+            x[rng.integers(dim)] = rng.choice([np.nan, np.inf, -np.inf])
+        v = rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3)
+        try:
+            jet = family.jet(x, order=1)
+        except FramefitError as exc:
+            assert isinstance(exc, (NearSingularError, DimensionMismatchError))
+            with pytest.raises(type(exc)):
+                family.frame_rate(x, v)
+            return
+        F, Fdot = family.frame_rate(x, v)
+        F_ref, Fdot_ref = FrameFamily.frame_rate(family, x, v)
+        assert np.array_equal(F, jet.F) and np.array_equal(F_ref, jet.F)
+        assert Fdot.shape == (dim, num_pairs)
+        assert np.max(np.abs(Fdot - Fdot_ref)) <= 1e-12 * np.max(np.abs(Fdot_ref))
+
+    @pytest.mark.parametrize(
+        "v", [[1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]], [np.nan, 1.0], [1.0, -np.inf]],
+        ids=["long", "short", "matrix", "nan", "inf"],
+    )
+    @pytest.mark.parametrize("version", ["radar", "base"])
+    def test_rejects_a_bad_velocity(self, v, version):
+        family = radar_family(circular_geometry(np.random.default_rng(3)))
+        frame_rate = family.frame_rate if version == "radar" else (
+            lambda x, v: FrameFamily.frame_rate(family, x, v))
+        with pytest.raises(DimensionMismatchError, match="velocity"):
+            frame_rate([1.0, 2.0], v)
 
 
 class TestTargetState:

@@ -1,30 +1,36 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framefit import (
+    CallableFrameFamily,
     ConstantFrameFamily,
     GridSpec,
+    RadarGeometry,
     TimeSeries,
     Trajectory,
+    dual_synthesis,
     el_acceleration,
     el_residual,
     functional_value,
     integrate_trajectory,
     shooting_search,
 )
+from framefit import tracking
 from framefit.errors import (
     AllCandidatesFailedError,
     DimensionMismatchError,
+    FramefitError,
     LeftDomainError,
     NearSingularError,
     ScenarioValidationError,
 )
 from framefit.cli import _names, _write_csv
-from framefit.radar import RadarGeometry
 from framefit import radar_family
 from framefit.tracking import load_time_series, sampled_derivative
 
-from conftest import circular_geometry, random_full_rank
+from conftest import arc_family, circular_geometry, random_full_rank, random_quadratic_family
 
 
 def radar_scene(seed=0, num_pairs=4, radius=40.0):
@@ -141,6 +147,112 @@ class TestElAcceleration:
         k = 100
         a = el_acceleration(family, pos[k], vel[k], wdot[k])
         assert np.linalg.norm(a - a0) <= 1e-3  # limited by sampled wdot accuracy
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["radar", "radar", "quadratic", "callable"]),
+        dim=st.sampled_from([2, 3]),
+        num_pairs=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_order_one_jet_formula(self, kind, dim, num_pairs, seed):
+        """Fdot^T v from ``frame_rate`` against sum_p v_p dF_p^T v from the
+        whole order-1 jet; the quadratic and callable families run the base
+        ``frame_rate``."""
+        rng = np.random.default_rng(seed)
+        if kind == "radar":
+            family = radar_family(RadarGeometry(
+                rng.uniform(-100.0, 100.0, size=(num_pairs, dim)),
+                rng.uniform(-100.0, 100.0, size=(num_pairs, dim)),
+            ))
+            x = rng.uniform(-50.0, 50.0, size=dim)
+        elif kind == "quadratic":
+            family = random_quadratic_family(rng, dim, dim + num_pairs - 2, dim)
+            x = rng.uniform(-1.0, 1.0, size=dim)
+        else:
+            family = arc_family()
+            x = rng.uniform(-0.9, 0.9, size=1)
+        v = rng.normal(size=family.M) * 10.0 ** rng.uniform(-3, 3)
+        wdot = rng.normal(size=family.N) * 10.0 ** rng.uniform(-3, 3)
+        try:
+            jet = family.jet(x, order=1)
+            G = dual_synthesis(jet.F)
+        except FramefitError as exc:
+            with pytest.raises(type(exc)):
+                el_acceleration(family, x, v, wdot)
+            return
+        quad = np.einsum("p,pmn,m->n", v, jet.dF, v)
+        reference = G.T @ (wdot - quad)
+        a = el_acceleration(family, x, v, wdot)
+        # the roundoff scale of the formula: G applied to each of its terms
+        scale = np.linalg.norm(G, 2) * (np.linalg.norm(wdot) + np.linalg.norm(quad))
+        assert np.linalg.norm(a - reference) <= 1e-12 * scale
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestStateValidation:
+    """Velocities, data rates and grids of the wrong length or with NaN or
+    inf entries raise DimensionMismatchError, with no numpy warning first."""
+
+    family = radar_scene(13, num_pairs=3)
+    data = TimeSeries(np.linspace(0.0, 0.1, 5), np.ones((5, 3)))
+    x = np.array([1.0, 0.5])
+
+    @pytest.mark.parametrize(
+        "v, wdot",
+        [
+            ([1.0, 2.0, 3.0], np.zeros(3)),
+            ([np.nan, 2.0], np.zeros(3)),
+            ([1.0, np.inf], np.zeros(3)),
+            ([1.0, 2.0], np.zeros(2)),
+            ([1.0, 2.0], [0.0, np.nan, 0.0]),
+        ],
+        ids=["long_v", "nan_v", "inf_v", "short_wdot", "nan_wdot"],
+    )
+    def test_el_acceleration(self, v, wdot):
+        with pytest.raises(DimensionMismatchError):
+            el_acceleration(self.family, self.x, v, wdot)
+
+    @pytest.mark.parametrize("v0", [[1.0, 2.0, 3.0], [np.nan, 2.0], [1.0, -np.inf]],
+                             ids=["long", "nan", "inf"])
+    def test_integrate_trajectory(self, v0):
+        with pytest.raises(DimensionMismatchError, match="initial velocity"):
+            integrate_trajectory(self.family, self.x, v0, self.data)
+
+    @pytest.mark.parametrize("axes", [(3, 2), (2, 3), (1, 2)],
+                             ids=["position", "velocity", "short_position"])
+    def test_shooting_search_checks_grids_first(self, monkeypatch, axes):
+        def never(*args):
+            raise AssertionError("a candidate ran before the grids were checked")
+
+        monkeypatch.setattr(tracking, "integrate_trajectory", never)
+        pos, vel = (GridSpec(np.zeros(n), np.ones(n), [1] * n) for n in axes)
+        with pytest.raises(DimensionMismatchError, match="grid has dimension"):
+            shooting_search(self.family, self.data, pos, vel)
+
+    def test_family_whose_parameters_are_not_positions(self):
+        rng = np.random.default_rng(14)
+        family = random_quadratic_family(rng, 2, 3, 3)  # P = 3, M = 2
+        with pytest.raises(DimensionMismatchError, match="P = M"):
+            el_acceleration(family, np.zeros(3), np.ones(2), np.zeros(3))
+        with pytest.raises(DimensionMismatchError, match="P = M"):
+            integrate_trajectory(family, np.zeros(3), np.ones(2), self.data)
+
+    def test_overflowing_state_leaves_the_domain(self):
+        # the acceleration |v|^2 / r overflows at the first stage
+        with pytest.raises(LeftDomainError, match="step 0"):
+            integrate_trajectory(self.family, self.x, [1e300, 1e300], self.data)
+
+    def test_overflow_in_the_last_update_leaves_the_domain(self):
+        # F = I everywhere, so the acceleration is wdot, which grows only
+        # near the end: the stages stay finite and only the last update
+        # overflows, which no later stage would see
+        family = CallableFrameFamily((2, 2, 2), lambda x: np.eye(2),
+                                     lambda x: np.zeros((2, 2, 2)))
+        data = TimeSeries(np.linspace(0.0, 1.0, 5), [[0.0, 0.0]] * 4 + [[1.5e307, 0.0]])
+        with pytest.raises(LeftDomainError, match="step 3") as excinfo:
+            integrate_trajectory(family, [0.0, 0.0], [0.0, 0.0], data)
+        assert np.isfinite(excinfo.value.partial.velocities).all()
 
 
 class TestIntegrateTrajectory:
