@@ -25,7 +25,7 @@ family = radar_family(geometry)
 x0, v0 = np.array([1.0, 0.5]), np.array([2.0, -1.0])
 times = np.linspace(0.0, 1.0, 201)
 pos = x0[None, :] + times[:, None] * v0[None, :]
-w = np.array([family.jet(p, order=0).F.T @ v0 for p in pos])
+w = np.array([family.frame(p).T @ v0 for p in pos])
 data = TimeSeries(times, w)
 print(f"{data.num_samples} samples over [0, 1] s, dt = {data.dt:.3f} s")
 

@@ -203,9 +203,10 @@ class FrameFamily(abc.ABC):
 
     Subclasses fix the dimensions (M, N, P) and evaluate jets.  The domain is
     where the columns of F(x) form a frame; ``dual_synthesis`` alone decides
-    it, so no family adds membership rules of its own.  ``error_value`` and
-    the derivative routines pass x to ``jet`` unchecked: a subclass whose
-    ``jet`` skips ``check_point`` gets no validation of x.
+    it, so no family adds membership rules of its own.  ``error_value``
+    takes F from ``frame`` and the derivative routines take their jets from
+    ``jet``, both unchecked: a subclass whose ``jet`` (or ``frame``
+    override) skips ``check_point`` gets no validation of x.
     """
 
     M: int
@@ -216,17 +217,23 @@ class FrameFamily(abc.ABC):
     def jet(self, x, order: int = 2) -> FrameJet:
         """F(x) and, for ``order`` >= 1 or 2, its partials; calls check_point(x)."""
 
+    def frame(self, x) -> np.ndarray:
+        """F(x) alone, shape (M, N), bitwise ``jet(x, 0).F``; raises where
+        ``jet(x, 0)`` raises.  This base version returns ``jet(x, 0).F``; a
+        family with a cheaper value-only evaluation overrides it."""
+        return self.jet(x, order=0).F
+
     def frames(self, X):
         """F(x) at every row of X, shape (B, P): the stack (B, M, N) and a mask
-        of the rows where ``jet(x, 0)`` does not raise.  F is NaN on the other
-        rows.  This base version calls ``jet`` once per row; a family with a
+        of the rows where ``frame(x)`` does not raise.  F is NaN on the other
+        rows.  This base version calls ``frame`` once per row; a family with a
         stacked evaluation overrides it."""
         X = self.check_points(X)
         F = np.full((len(X), self.M, self.N), np.nan)
         inside = np.zeros(len(X), dtype=bool)
         for i, x in enumerate(X):
             try:
-                F[i] = self.jet(x, order=0).F
+                F[i] = self.frame(x)
             except FramefitError:
                 continue
             inside[i] = True
@@ -271,7 +278,7 @@ class FrameFamily(abc.ABC):
     def contains(self, x) -> bool:
         """Whether x is in the domain, i.e. error_value(self, x, w) does not raise."""
         try:
-            dual_synthesis(self.jet(x, order=0).F)
+            dual_synthesis(self.frame(x))
         except FramefitError:
             return False
         return True
@@ -284,9 +291,9 @@ def error_value(family: FrameFamily, x, w) -> float:
     Always in [0, ||w||^2]; zero exactly when w lies in the range of F(x)^T.
     """
     w = family.check_measurement(w)
-    F = family.jet(x, order=0).F
+    F = family.frame(x)
     # project_null without its checks: G = dual_synthesis(F) fits F by
-    # construction, and every family's jet has F of shape (M, N)
+    # construction, and every family's frame has shape (M, N)
     Pw = w - dual_synthesis(F) @ (F @ w)
     return float(Pw @ Pw)
 
@@ -318,8 +325,8 @@ def error_values(family: FrameFamily, X, w) -> np.ndarray:
 
     Evaluates ``family.frames`` and one stacked SVD per ERROR_BLOCK rows.  The
     values equal error_value's bitwise when ``frames`` lays out each F as
-    ``jet`` does, as every family in this package does; a subclass whose
-    ``jet`` returns a non-C-ordered F may differ in the last bit.
+    ``frame`` does, as every family in this package does; a subclass whose
+    ``frame`` returns a non-C-ordered F may differ in the last bit.
     """
     w = family.check_measurement(w)
     X = family.check_points(X)

@@ -14,7 +14,9 @@ class QuadraticFrameFamily(FrameFamily):
         F(x) = F0 + sum_p x_p C[p] + 0.5 sum_{p,q} x_p x_q D[p, q]
 
     with D symmetric in (p, q).  First partials are C[p] + sum_q x_q D[p, q],
-    second partials are the constants D[q, p].
+    second partials are the constants D[q, p].  With D all zero (the linear
+    and constant families) the quadratic term is skipped, so x_p x_q, which
+    overflows for |x| above about 1e154, never multiplies D.
     """
 
     def __init__(self, F0, C, D=None):
@@ -33,11 +35,13 @@ class QuadraticFrameFamily(FrameFamily):
         self.F0, self.C, self.D = F0, C, 0.5 * (D + D.transpose(1, 0, 2, 3))
         self.M, self.N = F0.shape
         self.P = P
+        self._quadratic = bool(self.D.any())
 
     def jet(self, x, order: int = 2) -> FrameJet:
         x = self.check_point(x)
         F = self.F0 + np.tensordot(x, self.C, axes=1)
-        F = F + 0.5 * np.einsum("p,q,pqmn->mn", x, x, self.D)
+        if self._quadratic:
+            F = F + 0.5 * np.einsum("p,q,pqmn->mn", x, x, self.D)
         dF = None
         d2F = None
         if order >= 1:

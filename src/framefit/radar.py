@@ -200,7 +200,7 @@ def frame_element(geometry: RadarGeometry, n: int, x) -> np.ndarray:
     Its domain is the family's: it raises NearSingularError near any station,
     not only near pair n's, and DimensionMismatchError for a non-finite x.
     """
-    return RadarFrameFamily(geometry).jet(x, order=0).F[:, n]
+    return RadarFrameFamily(geometry).frame(x)[:, n]
 
 
 class RadarFrameFamily(FrameFamily):
@@ -217,6 +217,8 @@ class RadarFrameFamily(FrameFamily):
         self.P = geometry.dim
 
     def jet(self, x, order: int = 2) -> FrameJet:
+        if order < 1:
+            return FrameJet(self.frame(x))
         x = self.check_point(x)
         N = self.N
         # one _unit_jets call for all stations: transmitters :N, receivers N:
@@ -224,17 +226,24 @@ class RadarFrameFamily(FrameFamily):
             x - self.geometry.stations, order, self.geometry.singularity_tolerance
         )
         F = (u[:N] + u[N:]).T                            # (M, N)
-        dF = d2F = None
-        if order >= 1:
-            # first[n, m, p] -> dF[p, m, n]
-            dF = (first[:N] + first[N:]).transpose(2, 1, 0)
+        # first[n, m, p] -> dF[p, m, n]
+        dF = (first[:N] + first[N:]).transpose(2, 1, 0)
+        d2F = None
         if order >= 2:
             # second[n, q, p, m] -> d2F[q, p, m, n]
             d2F = (second[:N] + second[N:]).transpose(1, 2, 3, 0)
         return FrameJet(F, dF, d2F)
 
+    def frame(self, x) -> np.ndarray:
+        """F(x) from one station pass through ``_unit_vectors``, with no jet
+        built; ``jet(x, 0)`` wraps it.  See FrameFamily.frame."""
+        x = self.check_point(x)
+        N = self.N
+        u, _ = _unit_vectors(x - self.geometry.stations, self.geometry.singularity_tolerance)
+        return (u[:N] + u[N:]).T
+
     def frame_rate(self, x, v):
-        """``jet(x, 0).F``, bitwise, and its rate along v from one station
+        """``frame(x)``, bitwise, and its rate along v from one station
         pass; see FrameFamily.frame_rate.  The unit vector u to a station at
         distance r moves at (v - u (u . v)) / r, the first-order unit jet
         applied to v, so no (2N, M, M) projector is built."""
@@ -246,8 +255,8 @@ class RadarFrameFamily(FrameFamily):
         return (u[:N] + u[N:]).T, (u_dot[:N] + u_dot[N:]).T
 
     def frames(self, X):
-        """``jet(x, 0).F`` at every row of X in one pass over all points and
-        stations, each F in jet's (transposed) layout; see FrameFamily.frames."""
+        """``frame(x)`` at every row of X in one pass over all points and
+        stations, each F in frame's (transposed) layout; see FrameFamily.frames."""
         X = self.check_points(X)
         N = self.N
         d = X[:, None, :] - self.geometry.stations          # (B, 2N, M)
@@ -274,7 +283,7 @@ def simulate_fdoa(
     frame at the true position.
     """
     family = radar_family(geometry)
-    F = family.jet(truth.position, order=0).F
+    F = family.frame(truth.position)
     with np.errstate(over="ignore"):
         w = F.T @ truth.velocity
         if noise.sigma > 0.0:

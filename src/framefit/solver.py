@@ -93,8 +93,8 @@ class SolverConfig:
             raise ValueError("gamma must lie in (0, 1]")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if not self.grad_tol > 0.0:
-            raise ValueError("grad_tol must be strictly positive")
+        if not 0.0 < self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be finite and strictly positive")
 
 
 class SolveStatus(Enum):
@@ -129,7 +129,9 @@ def grid_sweep(family: FrameFamily, w, grid: GridSpec):
 
     Returns (points, errors): the (num_points, P) grid points in lexicographic
     order and their errors, NaN where the point lies outside the domain.
-    Raises EmptyDomainError when no grid point lies inside.
+    Raises DimensionMismatchError, before evaluating any point, unless the
+    grid has one axis per parameter, and EmptyDomainError when no grid point
+    lies inside.
 
     ``core.error_values`` gives the same errors, bitwise, in stacked blocks.
     This sweep stays per point because the benchmark checks count one
@@ -138,7 +140,7 @@ def grid_sweep(family: FrameFamily, w, grid: GridSpec):
     a counter the library reports instead.
     """
     w = family.check_measurement(w)
-    points = grid.points()
+    points = family.check_points(grid.points())
     errors = np.full(len(points), np.nan)
     for i, x in enumerate(points):
         try:

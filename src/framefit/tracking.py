@@ -144,7 +144,7 @@ def _residual_pass(family: FrameFamily, traj: Trajectory, data: TimeSeries):
     shape (K, N), from one ``frames`` call.
 
     Each product has the per-sample shapes, so every value equals the
-    per-sample ``jet`` computation bitwise.  Raises the error ``jet`` raises
+    per-sample ``frame`` computation bitwise.  Raises the error ``frame`` raises
     at the first sample outside the domain.
     """
     if traj.positions.shape[0] != data.num_samples:
@@ -152,7 +152,7 @@ def _residual_pass(family: FrameFamily, traj: Trajectory, data: TimeSeries):
     _check_width(family, data)
     frames, inside = family.frames(traj.positions)
     if not inside.all():
-        family.jet(traj.positions[np.argmin(inside)], order=0)  # raises
+        family.frame(traj.positions[np.argmin(inside)])  # raises
     Ft_v = frames.transpose(0, 2, 1) @ traj.velocities[:, :, None]
     return frames, Ft_v[:, :, 0] - data.values
 

@@ -297,6 +297,19 @@ class TestLocalize:
             main(argv + flags)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_grad_tol_exits_two(self, scene, tmp_path, capsys, value):
+        # an infinite tolerance used to accept the unrefined grid point as
+        # "GradientConverged" after 0 iterations
+        _, _, _, _, path = scene
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["localize", "--scenario", str(path), f"--grad-tol={value}",
+                  "--out-dir", str(out)])
+        assert excinfo.value.code == 2
+        assert "error: grad_tol must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_dimension_mismatch_exits_two(self, scene, tmp_path, capsys):
         _, _, _, _, path = scene
         with pytest.raises(SystemExit) as excinfo:

@@ -161,6 +161,88 @@ class TestErrorValue:
             error_value(family, [0.0], [1.0, 2.0, 3.0])
 
 
+def _random_family(kind, rng):
+    """A random family of the given kind with derivatives up to order 2."""
+    if kind.startswith("radar"):
+        dim, num_pairs = int(kind[-1]), int(rng.integers(2, 7))
+        return radar_family(RadarGeometry(rng.uniform(-100.0, 100.0, size=(num_pairs, dim)),
+                                          rng.uniform(-100.0, 100.0, size=(num_pairs, dim))))
+    M, P = (int(k) for k in rng.integers(1, 4, size=2))
+    quadratic = random_quadratic_family(rng, M, M + int(rng.integers(0, 4)), P)
+    if kind == "quadratic":
+        return quadratic
+    return CallableFrameFamily(
+        (quadratic.M, quadratic.N, quadratic.P),
+        lambda x: quadratic.jet(x, 0).F,
+        lambda x: quadratic.jet(x, 1).dF,
+        lambda x: quadratic.jet(x, 2).d2F,
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFrame:
+    """``frame(x)``, the value-only path of ``error_value``, against the
+    reference ``jet(x, order).F``: bitwise equal, with the same layout, and
+    the same error class wherever ``jet`` raises."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["radar2", "radar3", "quadratic", "callable"]),
+        seed=st.integers(0, 2**32 - 1),
+        where=st.sampled_from(["inside", "inside", "station", "nan", "wrong_length"]),
+    )
+    def test_equals_the_jet_frame(self, kind, seed, where):
+        rng = np.random.default_rng(seed)
+        family = _random_family(kind, rng)
+        x = rng.uniform(-50.0, 50.0, size=family.P)
+        if where == "station" and kind.startswith("radar"):
+            x = family.geometry.stations[rng.integers(2 * family.N)]
+            x = x + 0.5 * family.geometry.singularity_tolerance
+        elif where == "nan":
+            x[rng.integers(family.P)] = np.nan
+        elif where == "wrong_length":
+            x = rng.uniform(-50.0, 50.0, size=family.P + rng.choice([-1, 1]))
+        w = rng.normal(size=family.N)
+        try:
+            jets = [family.jet(x, order) for order in (0, 1, 2)]
+        except FramefitError as exc:
+            assert where != "inside"
+            for evaluate in (family.frame, lambda x: error_value(family, x, w)):
+                with pytest.raises(type(exc)):
+                    evaluate(x)
+            return
+        F = family.frame(x)
+        for jet in jets:
+            assert F.tobytes() == jet.F.tobytes()
+            assert (F.shape, F.strides) == (jet.F.shape, jet.F.strides)
+        # error_value against its formula on the reference F
+        F = jets[0].F
+        try:
+            G = dual_synthesis(F)
+        except FramefitError as exc:
+            with pytest.raises(type(exc)):
+                error_value(family, x, w)
+            return
+        Pw = w - G @ (F @ w)
+        assert error_value(family, x, w) == float(Pw @ Pw)
+
+    @pytest.mark.parametrize("family", [
+        ConstantFrameFamily(np.eye(2), P=2),
+        LinearFrameFamily(np.eye(2), np.full((2, 2, 2), 0.25)),
+    ], ids=["constant", "linear"])
+    def test_zero_second_order_family_at_a_huge_point(self, family):
+        # x_p x_q overflows here; D = 0 used to turn it into a NaN frame
+        x = [1e200, -1e200]
+        F = family.F0 + np.tensordot(x, family.C, axes=1)
+        assert np.isfinite(F).all()
+        for order in (0, 1, 2):
+            assert np.array_equal(family.jet(x, order).F, F)
+        assert np.array_equal(family.frame(x), F)
+        if not family.C.any():
+            assert np.array_equal(F, np.eye(2))
+            assert math.isfinite(error_value(family, x, [1.0, 2.0]))
+
+
 def per_point_frames(family, X):
     """jet(x, 0).F at each row of X, NaN where jet raises, and where it does not."""
     F = np.full((len(X), family.M, family.N), np.nan)
@@ -432,6 +514,8 @@ def test_every_entry_point_rejects_a_bad_point(kind, point):
     for order in (0, 1, 2):
         with pytest.raises(DimensionMismatchError):
             family.jet(x, order)
+    with pytest.raises(DimensionMismatchError):
+        family.frame(x)
     for evaluate in (error_value, error_gradient_hessian, augmented_vectors):
         with pytest.raises(DimensionMismatchError):
             evaluate(family, x, w)

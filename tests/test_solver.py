@@ -20,9 +20,11 @@ from framefit import (
     level_set,
     localize,
     newton_step,
+    radar_family,
     simulate_fdoa,
 )
 from framefit.errors import (
+    DimensionMismatchError,
     EmptyDomainError,
     FramefitError,
     RankDeficientError,
@@ -130,12 +132,30 @@ class TestGridSearch:
                 assert E_best <= error_value(family, x, w) + 1e-15
 
     def test_empty_domain(self):
-        from framefit import radar_family
         from framefit.radar import RadarGeometry
 
         family = radar_family(RadarGeometry([[0.0, 0.0]], [[6.0, 0.0]]))
         with pytest.raises(EmptyDomainError):
             grid_search(family, np.zeros(1), GridSpec([-1.0, -1.0], [1.0, 1.0], [3, 3]))
+
+    @pytest.mark.parametrize("counts", [[2, 2, 2], [3]], ids=["three_axes", "one_axis"])
+    @pytest.mark.parametrize("kind", ["radar", "callable"])
+    def test_grid_of_the_wrong_dimension(self, kind, counts):
+        # P = 2; each point used to fail its own check, which read as an
+        # empty domain, after evaluating every point
+        rng = np.random.default_rng(4)
+        calls = []
+        if kind == "radar":
+            family = radar_family(circular_geometry(rng, num_pairs=3))
+        else:
+            F0 = random_full_rank(rng, 2, 3)
+            family = CallableFrameFamily((2, 3, 2), lambda x: calls.append(x) or F0)
+        grid = GridSpec(np.zeros(len(counts)), np.ones(len(counts)), counts)
+        with pytest.raises(DimensionMismatchError, match="parameter points"):
+            grid_search(family, np.ones(3), grid)
+        with pytest.raises(DimensionMismatchError, match="parameter points"):
+            localize(family, np.ones(3), SolverConfig(grid=grid))
+        assert calls == []
 
     def test_first_argmin_on_ties(self):
         rng = np.random.default_rng(0)
@@ -372,3 +392,8 @@ class TestSolverConfigValidation:
     def test_positive_tolerances(self):
         with pytest.raises(ValueError):
             SolverConfig(grad_tol=0.0)
+
+    @pytest.mark.parametrize("grad_tol", [np.inf, -np.inf, np.nan])
+    def test_non_finite_grad_tol(self, grad_tol):
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(grad_tol=grad_tol)
