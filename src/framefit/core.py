@@ -83,18 +83,14 @@ def _spans(s, M: int):
     return s[-1] > RANK_RTOL * s[0]
 
 
-def dual_synthesis(F) -> np.ndarray:
-    """Return G = F^T (F F^T)^{-1}, the transpose of the canonical dual synthesis.
+def frame_svd(F):
+    """The thin SVD ``(U, s, Vt)`` of the synthesis matrix F, shape (M, N).
 
-    Computed from the SVD of F rather than by inverting the frame operator, so
-    the result stays accurate for poorly conditioned frames.  G satisfies
-    F @ G = I and G @ F @ G = G.
-
-    The one domain test: raises RankDeficientError unless the singular values
-    of F pass the rank rule (``_spans``), which fails when the columns of F do
-    not span R^M or F has a NaN or inf entry.
+    The one domain test: raises RankDeficientError when numpy finds no SVD
+    or the singular values fail the rank rule (``_spans``), which happens
+    when the columns of F do not span R^M or F has a NaN or inf entry.  The
+    rows of Vt are an orthonormal basis of the range of F^T.
     """
-    F = _as_matrix(F)
     try:
         U, s, Vt = np.linalg.svd(F, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -103,6 +99,18 @@ def dual_synthesis(F) -> np.ndarray:
         raise RankDeficientError(
             f"synthesis matrix is rank deficient (singular values {s})"
         )
+    return U, s, Vt
+
+
+def dual_synthesis(F) -> np.ndarray:
+    """Return G = F^T (F F^T)^{-1}, the transpose of the canonical dual synthesis.
+
+    Computed from the SVD of F rather than by inverting the frame operator, so
+    the result stays accurate for poorly conditioned frames.  G satisfies
+    F @ G = I and G @ F @ G = G.  Raises RankDeficientError outside the
+    domain, as ``frame_svd`` does.
+    """
+    U, s, Vt = frame_svd(_as_matrix(F))
     return (Vt.T / s) @ U.T
 
 
@@ -202,8 +210,8 @@ class FrameFamily(abc.ABC):
     """A parametrized family of frames for R^M.
 
     Subclasses fix the dimensions (M, N, P) and evaluate jets.  The domain is
-    where the columns of F(x) form a frame; ``dual_synthesis`` alone decides
-    it, so no family adds membership rules of its own.  ``error_value``
+    where the columns of F(x) form a frame; ``frame_svd`` alone decides it,
+    so no family adds membership rules of its own.  ``error_value``
     takes F from ``frame`` and the derivative routines take their jets from
     ``jet``, both unchecked: a subclass whose ``jet`` (or ``frame``
     override) skips ``check_point`` gets no validation of x.
@@ -278,7 +286,7 @@ class FrameFamily(abc.ABC):
     def contains(self, x) -> bool:
         """Whether x is in the domain, i.e. error_value(self, x, w) does not raise."""
         try:
-            dual_synthesis(self.frame(x))
+            frame_svd(self.frame(x))
         except FramefitError:
             return False
         return True
@@ -289,12 +297,13 @@ def error_value(family: FrameFamily, x, w) -> float:
 
     Evaluates ||Pi(x) w||^2 where Pi(x) projects onto the null space of F(x).
     Always in [0, ||w||^2]; zero exactly when w lies in the range of F(x)^T.
+    Raises RankDeficientError where ``frame_svd`` rejects F(x), the domain test.
     """
     w = family.check_measurement(w)
-    F = family.frame(x)
-    # project_null without its checks: G = dual_synthesis(F) fits F by
-    # construction, and every family's frame has shape (M, N)
-    Pw = w - dual_synthesis(F) @ (F @ w)
+    # Pi w = w - V V^T w with V^T the orthonormal row basis of the range of
+    # F^T, which equals w - G F w without forming the dual G
+    _, _, Vt = frame_svd(family.frame(x))
+    Pw = w - Vt.T @ (Vt @ w)
     return float(Pw @ Pw)
 
 
@@ -305,7 +314,7 @@ def _null_energies(F, w, M: int) -> np.ndarray:
     each value equals error_value's bitwise.
     """
     try:
-        U, s, Vt = np.linalg.svd(F, full_matrices=False)
+        _, s, Vt = np.linalg.svd(F, full_matrices=False)
     except np.linalg.LinAlgError:
         # one failed SVD fails the whole stack; alone, it has no frame
         if len(F) == 1:
@@ -313,9 +322,8 @@ def _null_energies(F, w, M: int) -> np.ndarray:
         return np.concatenate([_null_energies(F[i:i + 1], w, M) for i in range(len(F))])
     energies = np.full(len(F), np.nan)
     keep = _spans(s, M)
-    F, U, s, Vt = F[keep], U[keep], s[keep], Vt[keep]
-    G = (Vt.transpose(0, 2, 1) / s[:, None, :]) @ U.transpose(0, 2, 1)
-    Pw = w - (G @ (F @ w)[:, :, None])[:, :, 0]
+    Vt = Vt[keep]
+    Pw = w - (Vt.transpose(0, 2, 1) @ (Vt @ w)[:, :, None])[:, :, 0]
     energies[keep] = (Pw[:, None, :] @ Pw[:, :, None])[:, 0, 0]
     return energies
 

@@ -91,6 +91,9 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must lie in (0, 1]")
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, (int, np.integer))):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if not 0.0 < self.grad_tol < np.inf:

@@ -17,6 +17,7 @@ so the family must have P = M.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,12 +171,17 @@ def el_acceleration(family: FrameFamily, x, v, wdot) -> np.ndarray:
     Returns (F F^T)^{-1} F [ wdot - Fdot^T v ], with F and its rate Fdot
     along v from ``family.frame_rate``, applied through the dual synthesis
     rather than an explicit inverse.  Raises DimensionMismatchError unless x
-    and v are finite vectors of length M (= P) and wdot one of length N.
+    and v are finite vectors of length M (= P) and wdot one of length N, and
+    LeftDomainError when the acceleration overflows (a huge v or wdot).
     """
     _check_positions(family)
     F, Fdot = family.frame_rate(x, v)  # validates x and v
     wdot = check_vector(wdot, family.N, "data rate")
-    return dual_synthesis(F).T @ (wdot - Fdot.T @ v)
+    a = dual_synthesis(F).T @ (wdot - Fdot.T @ v)
+    # several times cheaper than np.isfinite on the short M-vector
+    if not all(map(math.isfinite, a.tolist())):
+        raise LeftDomainError(f"acceleration is not finite: {a}")
+    return a
 
 
 def el_residual(family: FrameFamily, traj: Trajectory, data: TimeSeries) -> np.ndarray:

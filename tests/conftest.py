@@ -1,5 +1,6 @@
 import contextlib
 import signal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -129,3 +130,39 @@ def dense_projector_operators(jet):
     Pi_p = np.array([G @ d for d in jet.dF])
     Pi_qp = np.einsum("nm,qpmk->qpnk", G, jet.d2F)
     return Pi, Pi_p, Pi_qp
+
+
+def g_formula_error(F, w):
+    """|Pi w|^2 through the dual, w - G F w with G = dual_synthesis(F): the
+    reference for ``error_value``, which projects with the SVD row basis."""
+    Pw = w - dual_synthesis(F) @ (F @ w)
+    return float(Pw @ Pw)
+
+
+def exact_error(F, w):
+    """|Pi w|^2 = |w|^2 - (F w)^T (F F^T)^{-1} (F w) in exact rational
+    arithmetic on the float entries of F and w, rounded once to a float."""
+    F = [[Fraction(v) for v in row] for row in np.asarray(F).tolist()]
+    w = [Fraction(v) for v in np.asarray(w).tolist()]
+    M = len(F)
+    A = [[sum(a * b for a, b in zip(F[i], F[j])) for j in range(M)] for i in range(M)]
+    Fw = [sum(a * b for a, b in zip(row, w)) for row in F]
+    # Gauss-Jordan on [A | Fw]; A is positive definite, so no pivot is zero
+    rows = [A[i] + [Fw[i]] for i in range(M)]
+    for k in range(M):
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(M):
+            if i != k:
+                rows[i] = [a - rows[i][k] * b for a, b in zip(rows[i], rows[k])]
+    c = [row[-1] for row in rows]
+    return float(sum(v * v for v in w) - sum(a * b for a, b in zip(Fw, c)))
+
+
+def error_tolerance(F, w):
+    """How far two sound evaluations of |Pi w|^2 may differ: 1e-12 |w|^2, or
+    8 eps cond(F) |w|^2 for a poorly conditioned F.  The error moves by about
+    eps cond(F) |w|^2 under a rounding-sized change of F, so every float
+    formula (the dual's and the SVD row basis's alike) is that far from the
+    exact value."""
+    s = np.linalg.svd(F, compute_uv=False)
+    return float(w @ w) * max(1e-12, 8.0 * np.finfo(float).eps * s[0] / s[-1])

@@ -33,7 +33,7 @@ from framefit import (
     simulate_fdoa,
     uniqueness_certificate,
 )
-from framefit.core import ERROR_BLOCK
+from framefit.core import ERROR_BLOCK, frame_svd
 from framefit.errors import (
     DimensionMismatchError,
     FramefitError,
@@ -44,6 +44,9 @@ from framefit.radar import RadarGeometry
 
 from conftest import (
     circular_geometry,
+    error_tolerance,
+    exact_error,
+    g_formula_error,
     noiseless_scene,
     random_full_rank,
     random_quadratic_family,
@@ -161,6 +164,58 @@ class TestErrorValue:
             error_value(family, [0.0], [1.0, 2.0, 3.0])
 
 
+def _collinear_radar_family(dim, rng):
+    """A radar family whose stations lie within a random distance (1e-12 to
+    1) of one line: its frames are poorly conditioned near that line and
+    rank deficient on it."""
+    num_pairs = int(rng.integers(1, 7))
+    direction = rng.normal(size=dim)
+    direction /= np.linalg.norm(direction)
+    base = rng.normal(size=dim) * 10.0
+    spread = 10.0 ** rng.uniform(-12.0, 0.0)
+
+    def stations():
+        along = rng.uniform(-100.0, 100.0, size=num_pairs)
+        return base + np.outer(along, direction) + rng.normal(size=(num_pairs, dim)) * spread
+
+    family = radar_family(RadarGeometry(stations(), stations()))
+    x = base + rng.uniform(-50.0, 50.0) * direction
+    return family, x + rng.normal(size=dim) * rng.choice([0.0, 1e-6, 1e-3, 1.0, 10.0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["radar2", "radar3", "collinear2", "collinear3",
+                          "quadratic", "callable"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_error_value_matches_the_dual_formula(kind, seed):
+    """``error_value`` (w - V V^T w from the SVD row basis) against the
+    formula through the dual G and against the exact value, and the same
+    error class as ``dual_synthesis`` wherever F(x) is not a frame."""
+    rng = np.random.default_rng(seed)
+    if kind.startswith("collinear"):
+        family, x = _collinear_radar_family(int(kind[-1]), rng)
+    else:
+        family = _random_family(kind, rng)
+        x = rng.uniform(-50.0, 50.0, size=family.P)
+    w = rng.normal(size=family.N)
+    try:
+        F = family.jet(x, order=0).F
+    except FramefitError:
+        return  # a point at a station: TestFrame covers it
+    try:
+        reference = g_formula_error(F, w)
+    except FramefitError as exc:
+        with pytest.raises(type(exc)):
+            error_value(family, x, w)
+        return
+    E = error_value(family, x, w)
+    assert abs(E - reference) <= error_tolerance(F, w)
+    assert abs(E - exact_error(F, w)) <= error_tolerance(F, w)
+
+
 def _random_family(kind, rng):
     """A random family of the given kind with derivatives up to order 2."""
     if kind.startswith("radar"):
@@ -215,16 +270,19 @@ class TestFrame:
         for jet in jets:
             assert F.tobytes() == jet.F.tobytes()
             assert (F.shape, F.strides) == (jet.F.shape, jet.F.strides)
-        # error_value against its formula on the reference F
+        # error_value against its formula on the reference F, and near the
+        # formula through the dual
         F = jets[0].F
         try:
-            G = dual_synthesis(F)
+            _, _, Vt = frame_svd(F)
         except FramefitError as exc:
             with pytest.raises(type(exc)):
                 error_value(family, x, w)
             return
-        Pw = w - G @ (F @ w)
-        assert error_value(family, x, w) == float(Pw @ Pw)
+        Pw = w - Vt.T @ (Vt @ w)
+        E = error_value(family, x, w)
+        assert E == float(Pw @ Pw)
+        assert abs(E - g_formula_error(F, w)) <= error_tolerance(F, w)
 
     @pytest.mark.parametrize("family", [
         ConstantFrameFamily(np.eye(2), P=2),

@@ -397,3 +397,21 @@ class TestSolverConfigValidation:
     def test_non_finite_grad_tol(self, grad_tol):
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(grad_tol=grad_tol)
+
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, True, False, "3", None],
+                             ids=["fraction", "integral_float", "true", "false", "str", "none"])
+    def test_max_iters_must_be_an_integer(self, max_iters):
+        # localize counts iterations with range(); a bool is no count
+        with pytest.raises(ValueError, match="integer"):
+            SolverConfig(max_iters=max_iters)
+
+    @pytest.mark.parametrize("max_iters", [0, -1, np.int64(0)])
+    def test_max_iters_must_be_positive(self, max_iters):
+        with pytest.raises(ValueError, match="positive"):
+            SolverConfig(max_iters=max_iters)
+
+    def test_numpy_integer_max_iters(self):
+        _, family, _, w = noiseless_scene(0)
+        grid = GridSpec([-10.0, -10.0], [10.0, 10.0], [5, 5])
+        result = localize(family, w, SolverConfig(grid=grid, max_iters=np.int64(30)))
+        assert result == localize(family, w, SolverConfig(grid=grid, max_iters=30))

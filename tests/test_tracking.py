@@ -238,10 +238,19 @@ class TestStateValidation:
         with pytest.raises(DimensionMismatchError, match="P = M"):
             integrate_trajectory(family, np.zeros(3), np.ones(2), self.data)
 
+    def test_overflowing_acceleration_raises(self):
+        # |v|^2 / r overflows; numpy's overflow warnings are not the point here
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(LeftDomainError, match="not finite"):
+            el_acceleration(self.family, self.x, [1e300, 1e300], np.zeros(3))
+
     def test_overflowing_state_leaves_the_domain(self):
         # the acceleration |v|^2 / r overflows at the first stage
-        with pytest.raises(LeftDomainError, match="step 0"):
+        with pytest.raises(LeftDomainError, match="step 0") as excinfo:
             integrate_trajectory(self.family, self.x, [1e300, 1e300], self.data)
+        partial = excinfo.value.partial
+        assert len(partial.times) == 1
+        assert np.isfinite(partial.positions).all() and np.isfinite(partial.velocities).all()
 
     def test_overflow_in_the_last_update_leaves_the_domain(self):
         # F = I everywhere, so the acceleration is wdot, which grows only
