@@ -61,14 +61,19 @@ def _as_matrix(F) -> np.ndarray:
     return F
 
 
+def all_finite(x) -> bool:
+    """Whether every entry of the float vector x is finite.  Several times
+    cheaper than np.isfinite on the short per-point vectors."""
+    return all(map(math.isfinite, x.tolist()))
+
+
 def check_vector(x, size, what: str) -> np.ndarray:
     """x as a finite float vector, of length ``size`` unless size is None."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or (size is not None and len(x) != size):
         expected = "a vector" if size is None else f"({size},)"
         raise DimensionMismatchError(f"{what} has shape {x.shape}, expected {expected}")
-    # several times cheaper than np.isfinite on the short per-point vectors
-    if not all(map(math.isfinite, x.tolist())):
+    if not all_finite(x):
         raise DimensionMismatchError(f"{what} has non-finite entries")
     return x
 
@@ -86,9 +91,10 @@ def _spans(s, M: int):
 def frame_svd(F):
     """The thin SVD ``(U, s, Vt)`` of the synthesis matrix F, shape (M, N).
 
-    The one domain test: raises RankDeficientError when numpy finds no SVD
-    or the singular values fail the rank rule (``_spans``), which happens
-    when the columns of F do not span R^M or F has a NaN or inf entry.  The
+    The domain test for one F: raises RankDeficientError when numpy finds
+    no SVD or the singular values fail the rank rule (``_spans``), which
+    happens when the columns of F do not span R^M or F has a NaN or inf
+    entry.  ``_null_energies`` applies the same rule to a stack of F.  The
     rows of Vt are an orthonormal basis of the range of F^T.
     """
     try:
@@ -210,8 +216,9 @@ class FrameFamily(abc.ABC):
     """A parametrized family of frames for R^M.
 
     Subclasses fix the dimensions (M, N, P) and evaluate jets.  The domain is
-    where the columns of F(x) form a frame; ``frame_svd`` alone decides it,
-    so no family adds membership rules of its own.  ``error_value``
+    where the columns of F(x) form a frame.  The rank rule ``_spans`` alone
+    decides it, applied by ``frame_svd`` to one F and by ``error_values`` to
+    a stack, so no family adds membership rules of its own.  ``error_value``
     takes F from ``frame`` and the derivative routines take their jets from
     ``jet``, both unchecked: a subclass whose ``jet`` (or ``frame``
     override) skips ``check_point`` gets no validation of x.
@@ -297,7 +304,8 @@ def error_value(family: FrameFamily, x, w) -> float:
 
     Evaluates ||Pi(x) w||^2 where Pi(x) projects onto the null space of F(x).
     Always in [0, ||w||^2]; zero exactly when w lies in the range of F(x)^T.
-    Raises RankDeficientError where ``frame_svd`` rejects F(x), the domain test.
+    Raises RankDeficientError where ``frame_svd``, the domain test for one
+    F, rejects F(x).
     """
     w = family.check_measurement(w)
     # Pi w = w - V V^T w with V^T the orthonormal row basis of the range of
@@ -309,7 +317,8 @@ def error_value(family: FrameFamily, x, w) -> float:
 
 def _null_energies(F, w, M: int) -> np.ndarray:
     """|Pi w|^2 for each finite matrix of the stack F (B, M, N); NaN where it
-    is not a frame.  One stacked SVD, then error_value's products as stacked
+    is not a frame by the rank rule (``_spans``, as in ``frame_svd``).  One
+    stacked SVD, then error_value's products as stacked
     ``@`` with their per-point shapes (einsum would sum in another order), so
     each value equals error_value's bitwise.
     """

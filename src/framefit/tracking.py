@@ -17,12 +17,11 @@ so the family must have P = M.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FrameFamily, check_vector, dual_synthesis, fields_equal
+from .core import FrameFamily, all_finite, check_vector, dual_synthesis, fields_equal
 from .errors import (
     AllCandidatesFailedError,
     DimensionMismatchError,
@@ -173,13 +172,14 @@ def el_acceleration(family: FrameFamily, x, v, wdot) -> np.ndarray:
     rather than an explicit inverse.  Raises DimensionMismatchError unless x
     and v are finite vectors of length M (= P) and wdot one of length N, and
     LeftDomainError when the acceleration overflows (a huge v or wdot).
+    numpy warns of that overflow first, so where RuntimeWarning is an error
+    the caller gets the warning instead.
     """
     _check_positions(family)
     F, Fdot = family.frame_rate(x, v)  # validates x and v
     wdot = check_vector(wdot, family.N, "data rate")
     a = dual_synthesis(F).T @ (wdot - Fdot.T @ v)
-    # several times cheaper than np.isfinite on the short M-vector
-    if not all(map(math.isfinite, a.tolist())):
+    if not all_finite(a):
         raise LeftDomainError(f"acceleration is not finite: {a}")
     return a
 

@@ -158,11 +158,16 @@ def exact_error(F, w):
     return float(sum(v * v for v in w) - sum(a * b for a, b in zip(Fw, c)))
 
 
-def error_tolerance(F, w):
-    """How far two sound evaluations of |Pi w|^2 may differ: 1e-12 |w|^2, or
-    8 eps cond(F) |w|^2 for a poorly conditioned F.  The error moves by about
-    eps cond(F) |w|^2 under a rounding-sized change of F, so every float
-    formula (the dual's and the SVD row basis's alike) is that far from the
-    exact value."""
+def conditioned_error_tolerance(F, w):
+    """How far two sound evaluations of |Pi w|^2 may differ on a poorly
+    conditioned F: 1e-12 |w|^2, or 2 eps cond(F) |w|^2 when that is larger.
+
+    To first order E moves by at most 2 |w|^2 |d Pi|, and a relative change
+    eps of F moves Pi by about eps cond(F), so near the edge of the domain
+    no float formula meets a flat 1e-12.  On nearly collinear radar stations
+    (10282 points with cond(F) from 1e4 to 1e8) the row-basis formula, the G
+    formula and the exact value were at most 0.9 eps cond(F) |w|^2 apart.
+    Only tests of such geometries use it; all others use 1e-12 |w|^2.
+    """
     s = np.linalg.svd(F, compute_uv=False)
-    return float(w @ w) * max(1e-12, 8.0 * np.finfo(float).eps * s[0] / s[-1])
+    return float(w @ w) * max(1e-12, 2.0 * np.finfo(float).eps * s[0] / s[-1])

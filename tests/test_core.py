@@ -44,7 +44,7 @@ from framefit.radar import RadarGeometry
 
 from conftest import (
     circular_geometry,
-    error_tolerance,
+    conditioned_error_tolerance,
     exact_error,
     g_formula_error,
     noiseless_scene,
@@ -192,8 +192,10 @@ def _collinear_radar_family(dim, rng):
 )
 def test_error_value_matches_the_dual_formula(kind, seed):
     """``error_value`` (w - V V^T w from the SVD row basis) against the
-    formula through the dual G and against the exact value, and the same
-    error class as ``dual_synthesis`` wherever F(x) is not a frame."""
+    formula through the dual G and against the exact value, within 1e-12
+    |w|^2 (``conditioned_error_tolerance`` for nearly collinear stations),
+    and the same error class as ``dual_synthesis`` wherever F(x) is not a
+    frame."""
     rng = np.random.default_rng(seed)
     if kind.startswith("collinear"):
         family, x = _collinear_radar_family(int(kind[-1]), rng)
@@ -212,8 +214,12 @@ def test_error_value_matches_the_dual_formula(kind, seed):
             error_value(family, x, w)
         return
     E = error_value(family, x, w)
-    assert abs(E - reference) <= error_tolerance(F, w)
-    assert abs(E - exact_error(F, w)) <= error_tolerance(F, w)
+    if kind.startswith("collinear"):
+        tolerance = conditioned_error_tolerance(F, w)
+    else:
+        tolerance = 1e-12 * float(w @ w)
+    assert abs(E - reference) <= tolerance
+    assert abs(E - exact_error(F, w)) <= tolerance
 
 
 def _random_family(kind, rng):
@@ -282,7 +288,7 @@ class TestFrame:
         Pw = w - Vt.T @ (Vt @ w)
         E = error_value(family, x, w)
         assert E == float(Pw @ Pw)
-        assert abs(E - g_formula_error(F, w)) <= error_tolerance(F, w)
+        assert abs(E - g_formula_error(F, w)) <= 1e-12 * float(w @ w)
 
     @pytest.mark.parametrize("family", [
         ConstantFrameFamily(np.eye(2), P=2),
