@@ -7,13 +7,18 @@ With G = F^T (F F^T)^{-1}, the relevant operators are
     Pi_qp   = G d2F_qp         (second-derivative companion)
 
 and the gradient and Hessian are assembled purely from inner products of a
-small set of cached vectors, each produced by matrix-vector products only:
+small set of cached vectors:
 
     dE/dx_p     = -2 <w, Pi_p Pi w>
     d2E/dx_qdx_p = 2 <w, (Pi_p Pi_q + Pi_q Pi_p) Pi w>
                  + 2 <Pi Pi_p* w, Pi Pi_q* w>
                  - 2 <Pi_q Pi w, Pi_p Pi w>
                  - 2 <w, Pi_qp Pi w>.
+
+The vectors come from the factors of one thin SVD F = U diag(s) Vt
+(``core.frame_svd``): Pi v = v - Vt^T (Vt v), as ``error_value`` projects,
+and G^T = U diag(1/s) Vt.  Each is one matrix product over all p, or over
+all pairs (q, p), and no N x N operator is ever materialized.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameFamily, FrameJet, dual_synthesis, error_value, fields_equal
+from .core import FrameFamily, FrameJet, error_value, fields_equal, frame_svd
 from .errors import InvalidStepError
 
 FD_GRAD_STEP = 1e-5
@@ -33,8 +38,8 @@ FD_HESS_STEP = 1e-4
 class ProjectorPieces:
     """Cached vectors from which the gradient and Hessian are assembled.
 
-    All arrays have trailing dimension N.  ``Pqp_Pw`` is symmetric in its
-    first two axes because the mixed partials of F are.
+    All arrays have trailing dimension N.  ``Pqp_Pw`` is exactly symmetric in
+    its first two axes, as the mixed partials of F are.
     """
 
     Pw: np.ndarray        # (N,)     Pi w
@@ -47,35 +52,25 @@ class ProjectorPieces:
 
 
 def projector_pieces(jet: FrameJet, w) -> ProjectorPieces:
-    """Evaluate all projector quantities at one point, reusing the dual G.
+    """Evaluate all projector quantities at one point from one SVD of F.
 
-    Every quantity is built by matrix-vector products; no N x N operator is
-    ever materialized.  Requires a second-order jet.
+    Requires a second-order jet.  ``Pqp_Pw`` is the symmetric part of the
+    product, so it is exactly symmetric even for a jet whose d2F is
+    symmetric only to roundoff.
     """
     jet.require_order(2)
-    F, dF, d2F = jet.F, jet.dF, jet.d2F
-    M, N = F.shape
-    P = dF.shape[0]
+    dF, d2F = jet.dF, jet.d2F
     w = np.asarray(w, dtype=float)
 
-    G = dual_synthesis(F)
-    Gt_w = G.T @ w
-    Pw = w - G @ (F @ w)
+    U, s, Vt = frame_svd(jet.F)
+    Gt = (U / s) @ Vt
+    Pw = w - Vt.T @ (Vt @ w)
+    PpPw = (dF @ Pw) @ Gt
+    Pps_w = (Gt @ w) @ dF
+    P_Pps_w = Pps_w - (Pps_w @ Vt.T) @ Vt
 
-    PpPw = np.empty((P, N))
-    Pps_w = np.empty((P, N))
-    P_Pps_w = np.empty((P, N))
-    for p in range(P):
-        PpPw[p] = G @ (dF[p] @ Pw)
-        Pps_w[p] = dF[p].T @ Gt_w
-        P_Pps_w[p] = Pps_w[p] - G @ (F @ Pps_w[p])
-
-    Pqp_Pw = np.empty((P, P, N))
-    for p in range(P):
-        for q in range(p + 1):
-            v = G @ (d2F[q, p] @ Pw)
-            Pqp_Pw[q, p] = v
-            Pqp_Pw[p, q] = v
+    Pqp_Pw = (d2F @ Pw) @ Gt
+    Pqp_Pw = 0.5 * (Pqp_Pw + Pqp_Pw.transpose(1, 0, 2))
     return ProjectorPieces(Pw, PpPw, Pps_w, P_Pps_w, Pqp_Pw)
 
 
@@ -88,19 +83,12 @@ def gradient(pieces: ProjectorPieces, w) -> np.ndarray:
 def hessian(pieces: ProjectorPieces, w) -> np.ndarray:
     """Hessian of E, assembled from cached vectors; exactly symmetric."""
     w = np.asarray(w, dtype=float)
-    P = pieces.PpPw.shape[0]
-    H = np.empty((P, P))
-    for p in range(P):
-        for q in range(p + 1):
-            # <w, Pi_p Pi_q Pi w> = <Pi_p* w, Pi_q Pi w>, and symmetrically.
-            t1 = 2.0 * (
-                pieces.Pps_w[p] @ pieces.PpPw[q] + pieces.Pps_w[q] @ pieces.PpPw[p]
-            )
-            t2 = 2.0 * (pieces.P_Pps_w[p] @ pieces.P_Pps_w[q])
-            t3 = -2.0 * (pieces.PpPw[q] @ pieces.PpPw[p])
-            t4 = -2.0 * (w @ pieces.Pqp_Pw[q, p])
-            H[q, p] = H[p, q] = t1 + t2 + t3 + t4
-    return H
+    Q, R = pieces.P_Pps_w, pieces.PpPw
+    # H = 2 (A + A.T) + 2 Q Q.T - 2 R R.T - 2 Pqp_Pw w, with
+    # A[p, q] = <Pi_p* w, Pi_q Pi w> = <w, Pi_p Pi_q Pi w>, summed as B + B.T
+    # so that H is exactly symmetric whichever order BLAS sums in
+    B = 2.0 * (pieces.Pps_w @ R.T) + Q @ Q.T - R @ R.T - pieces.Pqp_Pw @ w
+    return B + B.T
 
 
 def error_gradient_hessian(family: FrameFamily, x, w):

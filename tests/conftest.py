@@ -9,6 +9,7 @@ from framefit import (
     CallableFrameFamily,
     GridSpec,
     NoiseModel,
+    ProjectorPieces,
     QuadraticFrameFamily,
     RadarGeometry,
     TargetState,
@@ -80,6 +81,25 @@ def noiseless_scene(seed, num_pairs=4, radius=100.0, truth_box=8.0, vel_scale=5.
     return geometry, radar_family(geometry), truth, w
 
 
+def collinear_radar_family(dim, rng):
+    """A radar family whose stations lie within a random distance (1e-12 to
+    1) of one line: its frames are poorly conditioned near that line and
+    rank deficient on it."""
+    num_pairs = int(rng.integers(1, 7))
+    direction = rng.normal(size=dim)
+    direction /= np.linalg.norm(direction)
+    base = rng.normal(size=dim) * 10.0
+    spread = 10.0 ** rng.uniform(-12.0, 0.0)
+
+    def stations():
+        along = rng.uniform(-100.0, 100.0, size=num_pairs)
+        return base + np.outer(along, direction) + rng.normal(size=(num_pairs, dim)) * spread
+
+    family = radar_family(RadarGeometry(stations(), stations()))
+    x = base + rng.uniform(-50.0, 50.0) * direction
+    return family, x + rng.normal(size=dim) * rng.choice([0.0, 1e-6, 1e-3, 1.0, 10.0])
+
+
 def station_node_scene():
     """4-pair scene and a 5x5 grid on [-10, 10]^2 with a transmitter on four nodes.
 
@@ -130,6 +150,55 @@ def dense_projector_operators(jet):
     Pi_p = np.array([G @ d for d in jet.dF])
     Pi_qp = np.einsum("nm,qpmk->qpnk", G, jet.d2F)
     return Pi, Pi_p, Pi_qp
+
+
+def reference_projector_pieces(jet, w):
+    """The per-p loop form of ``projector_pieces`` through the dual G: the
+    reference for the SVD-factor products of the library."""
+    jet.require_order(2)
+    F, dF, d2F = jet.F, jet.dF, jet.d2F
+    M, N = F.shape
+    P = dF.shape[0]
+    w = np.asarray(w, dtype=float)
+
+    G = dual_synthesis(F)
+    Gt_w = G.T @ w
+    Pw = w - G @ (F @ w)
+
+    PpPw = np.empty((P, N))
+    Pps_w = np.empty((P, N))
+    P_Pps_w = np.empty((P, N))
+    for p in range(P):
+        PpPw[p] = G @ (dF[p] @ Pw)
+        Pps_w[p] = dF[p].T @ Gt_w
+        P_Pps_w[p] = Pps_w[p] - G @ (F @ Pps_w[p])
+
+    Pqp_Pw = np.empty((P, P, N))
+    for p in range(P):
+        for q in range(p + 1):
+            v = G @ (d2F[q, p] @ Pw)
+            Pqp_Pw[q, p] = v
+            Pqp_Pw[p, q] = v
+    return ProjectorPieces(Pw, PpPw, Pps_w, P_Pps_w, Pqp_Pw)
+
+
+def reference_hessian(pieces, w):
+    """The per-pair loop form of ``hessian``: the reference for its matrix
+    products."""
+    w = np.asarray(w, dtype=float)
+    P = pieces.PpPw.shape[0]
+    H = np.empty((P, P))
+    for p in range(P):
+        for q in range(p + 1):
+            # <w, Pi_p Pi_q Pi w> = <Pi_p* w, Pi_q Pi w>, and symmetrically.
+            t1 = 2.0 * (
+                pieces.Pps_w[p] @ pieces.PpPw[q] + pieces.Pps_w[q] @ pieces.PpPw[p]
+            )
+            t2 = 2.0 * (pieces.P_Pps_w[p] @ pieces.P_Pps_w[q])
+            t3 = -2.0 * (pieces.PpPw[q] @ pieces.PpPw[p])
+            t4 = -2.0 * (w @ pieces.Pqp_Pw[q, p])
+            H[q, p] = H[p, q] = t1 + t2 + t3 + t4
+    return H
 
 
 def g_formula_error(F, w):

@@ -44,6 +44,7 @@ from framefit.radar import RadarGeometry
 
 from conftest import (
     circular_geometry,
+    collinear_radar_family,
     conditioned_error_tolerance,
     exact_error,
     g_formula_error,
@@ -164,25 +165,6 @@ class TestErrorValue:
             error_value(family, [0.0], [1.0, 2.0, 3.0])
 
 
-def _collinear_radar_family(dim, rng):
-    """A radar family whose stations lie within a random distance (1e-12 to
-    1) of one line: its frames are poorly conditioned near that line and
-    rank deficient on it."""
-    num_pairs = int(rng.integers(1, 7))
-    direction = rng.normal(size=dim)
-    direction /= np.linalg.norm(direction)
-    base = rng.normal(size=dim) * 10.0
-    spread = 10.0 ** rng.uniform(-12.0, 0.0)
-
-    def stations():
-        along = rng.uniform(-100.0, 100.0, size=num_pairs)
-        return base + np.outer(along, direction) + rng.normal(size=(num_pairs, dim)) * spread
-
-    family = radar_family(RadarGeometry(stations(), stations()))
-    x = base + rng.uniform(-50.0, 50.0) * direction
-    return family, x + rng.normal(size=dim) * rng.choice([0.0, 1e-6, 1e-3, 1.0, 10.0])
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
@@ -198,7 +180,7 @@ def test_error_value_matches_the_dual_formula(kind, seed):
     frame."""
     rng = np.random.default_rng(seed)
     if kind.startswith("collinear"):
-        family, x = _collinear_radar_family(int(kind[-1]), rng)
+        family, x = collinear_radar_family(int(kind[-1]), rng)
     else:
         family = _random_family(kind, rng)
         x = rng.uniform(-50.0, 50.0, size=family.P)
@@ -289,6 +271,9 @@ class TestFrame:
         E = error_value(family, x, w)
         assert E == float(Pw @ Pw)
         assert abs(E - g_formula_error(F, w)) <= 1e-12 * float(w @ w)
+        # Newton takes E from error_gradient_hessian and its line search
+        # from error_value: one formula, so they compare bitwise
+        assert error_gradient_hessian(family, x, w)[0] == E
 
     @pytest.mark.parametrize("family", [
         ConstantFrameFamily(np.eye(2), P=2),
