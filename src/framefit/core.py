@@ -254,16 +254,23 @@ class FrameFamily(abc.ABC):
             inside[i] = True
         return F, inside
 
-    def frame_rate(self, x, v):
-        """F(x) and its rate along a parameter velocity v, Fdot = sum_p v_p
-        dF[p], both (M, N): a Jacobian-vector product, all that the tracking
-        dynamics need of the first derivatives.  Raises where ``jet(x, 1)``
-        raises, then DimensionMismatchError unless v is a finite vector of
-        length P.  This base version contracts ``jet(x, 1).dF`` with v; a
-        family with a cheaper directional derivative overrides it."""
+    def frame_curvature(self, x, v):
+        """F(x), shape (M, N), and the N-vector kappa = Fdot^T v, where Fdot
+        = sum_p v_p dF[p] is the rate of F along a velocity v: kappa_n =
+        sum_{p,m} v_p v_m dF[p, m, n], all that the tracking dynamics need of
+        the first derivatives.  Needs P = M, since v is both the parameter
+        velocity and the vector Fdot^T is applied to.  Raises where
+        ``jet(x, 1)`` raises, then DimensionMismatchError unless v is a
+        finite vector of length P.  This base version contracts
+        ``jet(x, 1).dF`` with v twice; a family with a cheaper second
+        directional derivative overrides it."""
+        if self.P != self.M:
+            raise DimensionMismatchError(
+                f"frame curvature needs P = M, got P = {self.P}, M = {self.M}"
+            )
         jet = self.jet(x, order=1)
         v = check_vector(v, self.P, "velocity")
-        return jet.F, np.tensordot(v, jet.dF, axes=1)
+        return jet.F, np.einsum("p,pmn,m->n", v, jet.dF, v)
 
     def check_point(self, x) -> np.ndarray:
         return check_vector(x, self.P, "parameter point")

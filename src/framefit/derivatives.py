@@ -38,10 +38,13 @@ FD_HESS_STEP = 1e-4
 class ProjectorPieces:
     """Cached vectors from which the gradient and Hessian are assembled.
 
-    All arrays have trailing dimension N.  ``Pqp_Pw`` is exactly symmetric in
-    its first two axes, as the mixed partials of F are.
+    All arrays have trailing dimension N.  ``w`` is the measurement they were
+    built from, so ``gradient`` and ``hessian`` cannot be handed another.
+    ``Pqp_Pw`` is exactly symmetric in its first two axes, as the mixed
+    partials of F are.
     """
 
+    w: np.ndarray         # (N,)     the measurement
     Pw: np.ndarray        # (N,)     Pi w
     PpPw: np.ndarray      # (P, N)   Pi_p Pi w
     Pps_w: np.ndarray     # (P, N)   Pi_p* w
@@ -71,18 +74,18 @@ def projector_pieces(jet: FrameJet, w) -> ProjectorPieces:
 
     Pqp_Pw = (d2F @ Pw) @ Gt
     Pqp_Pw = 0.5 * (Pqp_Pw + Pqp_Pw.transpose(1, 0, 2))
-    return ProjectorPieces(Pw, PpPw, Pps_w, P_Pps_w, Pqp_Pw)
+    return ProjectorPieces(w, Pw, PpPw, Pps_w, P_Pps_w, Pqp_Pw)
 
 
-def gradient(pieces: ProjectorPieces, w) -> np.ndarray:
-    """Gradient of E: entry p is -2 <w, Pi_p Pi w>."""
-    w = np.asarray(w, dtype=float)
-    return -2.0 * (pieces.PpPw @ w)
+def gradient(pieces: ProjectorPieces) -> np.ndarray:
+    """Gradient of E at the pieces' w: entry p is -2 <w, Pi_p Pi w>."""
+    return -2.0 * (pieces.PpPw @ pieces.w)
 
 
-def hessian(pieces: ProjectorPieces, w) -> np.ndarray:
-    """Hessian of E, assembled from cached vectors; exactly symmetric."""
-    w = np.asarray(w, dtype=float)
+def hessian(pieces: ProjectorPieces) -> np.ndarray:
+    """Hessian of E at the pieces' w, assembled from cached vectors; exactly
+    symmetric."""
+    w = pieces.w
     Q, R = pieces.P_Pps_w, pieces.PpPw
     # H = 2 (A + A.T) + 2 Q Q.T - 2 R R.T - 2 Pqp_Pw w, with
     # A[p, q] = <Pi_p* w, Pi_q Pi w> = <w, Pi_p Pi_q Pi w>, summed as B + B.T
@@ -96,7 +99,7 @@ def error_gradient_hessian(family: FrameFamily, x, w):
     w = family.check_measurement(w)
     pieces = projector_pieces(family.jet(x, order=2), w)
     E = float(pieces.Pw @ pieces.Pw)
-    return E, gradient(pieces, w), hessian(pieces, w)
+    return E, gradient(pieces), hessian(pieces)
 
 
 def fd_gradient(family: FrameFamily, x, w, h: float = FD_GRAD_STEP) -> np.ndarray:

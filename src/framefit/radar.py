@@ -242,17 +242,20 @@ class RadarFrameFamily(FrameFamily):
         u, _ = _unit_vectors(x - self.geometry.stations, self.geometry.singularity_tolerance)
         return (u[:N] + u[N:]).T
 
-    def frame_rate(self, x, v):
-        """``frame(x)``, bitwise, and its rate along v from one station
-        pass; see FrameFamily.frame_rate.  The unit vector u to a station at
-        distance r moves at (v - u (u . v)) / r, the first-order unit jet
-        applied to v, so no (2N, M, M) projector is built."""
+    def frame_curvature(self, x, v):
+        """``frame(x)``, bitwise, and kappa from one station pass; see
+        FrameFamily.frame_curvature.  The unit vector u to a station at
+        distance r moves at (v - u (u . v)) / r, so its rate applied to v is
+        (|v|^2 - (u . v)^2) / r, the second derivative of the distance to
+        that station along v; kappa_n sums it over pair n's two stations.
+        No (2N, M, M) projector and no (M, N) rate matrix is built."""
         x = self.check_point(x)
         N = self.N
         u, r = _unit_vectors(x - self.geometry.stations, self.geometry.singularity_tolerance)
         v = check_vector(v, self.P, "velocity")
-        u_dot = (v - u * (u @ v)[:, None]) / r[:, None]   # (2N, M)
-        return (u[:N] + u[N:]).T, (u_dot[:N] + u_dot[N:]).T
+        uv = u @ v                                        # (2N,)
+        c = (v @ v - uv * uv) / r
+        return (u[:N] + u[N:]).T, c[:N] + c[N:]
 
     def frames(self, X):
         """``frame(x)`` at every row of X in one pass over all points and

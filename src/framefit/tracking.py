@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FrameFamily, all_finite, check_vector, dual_synthesis, fields_equal
+from .core import FrameFamily, all_finite, check_vector, fields_equal, frame_svd
 from .errors import (
     AllCandidatesFailedError,
     DimensionMismatchError,
@@ -167,18 +167,21 @@ def functional_value(family: FrameFamily, traj: Trajectory, data: TimeSeries) ->
 def el_acceleration(family: FrameFamily, x, v, wdot) -> np.ndarray:
     """Acceleration solving the stationarity equation at one state.
 
-    Returns (F F^T)^{-1} F [ wdot - Fdot^T v ], with F and its rate Fdot
-    along v from ``family.frame_rate``, applied through the dual synthesis
-    rather than an explicit inverse.  Raises DimensionMismatchError unless x
-    and v are finite vectors of length M (= P) and wdot one of length N, and
-    LeftDomainError when the acceleration overflows (a huge v or wdot).
-    numpy warns of that overflow first, so where RuntimeWarning is an error
-    the caller gets the warning instead.
+    Returns (F F^T)^{-1} F [ wdot - kappa ] with F and kappa = Fdot^T v from
+    ``family.frame_curvature``.  With the thin SVD F = U diag(s) Vt from
+    ``frame_svd``, (F F^T)^{-1} F = U diag(1/s) Vt, so the result is
+    U ((Vt (wdot - kappa)) / s): neither the dual nor Fdot is formed.
+    Raises DimensionMismatchError unless x and v are finite vectors of length
+    M (= P) and wdot one of length N, RankDeficientError where F is not a
+    frame, and LeftDomainError when the acceleration overflows (a huge v or
+    wdot).  numpy warns of that overflow first, so where RuntimeWarning is an
+    error the caller gets the warning instead.
     """
     _check_positions(family)
-    F, Fdot = family.frame_rate(x, v)  # validates x and v
+    F, kappa = family.frame_curvature(x, v)  # validates x and v
     wdot = check_vector(wdot, family.N, "data rate")
-    a = dual_synthesis(F).T @ (wdot - Fdot.T @ v)
+    U, s, Vt = frame_svd(F)
+    a = U @ ((Vt @ (wdot - kappa)) / s)
     if not all_finite(a):
         raise LeftDomainError(f"acceleration is not finite: {a}")
     return a
@@ -199,23 +202,27 @@ def integrate_trajectory(
 ) -> Trajectory:
     """Propagate the stationarity dynamics with classical RK4 on the data grid.
 
-    The data derivative ``data.rates`` at the sample times is linearly
-    interpolated at half steps.  If any stage point leaves the frame domain, a
-    LeftDomainError carrying the completed prefix as ``partial`` is raised.
-    A start x0 or v0 that is not a finite vector of length M (= P) raises
-    DimensionMismatchError before any step.
+    RK4 steps one stacked state y = (x, v) of length 2M, whose rate is
+    (v, ``el_acceleration``), so each stage is one array update; every entry
+    is computed as for x and v stepped apart.  The data derivative
+    ``data.rates`` at the sample times is linearly interpolated at half steps.
+    If any stage point leaves the frame domain, a LeftDomainError carrying the
+    completed prefix as ``partial`` is raised.  A start x0 or v0 that is not a
+    finite vector of length M (= P) raises DimensionMismatchError before any
+    step.
     """
     _check_positions(family)
     x = family.check_point(x0)
     v = check_vector(v0, family.M, "initial velocity")
     _check_width(family, data)
-    K, dt = data.num_samples, data.dt
+    K, dt, M = data.num_samples, data.dt, family.M
     wdot = data.rates
-    positions = [x.copy()]
-    velocities = [v.copy()]
+    y = np.concatenate((x, v))
+    positions = [x]
+    velocities = [v]
 
-    def rhs(x_s, v_s, wd):
-        return v_s, el_acceleration(family, x_s, v_s, wd)
+    def rhs(y_s, wd):
+        return np.concatenate((y_s[M:], el_acceleration(family, y_s[:M], y_s[M:], wd)))
 
     # A state that overflows leaves the domain: the checks of the next stage
     # raise for it, so numpy's overflow warnings are noise.
@@ -223,15 +230,14 @@ def integrate_trajectory(
         for k in range(K - 1):
             wd_half = 0.5 * (wdot[k] + wdot[k + 1])
             try:
-                k1x, k1v = rhs(x, v, wdot[k])
-                k2x, k2v = rhs(x + 0.5 * dt * k1x, v + 0.5 * dt * k1v, wd_half)
-                k3x, k3v = rhs(x + 0.5 * dt * k2x, v + 0.5 * dt * k2v, wd_half)
-                k4x, k4v = rhs(x + dt * k3x, v + dt * k3v, wdot[k + 1])
-                x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-                v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+                k1 = rhs(y, wdot[k])
+                k2 = rhs(y + 0.5 * dt * k1, wd_half)
+                k3 = rhs(y + 0.5 * dt * k2, wd_half)
+                k4 = rhs(y + dt * k3, wdot[k + 1])
+                y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 if k == K - 2:  # no next stage checks the last state
-                    check_vector(x, family.M, "position")
-                    check_vector(v, family.M, "velocity")
+                    check_vector(y[:M], M, "position")
+                    check_vector(y[M:], M, "velocity")
             except FramefitError as exc:
                 partial = Trajectory(
                     data.times[: k + 1], np.array(positions), np.array(velocities)
@@ -239,8 +245,8 @@ def integrate_trajectory(
                 raise LeftDomainError(
                     f"integration left the domain at step {k}: {exc}", partial=partial
                 ) from exc
-            positions.append(x)
-            velocities.append(v)
+            positions.append(y[:M])
+            velocities.append(y[M:])
     return Trajectory(data.times, np.array(positions), np.array(velocities))
 
 

@@ -13,10 +13,14 @@ from framefit import (
     QuadraticFrameFamily,
     RadarGeometry,
     TargetState,
+    Trajectory,
     dual_synthesis,
+    el_acceleration,
     radar_family,
     simulate_fdoa,
 )
+from framefit.core import check_vector
+from framefit.errors import FramefitError, LeftDomainError
 
 
 class TimeLimitExceeded(Exception):
@@ -179,13 +183,13 @@ def reference_projector_pieces(jet, w):
             v = G @ (d2F[q, p] @ Pw)
             Pqp_Pw[q, p] = v
             Pqp_Pw[p, q] = v
-    return ProjectorPieces(Pw, PpPw, Pps_w, P_Pps_w, Pqp_Pw)
+    return ProjectorPieces(w, Pw, PpPw, Pps_w, P_Pps_w, Pqp_Pw)
 
 
-def reference_hessian(pieces, w):
+def reference_hessian(pieces):
     """The per-pair loop form of ``hessian``: the reference for its matrix
     products."""
-    w = np.asarray(w, dtype=float)
+    w = pieces.w
     P = pieces.PpPw.shape[0]
     H = np.empty((P, P))
     for p in range(P):
@@ -240,3 +244,55 @@ def conditioned_error_tolerance(F, w):
     """
     s = np.linalg.svd(F, compute_uv=False)
     return float(w @ w) * max(1e-12, 2.0 * np.finfo(float).eps * s[0] / s[-1])
+
+
+def reference_acceleration(family, x, v, wdot):
+    """The acceleration through the dual and the whole order-1 jet,
+    G^T (wdot - Fdot^T v) with Fdot = sum_p v_p dF[p]: the reference for
+    ``el_acceleration``, which applies the SVD factors of F to kappa."""
+    jet = family.jet(x, order=1)
+    v = check_vector(v, family.M, "velocity")
+    wdot = check_vector(wdot, family.N, "data rate")
+    G = dual_synthesis(jet.F)
+    a = G.T @ (wdot - np.tensordot(v, jet.dF, axes=1).T @ v)
+    if not np.isfinite(a).all():
+        raise LeftDomainError(f"acceleration is not finite: {a}")
+    return a
+
+
+def reference_integrate(family, x0, v0, data, acceleration=el_acceleration):
+    """Classical RK4 with x and v stepped as two arrays, each stage calling
+    ``acceleration``: the reference for ``integrate_trajectory``, which steps
+    one stacked state.  Raises LeftDomainError with the completed prefix as
+    ``partial``, as the library does."""
+    x = family.check_point(x0)
+    v = check_vector(v0, family.M, "initial velocity")
+    K, dt = data.num_samples, data.dt
+    wdot = data.rates
+    positions, velocities = [x], [v]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K - 1):
+            wd_half = 0.5 * (wdot[k] + wdot[k + 1])
+            try:
+                k1x, k1v = v, acceleration(family, x, v, wdot[k])
+                x2, v2 = x + 0.5 * dt * k1x, v + 0.5 * dt * k1v
+                k2x, k2v = v2, acceleration(family, x2, v2, wd_half)
+                x3, v3 = x + 0.5 * dt * k2x, v + 0.5 * dt * k2v
+                k3x, k3v = v3, acceleration(family, x3, v3, wd_half)
+                x4, v4 = x + dt * k3x, v + dt * k3v
+                k4x, k4v = v4, acceleration(family, x4, v4, wdot[k + 1])
+                x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+                v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+                if k == K - 2:
+                    check_vector(x, family.M, "position")
+                    check_vector(v, family.M, "velocity")
+            except FramefitError as exc:
+                partial = Trajectory(
+                    data.times[: k + 1], np.array(positions), np.array(velocities)
+                )
+                raise LeftDomainError(
+                    f"integration left the domain at step {k}: {exc}", partial=partial
+                ) from exc
+            positions.append(x)
+            velocities.append(v)
+    return Trajectory(data.times, np.array(positions), np.array(velocities))

@@ -98,7 +98,23 @@ class TestGradient:
         rng = np.random.default_rng(5)
         family = ConstantFrameFamily(random_full_rank(rng, 2, 4), P=2)
         pieces = projector_pieces(family.jet([0.0, 0.0]), rng.normal(size=4))
-        assert np.allclose(gradient(pieces, rng.normal(size=4)), 0.0)
+        assert np.allclose(gradient(pieces), 0.0)
+
+    def test_pieces_carry_their_measurement(self):
+        """gradient and hessian read w from the pieces: they give
+        error_gradient_hessian's values at the w the pieces were built from,
+        and a second w is a TypeError rather than a silently wrong answer."""
+        _, family, truth, w = noiseless_scene(1)
+        x = truth.position + 0.5
+        pieces = projector_pieces(family.jet(x), 2.0 * w)
+        assert np.array_equal(pieces.w, 2.0 * w)
+        _, g, H = error_gradient_hessian(family, x, 2.0 * w)
+        assert np.array_equal(gradient(pieces), g)
+        assert np.array_equal(hessian(pieces), H)
+        with pytest.raises(TypeError):
+            gradient(pieces, w)
+        with pytest.raises(TypeError):
+            hessian(pieces, w)
 
     def test_zero_residual_gradient_vanishes(self):
         _, family, truth, w = noiseless_scene(1)
@@ -120,7 +136,7 @@ class TestHessian:
         rng = np.random.default_rng(7)
         family = ConstantFrameFamily(random_full_rank(rng, 2, 4), P=2)
         pieces = projector_pieces(family.jet([0.0, 0.0]), rng.normal(size=4))
-        assert np.allclose(hessian(pieces, rng.normal(size=4)), 0.0)
+        assert np.allclose(hessian(pieces), 0.0)
 
     def test_matches_differenced_gradient(self):
         rng = np.random.default_rng(8)
@@ -164,7 +180,7 @@ class TestHessian:
         v = rng.normal(size=2)
         w = family.jet(truth.position, order=0).F.T @ v
         pieces = projector_pieces(family.jet(truth.position), w)
-        H = hessian(pieces, w)
+        H = hessian(pieces)
         # only the Gram term survives when the residual vanishes
         gram = 2.0 * pieces.P_Pps_w @ pieces.P_Pps_w.T
         assert np.allclose(H, gram, atol=1e-10 * max(1.0, np.linalg.norm(H)))
@@ -292,8 +308,8 @@ def test_matches_the_loop_form(kind, seed):
     pieces = projector_pieces(jet, w)
     values = {name: (getattr(pieces, name), getattr(ref, name))
               for name in ("Pw", "PpPw", "Pps_w", "P_Pps_w", "Pqp_Pw")}
-    values["g"] = (gradient(pieces, w), gradient(ref, w))
-    values["H"] = (hessian(pieces, w), reference_hessian(ref, w))
+    values["g"] = (gradient(pieces), gradient(ref))
+    values["H"] = (hessian(pieces), reference_hessian(ref))
     rtol = 1e-12
     if kind.startswith("collinear"):
         s = np.linalg.svd(jet.F, compute_uv=False)
