@@ -88,17 +88,23 @@ def _spans(s, M: int):
     return s[-1] > RANK_RTOL * s[0]
 
 
-def frame_svd(F):
-    """The thin SVD ``(U, s, Vt)`` of the synthesis matrix F, shape (M, N).
+def frame_svd(F, full_matrices: bool = True):
+    """The SVD ``(U, s, Vt)`` of the synthesis matrix F, shape (M, N): the
+    full one, with Vt of shape (N, N), or the thin one, Vt (M, N).
 
     The domain test for one F: raises RankDeficientError when numpy finds
     no SVD or the singular values fail the rank rule (``_spans``), which
     happens when the columns of F do not span R^M or F has a NaN or inf
-    entry.  ``_null_energies`` applies the same rule to a stack of F.  The
-    rows of Vt are an orthonormal basis of the range of F^T.
+    entry.  ``_null_energies`` applies the same rule to a stack of F.  Rows
+    ``:M`` of Vt are an orthonormal basis of the range of F^T and, in the
+    full SVD, rows ``M:`` one of the null space of F.  U and s are the same
+    bitwise either way; rows ``:M`` of the full Vt may differ from the thin
+    Vt in the last bits (with numpy 2.4 and OpenBLAS they do on random 2 x 5
+    and 3 x 4 frames, not on 2 x 4 or square ones), so callers that need
+    only the range rows take the thin SVD.
     """
     try:
-        U, s, Vt = np.linalg.svd(F, full_matrices=False)
+        U, s, Vt = np.linalg.svd(F, full_matrices=full_matrices)
     except np.linalg.LinAlgError as exc:
         raise RankDeficientError(f"synthesis matrix has no SVD ({exc})") from exc
     if not _spans(s, F.shape[0]):
@@ -116,7 +122,7 @@ def dual_synthesis(F) -> np.ndarray:
     F @ G = I and G @ F @ G = G.  Raises RankDeficientError outside the
     domain, as ``frame_svd`` does.
     """
-    U, s, Vt = frame_svd(_as_matrix(F))
+    U, s, Vt = frame_svd(_as_matrix(F), full_matrices=False)
     return (Vt.T / s) @ U.T
 
 
@@ -310,27 +316,29 @@ def error_value(family: FrameFamily, x, w) -> float:
     """Squared distance from w to the coefficient space of the frame at x.
 
     Evaluates ||Pi(x) w||^2 where Pi(x) projects onto the null space of F(x).
+    The null rows ``Vt[M:]`` of ``frame_svd`` are an orthonormal basis of
+    that space, so the energy is |Vt[M:] w|^2: one product and one dot, and
+    exactly 0.0 for a square frame (N = M), whose null space is {0}.
     Always in [0, ||w||^2]; zero exactly when w lies in the range of F(x)^T.
     Raises RankDeficientError where ``frame_svd``, the domain test for one
     F, rejects F(x).
     """
     w = family.check_measurement(w)
-    # Pi w = w - V V^T w with V^T the orthonormal row basis of the range of
-    # F^T, which equals w - G F w without forming the dual G
-    _, _, Vt = frame_svd(family.frame(x))
-    Pw = w - Vt.T @ (Vt @ w)
-    return float(Pw @ Pw)
+    F = family.frame(x)
+    _, _, Vt = frame_svd(F)
+    Vn_w = Vt[F.shape[0]:] @ w
+    return float(Vn_w @ Vn_w)
 
 
 def _null_energies(F, w, M: int) -> np.ndarray:
     """|Pi w|^2 for each finite matrix of the stack F (B, M, N); NaN where it
     is not a frame by the rank rule (``_spans``, as in ``frame_svd``).  One
-    stacked SVD, then error_value's products as stacked
-    ``@`` with their per-point shapes (einsum would sum in another order), so
-    each value equals error_value's bitwise.
+    stacked full SVD, then error_value's null-row energy |Vt[M:] w|^2 as
+    stacked ``@`` with the per-point shapes (einsum would sum in another
+    order), so each value equals error_value's bitwise.
     """
     try:
-        _, s, Vt = np.linalg.svd(F, full_matrices=False)
+        _, s, Vt = np.linalg.svd(F)
     except np.linalg.LinAlgError:
         # one failed SVD fails the whole stack; alone, it has no frame
         if len(F) == 1:
@@ -338,9 +346,8 @@ def _null_energies(F, w, M: int) -> np.ndarray:
         return np.concatenate([_null_energies(F[i:i + 1], w, M) for i in range(len(F))])
     energies = np.full(len(F), np.nan)
     keep = _spans(s, M)
-    Vt = Vt[keep]
-    Pw = w - (Vt.transpose(0, 2, 1) @ (Vt @ w)[:, :, None])[:, :, 0]
-    energies[keep] = (Pw[:, None, :] @ Pw[:, :, None])[:, 0, 0]
+    Vn_w = Vt[keep, M:] @ w
+    energies[keep] = (Vn_w[:, None, :] @ Vn_w[:, :, None])[:, 0, 0]
     return energies
 
 

@@ -15,10 +15,11 @@ small set of cached vectors:
                  - 2 <Pi_q Pi w, Pi_p Pi w>
                  - 2 <w, Pi_qp Pi w>.
 
-The vectors come from the factors of one thin SVD F = U diag(s) Vt
-(``core.frame_svd``): Pi v = v - Vt^T (Vt v), as ``error_value`` projects,
-and G^T = U diag(1/s) Vt.  Each is one matrix product over all p, or over
-all pairs (q, p), and no N x N operator is ever materialized.
+The vectors come from the factors of one full SVD F = U diag(s) Vt[:M]
+(``core.frame_svd``).  The null rows Vn = Vt[M:] give Pi v = Vn^T (Vn v),
+and E = |Vn w|^2 exactly as ``error_value`` computes it; the range rows
+give G^T = U diag(1/s) Vt[:M].  Each vector is one matrix product over all
+p, or over all pairs (q, p), and no N x N operator is ever materialized.
 """
 
 from __future__ import annotations
@@ -40,12 +41,14 @@ class ProjectorPieces:
 
     All arrays have trailing dimension N.  ``w`` is the measurement they were
     built from, so ``gradient`` and ``hessian`` cannot be handed another.
-    ``Pqp_Pw`` is exactly symmetric in its first two axes, as the mixed
-    partials of F are.
+    ``E`` is |Vn w|^2 with Vn = Vt[M:] the null basis, ``error_value``'s E
+    bitwise.  ``Pqp_Pw`` is exactly symmetric in its first two axes, as the
+    mixed partials of F are.
     """
 
     w: np.ndarray         # (N,)     the measurement
-    Pw: np.ndarray        # (N,)     Pi w
+    E: float              #          |Pi w|^2 = |Vn w|^2
+    Pw: np.ndarray        # (N,)     Pi w = Vn^T (Vn w)
     PpPw: np.ndarray      # (P, N)   Pi_p Pi w
     Pps_w: np.ndarray     # (P, N)   Pi_p* w
     P_Pps_w: np.ndarray   # (P, N)   Pi Pi_p* w
@@ -66,15 +69,18 @@ def projector_pieces(jet: FrameJet, w) -> ProjectorPieces:
     w = np.asarray(w, dtype=float)
 
     U, s, Vt = frame_svd(jet.F)
-    Gt = (U / s) @ Vt
-    Pw = w - Vt.T @ (Vt @ w)
+    M = jet.F.shape[0]
+    Gt = (U / s) @ Vt[:M]
+    Vn = Vt[M:]
+    Vn_w = Vn @ w
+    Pw = Vn_w @ Vn
     PpPw = (dF @ Pw) @ Gt
     Pps_w = (Gt @ w) @ dF
-    P_Pps_w = Pps_w - (Pps_w @ Vt.T) @ Vt
+    P_Pps_w = (Pps_w @ Vn.T) @ Vn
 
     Pqp_Pw = (d2F @ Pw) @ Gt
     Pqp_Pw = 0.5 * (Pqp_Pw + Pqp_Pw.transpose(1, 0, 2))
-    return ProjectorPieces(w, Pw, PpPw, Pps_w, P_Pps_w, Pqp_Pw)
+    return ProjectorPieces(w, float(Vn_w @ Vn_w), Pw, PpPw, Pps_w, P_Pps_w, Pqp_Pw)
 
 
 def gradient(pieces: ProjectorPieces) -> np.ndarray:
@@ -98,8 +104,7 @@ def error_gradient_hessian(family: FrameFamily, x, w):
     """Convenience wrapper: (E, grad E, hess E) at a single point."""
     w = family.check_measurement(w)
     pieces = projector_pieces(family.jet(x, order=2), w)
-    E = float(pieces.Pw @ pieces.Pw)
-    return E, gradient(pieces), hessian(pieces)
+    return pieces.E, gradient(pieces), hessian(pieces)
 
 
 def fd_gradient(family: FrameFamily, x, w, h: float = FD_GRAD_STEP) -> np.ndarray:

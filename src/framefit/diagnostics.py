@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameFamily, dual_synthesis, error_value, error_values, fields_equal
+from .core import FrameFamily, error_value, error_values, fields_equal, frame_svd
 from .errors import RankDeficientError
 from .solver import GridSpec, in_domain_count
 
@@ -60,13 +60,15 @@ def level_set(family: FrameFamily, w, grid: GridSpec, tau: float) -> LevelSetRep
 def augmented_vectors(family: FrameFamily, x, w) -> np.ndarray:
     """The N stacked vectors f_n(x) over Df_n(x)^T c, as an (M+P) x N matrix.
 
-    Here c is the dual-frame coefficient vector (F F^T)^{-1} F w and Df_n is
-    the M x P Jacobian of the n-th frame element.
+    Here c is the dual-frame coefficient vector (F F^T)^{-1} F w, computed
+    as U ((Vt w) / s) from the thin ``frame_svd``, as ``el_acceleration``
+    does, without forming the dual; Df_n is the M x P Jacobian of the n-th
+    frame element.
     """
     w = family.check_measurement(w)
     jet = family.jet(x, order=1)
-    G = dual_synthesis(jet.F)
-    c = G.T @ w                                   # (M,) dual coefficients of w
+    U, s, Vt = frame_svd(jet.F, full_matrices=False)
+    c = U @ ((Vt @ w) / s)                        # (M,) dual coefficients of w
     bottom = np.einsum("pmn,m->pn", jet.dF, c)    # row p, column n: <dF[p][:,n], c>
     return np.vstack([jet.F, bottom])
 

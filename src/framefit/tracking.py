@@ -180,7 +180,7 @@ def el_acceleration(family: FrameFamily, x, v, wdot) -> np.ndarray:
     _check_positions(family)
     F, kappa = family.frame_curvature(x, v)  # validates x and v
     wdot = check_vector(wdot, family.N, "data rate")
-    U, s, Vt = frame_svd(F)
+    U, s, Vt = frame_svd(F, full_matrices=False)
     a = U @ ((Vt @ (wdot - kappa)) / s)
     if not all_finite(a):
         raise LeftDomainError(f"acceleration is not finite: {a}")

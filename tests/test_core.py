@@ -157,6 +157,23 @@ class TestErrorValue:
             E = error_value(family, [0.0], w)
             assert 0.0 <= E <= w @ w * (1 + 1e-12)
 
+    @pytest.mark.parametrize("family", [
+        noiseless_scene(0, num_pairs=2)[1],
+        ConstantFrameFamily(np.eye(2), P=2),
+    ], ids=["radar_2_pairs", "constant_eye"])
+    def test_square_frame_has_exactly_zero_error(self, family):
+        # N = M: the null space of F is {0}, so its basis is empty and every
+        # evaluation path reads exactly 0.0, not roundoff
+        rng = np.random.default_rng(21)
+        X = rng.uniform(-10.0, 10.0, size=(50, 2))
+        w = rng.normal(size=2) * 100.0
+        assert np.array_equal(error_values(family, X, w), np.zeros(len(X)))
+        for x in X[:10]:
+            assert error_value(family, x, w) == 0.0
+            E, g, H = error_gradient_hessian(family, x, w)
+            assert E == 0.0
+            assert not g.any() and not H.any()
+
     def test_frame_of_wrong_shape_rejected(self):
         # error_value applies F and its dual without re-checking their shapes,
         # so a family whose F does not match its declared (M, N) must raise
@@ -173,7 +190,7 @@ class TestErrorValue:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_error_value_matches_the_dual_formula(kind, seed):
-    """``error_value`` (w - V V^T w from the SVD row basis) against the
+    """``error_value`` (|Vn w|^2 from the SVD null rows Vn) against the
     formula through the dual G and against the exact value, within 1e-12
     |w|^2 (``conditioned_error_tolerance`` for nearly collinear stations),
     and the same error class as ``dual_synthesis`` wherever F(x) is not a
@@ -267,9 +284,9 @@ class TestFrame:
             with pytest.raises(type(exc)):
                 error_value(family, x, w)
             return
-        Pw = w - Vt.T @ (Vt @ w)
+        Vn_w = Vt[family.M:] @ w
         E = error_value(family, x, w)
-        assert E == float(Pw @ Pw)
+        assert E == float(Vn_w @ Vn_w)
         assert abs(E - g_formula_error(F, w)) <= 1e-12 * float(w @ w)
         # Newton takes E from error_gradient_hessian and its line search
         # from error_value: one formula, so they compare bitwise
@@ -386,6 +403,20 @@ class TestErrorValues:
         X = rng.normal(size=(400, 2)) * 3.0
         values = assert_stacked_matches_per_point(family, X, rng.normal(size=6))
         assert not np.isnan(values).any()
+
+    @pytest.mark.parametrize("family, scale", [
+        (radar_family(RadarGeometry(
+            *np.random.default_rng(31).uniform(-100.0, 100.0, size=(2, 6, 3)))), 50.0),
+        (random_quadratic_family(np.random.default_rng(33), 2, 5, 2), 3.0),
+        (random_quadratic_family(np.random.default_rng(34), 3, 6, 3), 3.0),
+    ], ids=["radar3_6_pairs", "quadratic_2x5", "quadratic_3x6"])
+    def test_wide_frames_match_per_point(self, family, scale):
+        # N - M = 3 null rows: the stacked full SVD and the per-point one
+        # must give the same rows, summed alike
+        rng = np.random.default_rng(35)
+        X = rng.normal(size=(ERROR_BLOCK + 40, family.P)) * scale
+        values = assert_stacked_matches_per_point(family, X, rng.normal(size=family.N))
+        assert np.isfinite(values).all()
 
     def test_too_few_columns_are_never_a_frame(self):
         geometry = RadarGeometry([[10.0, 0.0]], [[0.0, 10.0]])  # N = 1 < M = 2

@@ -163,6 +163,29 @@ class TestAugmentedVectors:
             assert np.allclose(A[2:, n], Dfn.T @ c, atol=1e-12)
         assert np.linalg.svd(A, compute_uv=False).min() > 0.0
 
+    def test_certificate_matches_the_dual_formula(self):
+        # augmented_vectors takes c from frame_svd's factors; the dual G
+        # gives the same vectors and certificate values within 1e-12 relative
+        rng = np.random.default_rng(15)
+        for _ in range(60):
+            dim, num_pairs = int(rng.integers(2, 4)), int(rng.integers(3, 7))
+            family = radar_family(RadarGeometry(rng.uniform(-100.0, 100.0, (num_pairs, dim)),
+                                                rng.uniform(-100.0, 100.0, (num_pairs, dim))))
+            x = rng.uniform(-50.0, 50.0, size=dim)
+            w = rng.normal(size=num_pairs)
+            try:
+                A = augmented_vectors(family, x, w)
+            except FramefitError:
+                continue
+            jet = family.jet(x, order=1)
+            c = dual_synthesis(jet.F).T @ w
+            bottom = np.einsum("pmn,m->pn", jet.dF, c)
+            assert np.array_equal(A[:dim], jet.F)
+            assert np.max(np.abs(A[dim:] - bottom)) <= 1e-12 * np.max(np.abs(bottom))
+            s = np.linalg.svd(A, compute_uv=False)
+            s_ref = np.linalg.svd(np.vstack([jet.F, bottom]), compute_uv=False)
+            assert np.max(np.abs(s - s_ref)) <= 1e-12 * s_ref[0]
+
     def test_bottom_block_matches_fd_jacobian(self):
         geom, family, truth, w = noiseless_scene(11)
         x = truth.position
