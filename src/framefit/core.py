@@ -88,23 +88,21 @@ def _spans(s, M: int):
     return s[-1] > RANK_RTOL * s[0]
 
 
-def frame_svd(F, full_matrices: bool = True):
-    """The SVD ``(U, s, Vt)`` of the synthesis matrix F, shape (M, N): the
-    full one, with Vt of shape (N, N), or the thin one, Vt (M, N).
+def frame_svd(F):
+    """The full SVD ``(U, s, Vt)`` of the synthesis matrix F, shape (M, N):
+    s holds M values and Vt has shape (N, N).
 
     The domain test for one F: raises RankDeficientError when numpy finds
     no SVD or the singular values fail the rank rule (``_spans``), which
     happens when the columns of F do not span R^M or F has a NaN or inf
     entry.  ``_null_energies`` applies the same rule to a stack of F.  Rows
-    ``:M`` of Vt are an orthonormal basis of the range of F^T and, in the
-    full SVD, rows ``M:`` one of the null space of F.  U and s are the same
-    bitwise either way; rows ``:M`` of the full Vt may differ from the thin
-    Vt in the last bits (with numpy 2.4 and OpenBLAS they do on random 2 x 5
-    and 3 x 4 frames, not on 2 x 4 or square ones), so callers that need
-    only the range rows take the thin SVD.
+    ``:M`` of Vt are an orthonormal basis of the range of F^T, used by the
+    dual (``dual_coefficients``, ``dual_synthesis``), and rows ``M:`` one
+    of the null space of F, used by the projector (``error_value``,
+    ``projector_pieces``).
     """
     try:
-        U, s, Vt = np.linalg.svd(F, full_matrices=full_matrices)
+        U, s, Vt = np.linalg.svd(F)
     except np.linalg.LinAlgError as exc:
         raise RankDeficientError(f"synthesis matrix has no SVD ({exc})") from exc
     if not _spans(s, F.shape[0]):
@@ -112,6 +110,18 @@ def frame_svd(F, full_matrices: bool = True):
             f"synthesis matrix is rank deficient (singular values {s})"
         )
     return U, s, Vt
+
+
+def dual_coefficients(F, r) -> np.ndarray:
+    """The dual-frame coefficients (F F^T)^{-1} F r of an N-vector r.
+
+    With F = U diag(s) Vt[:M] from ``frame_svd``, (F F^T)^{-1} F is
+    U diag(1/s) Vt[:M], so the result is U ((Vt[:M] r) / s): neither the
+    frame operator nor the dual is formed.  Raises RankDeficientError where
+    ``frame_svd`` raises.
+    """
+    U, s, Vt = frame_svd(F)
+    return U @ ((Vt[:len(s)] @ r) / s)
 
 
 def dual_synthesis(F) -> np.ndarray:
@@ -122,8 +132,8 @@ def dual_synthesis(F) -> np.ndarray:
     F @ G = I and G @ F @ G = G.  Raises RankDeficientError outside the
     domain, as ``frame_svd`` does.
     """
-    U, s, Vt = frame_svd(_as_matrix(F), full_matrices=False)
-    return (Vt.T / s) @ U.T
+    U, s, Vt = frame_svd(_as_matrix(F))
+    return (Vt[:len(s)].T / s) @ U.T
 
 
 def project_null(F, G, w) -> np.ndarray:

@@ -109,8 +109,8 @@ def error_gradient_hessian(family: FrameFamily, x, w):
 
 def fd_gradient(family: FrameFamily, x, w, h: float = FD_GRAD_STEP) -> np.ndarray:
     """Central-difference gradient of the error, for validating the analytic one."""
-    if h <= 0.0:
-        raise InvalidStepError(f"finite-difference step must be positive, got {h}")
+    if not 0.0 < h < np.inf:
+        raise InvalidStepError(f"finite-difference step must be positive and finite, got {h}")
     x = family.check_point(x)
     g = np.empty(family.P)
     for p in range(family.P):
@@ -124,8 +124,8 @@ def fd_gradient(family: FrameFamily, x, w, h: float = FD_GRAD_STEP) -> np.ndarra
 
 def fd_hessian(family: FrameFamily, x, w, h: float = FD_HESS_STEP) -> np.ndarray:
     """Central differences of the analytic gradient; not symmetrized."""
-    if h <= 0.0:
-        raise InvalidStepError(f"finite-difference step must be positive, got {h}")
+    if not 0.0 < h < np.inf:
+        raise InvalidStepError(f"finite-difference step must be positive and finite, got {h}")
     x = family.check_point(x)
     H = np.empty((family.P, family.P))
     for q in range(family.P):

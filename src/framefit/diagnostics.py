@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameFamily, error_value, error_values, fields_equal, frame_svd
-from .errors import RankDeficientError
+from .core import FrameFamily, _spans, dual_coefficients, error_value, error_values, fields_equal
+from .errors import DimensionMismatchError, RankDeficientError
 from .solver import GridSpec, in_domain_count
-
-AUGMENTED_RANK_RTOL = 1e-8
 
 
 def residual_bound_check(family: FrameFamily, x0, w, eps_norm: float):
@@ -47,8 +45,10 @@ def level_set(family: FrameFamily, w, grid: GridSpec, tau: float) -> LevelSetRep
     """Exhaustively evaluate the error over the grid and keep points with E <= tau.
 
     One ``error_values`` sweep, sliced by one mask; raises EmptyDomainError
-    when no grid point lies inside the domain.
+    when no grid point lies inside the domain and ValueError for a NaN tau.
     """
+    if np.isnan(tau):
+        raise ValueError(f"level-set threshold must not be NaN, got {tau}")
     points = grid.points()
     errors = error_values(family, points, w)
     in_domain = in_domain_count(errors)
@@ -60,15 +60,13 @@ def level_set(family: FrameFamily, w, grid: GridSpec, tau: float) -> LevelSetRep
 def augmented_vectors(family: FrameFamily, x, w) -> np.ndarray:
     """The N stacked vectors f_n(x) over Df_n(x)^T c, as an (M+P) x N matrix.
 
-    Here c is the dual-frame coefficient vector (F F^T)^{-1} F w, computed
-    as U ((Vt w) / s) from the thin ``frame_svd``, as ``el_acceleration``
-    does, without forming the dual; Df_n is the M x P Jacobian of the n-th
+    Here c = ``dual_coefficients(F, w)`` is the dual-frame coefficient
+    vector (F F^T)^{-1} F w, and Df_n is the M x P Jacobian of the n-th
     frame element.
     """
     w = family.check_measurement(w)
     jet = family.jet(x, order=1)
-    U, s, Vt = frame_svd(jet.F, full_matrices=False)
-    c = U @ ((Vt @ w) / s)                        # (M,) dual coefficients of w
+    c = dual_coefficients(jet.F, w)
     bottom = np.einsum("pmn,m->pn", jet.dF, c)    # row p, column n: <dF[p][:,n], c>
     return np.vstack([jet.F, bottom])
 
@@ -94,9 +92,10 @@ def uniqueness_certificate(
     """Smallest singular value of the augmented system at each sample point.
 
     The N augmented vectors span R^{M+P} iff that value is positive; the
-    verdict requires it to exceed ``tol`` (default: AUGMENTED_RANK_RTOL times
-    the largest singular value at that point) everywhere.  A rank-deficient
-    sample aborts with the offending point in the error message.
+    verdict requires it to exceed ``tol`` everywhere or, by default, the rank
+    rule of ``frame_svd`` (``_spans``: RANK_RTOL times the largest singular
+    value at that point).  A rank-deficient sample aborts with the offending
+    point in the error message; no samples raise DimensionMismatchError.
     """
     dim = family.M + family.P
     kept_samples = []
@@ -109,10 +108,10 @@ def uniqueness_certificate(
             raise RankDeficientError(f"sample {np.asarray(x)}: {exc}") from exc
         s = np.linalg.svd(A, compute_uv=False)
         s_min = float(s.min()) if A.shape[1] >= dim else 0.0
-        s_max = float(s.max())
-        threshold = tol if tol is not None else AUGMENTED_RANK_RTOL * s_max
         kept_samples.append(np.asarray(x, dtype=float))
         svals.append(s_min)
-        if not s_min > threshold:
+        if not (s_min > tol if tol is not None else _spans(s, dim)):
             passed = False
+    if not kept_samples:
+        raise DimensionMismatchError("uniqueness certificate needs at least one sample")
     return UniquenessCertificate(kept_samples, svals, passed)

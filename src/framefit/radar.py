@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -127,14 +126,6 @@ def bistatic_distance(geometry: RadarGeometry, n: int, x) -> float:
     )
 
 
-@lru_cache(maxsize=8)
-def _identity(m: int) -> np.ndarray:
-    """Read-only m x m identity, built once per dimension."""
-    eye = np.eye(m)
-    eye.flags.writeable = False
-    return eye
-
-
 def _near_station(r, tol):
     """The singular set: a distance r to a station of at most tol.  Elementwise
     on arrays; tol must be >= 0, so a zero distance is always near."""
@@ -162,8 +153,7 @@ def _unit_jets(d, order: int, tol: float):
     u, r = _unit_vectors(d, tol)
     if order < 1:
         return u, None, None
-    eye = _identity(d.shape[1])
-    pi = eye[None, :, :] - u[:, :, None] * u[:, None, :]   # (K, M, M)
+    pi = np.eye(d.shape[1])[None, :, :] - u[:, :, None] * u[:, None, :]   # (K, M, M)
     first = pi / r[:, None, None]
     if order < 2:
         return u, first, None

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FrameFamily, all_finite, check_vector, fields_equal, frame_svd
+from .core import FrameFamily, all_finite, check_vector, dual_coefficients, fields_equal
 from .errors import (
     AllCandidatesFailedError,
     DimensionMismatchError,
@@ -167,10 +167,9 @@ def functional_value(family: FrameFamily, traj: Trajectory, data: TimeSeries) ->
 def el_acceleration(family: FrameFamily, x, v, wdot) -> np.ndarray:
     """Acceleration solving the stationarity equation at one state.
 
-    Returns (F F^T)^{-1} F [ wdot - kappa ] with F and kappa = Fdot^T v from
-    ``family.frame_curvature``.  With the thin SVD F = U diag(s) Vt from
-    ``frame_svd``, (F F^T)^{-1} F = U diag(1/s) Vt, so the result is
-    U ((Vt (wdot - kappa)) / s): neither the dual nor Fdot is formed.
+    Returns ``dual_coefficients(F, wdot - kappa)``, (F F^T)^{-1} F [ wdot -
+    kappa ], with F and kappa = Fdot^T v from ``family.frame_curvature``, so
+    neither the dual nor Fdot is formed.
     Raises DimensionMismatchError unless x and v are finite vectors of length
     M (= P) and wdot one of length N, RankDeficientError where F is not a
     frame, and LeftDomainError when the acceleration overflows (a huge v or
@@ -180,8 +179,7 @@ def el_acceleration(family: FrameFamily, x, v, wdot) -> np.ndarray:
     _check_positions(family)
     F, kappa = family.frame_curvature(x, v)  # validates x and v
     wdot = check_vector(wdot, family.N, "data rate")
-    U, s, Vt = frame_svd(F, full_matrices=False)
-    a = U @ ((Vt @ (wdot - kappa)) / s)
+    a = dual_coefficients(F, wdot - kappa)
     if not all_finite(a):
         raise LeftDomainError(f"acceleration is not finite: {a}")
     return a

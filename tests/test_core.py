@@ -33,7 +33,7 @@ from framefit import (
     simulate_fdoa,
     uniqueness_certificate,
 )
-from framefit.core import ERROR_BLOCK, frame_svd
+from framefit.core import ERROR_BLOCK, dual_coefficients, frame_svd
 from framefit.errors import (
     DimensionMismatchError,
     FramefitError,
@@ -87,6 +87,28 @@ class TestDualSynthesis:
         F = np.array([[1.0, 0.0, bad], [0.0, 1.0, 0.0]])
         with pytest.raises(RankDeficientError):
             dual_synthesis(F)
+
+
+class TestDualCoefficients:
+    def test_matches_the_dual(self):
+        # (F F^T)^{-1} F r from the SVD factors equals G^T r through the dual
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            M = rng.integers(1, 5)
+            F = random_full_rank(rng, M, rng.integers(M, 7))
+            r = rng.normal(size=F.shape[1])
+            c = dual_coefficients(F, r)
+            assert c.shape == (M,)
+            assert np.allclose(c, dual_synthesis(F).T @ r, rtol=1e-12, atol=1e-12)
+            # F^T c is the projection of r onto the range of F^T
+            assert np.allclose(F @ (r - F.T @ c), 0.0, atol=1e-10 * np.linalg.norm(r))
+
+    def test_raises_where_frame_svd_raises(self):
+        for F in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[1.0, 0.0, np.nan], [0, 1, 0]])):
+            with pytest.raises(RankDeficientError):
+                frame_svd(F)
+            with pytest.raises(RankDeficientError):
+                dual_coefficients(F, np.ones(F.shape[1]))
 
 
 class TestProjectNull:

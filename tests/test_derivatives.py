@@ -205,8 +205,12 @@ class TestFiniteDifferenceOracle:
     def test_zero_step_rejected(self):
         rng = np.random.default_rng(13)
         family = ConstantFrameFamily(random_full_rank(rng, 2, 4), P=2)
-        with pytest.raises(InvalidStepError):
-            fd_gradient(family, [0.0, 0.0], rng.normal(size=4), h=0.0)
+        w = rng.normal(size=4)
+        # a NaN or inf step is the step's fault, not the point's
+        for h in (0.0, -1e-6, np.nan, np.inf):
+            for fd in (fd_gradient, fd_hessian):
+                with pytest.raises(InvalidStepError):
+                    fd(family, [0.0, 0.0], w, h=h)
 
 
 @settings(max_examples=100, deadline=None)

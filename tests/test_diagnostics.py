@@ -16,7 +16,13 @@ from framefit import (
     uniqueness_certificate,
 )
 from framefit.cli import _names, _write_csv
-from framefit.errors import EmptyDomainError, FramefitError, ScenarioValidationError
+from framefit.core import RANK_RTOL
+from framefit.errors import (
+    DimensionMismatchError,
+    EmptyDomainError,
+    FramefitError,
+    ScenarioValidationError,
+)
 from framefit.radar import RadarGeometry
 
 from conftest import (
@@ -78,6 +84,15 @@ class TestLevelSet:
         w = w_clean + rng.normal(size=4) * 0.1
         report = level_set(family, w, GRID, 0.0)
         assert report.fraction == 0.0
+
+    def test_nan_threshold_is_rejected(self):
+        # E <= NaN keeps nothing: an empty report would be a silently wrong
+        # answer; a negative threshold stays legal, its empty set is correct
+        _, family, _, w = noiseless_scene(4)
+        with pytest.raises(ValueError, match="NaN"):
+            level_set(family, w, GRID, float("nan"))
+        report = level_set(family, w, GRID, -1.0)
+        assert len(report.points) == 0 and report.fraction == 0.0
 
     def test_monotone_in_threshold(self):
         _, family, _, w = noiseless_scene(4)
@@ -164,7 +179,7 @@ class TestAugmentedVectors:
         assert np.linalg.svd(A, compute_uv=False).min() > 0.0
 
     def test_certificate_matches_the_dual_formula(self):
-        # augmented_vectors takes c from frame_svd's factors; the dual G
+        # augmented_vectors takes c from dual_coefficients; the dual G
         # gives the same vectors and certificate values within 1e-12 relative
         rng = np.random.default_rng(15)
         for _ in range(60):
@@ -216,6 +231,24 @@ class TestUniquenessCertificate:
         cert = uniqueness_certificate(family, w, [np.array([1.0, 2.0])])
         assert not cert.passed
         assert cert.smallest_singular_values == [0.0]
+
+    def test_no_samples_is_rejected(self):
+        # passed=True with nothing checked would be a silently wrong answer
+        _, family, _, w = noiseless_scene(14)
+        for samples in ([], iter(())):
+            with pytest.raises(DimensionMismatchError, match="at least one sample"):
+                uniqueness_certificate(family, w, samples)
+
+    def test_default_verdict_is_the_rank_rule(self):
+        # tol=None applies frame_svd's rank rule to the augmented singular values
+        rng = np.random.default_rng(16)
+        geom, family, truth, w = noiseless_scene(16)
+        samples = [truth.position + rng.normal(size=2) * 0.2 for _ in range(10)]
+        for x in samples:
+            cert = uniqueness_certificate(family, w, [x])
+            s = np.linalg.svd(augmented_vectors(family, x, w), compute_uv=False)
+            assert cert.passed == (s.min() > RANK_RTOL * s.max())
+            assert cert.smallest_singular_values == [s.min()]
 
     def test_square_case_fails(self):
         rng = np.random.default_rng(13)
