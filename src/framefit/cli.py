@@ -4,14 +4,24 @@ Every run writes a manifest.json beside its outputs recording the command,
 input paths, explicit overrides, seed, and tool version; re-running with the
 same inputs reproduces every output file byte for byte.
 
+Each output file is replaced whole: its bytes go to a hidden temp file in the
+out dir, which takes the file's name once complete, so a reader or a killed
+run sees the old file or none, never a torn one.  A run removes the old
+manifest.json before its first output and writes the new one last, so an out
+dir holding a manifest holds one complete run.  Nothing is fsynced: outputs
+are not durable across a power loss.
+
 Exit codes: 0 success, 1 runtime/solver error, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
+from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
 
@@ -60,8 +70,39 @@ def _grid(parser, args, prefix: str, dim: int, per_axis: int) -> GridSpec:
     return grid
 
 
+@contextmanager
+def _replacing(path: Path, newline=None):
+    """A text file handle whose contents replace ``path`` whole on exit.
+
+    The bytes go to ``.<name>.<pid>.tmp`` beside ``path``, made by plain
+    ``open`` so its mode follows the umask.  The target is unlinked before
+    the rename: on ext4, renaming over an existing file (``os.replace``)
+    waits for the earlier file's data to be flushed, tens of ms per file.
+    On any exception the temp file is removed and the target left as it was.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        path.unlink(missing_ok=True)
+        tmp.rename(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _out_dir(path: str) -> Path:
+    """The ``--out-dir`` ``path``, created if missing, without the previous
+    run's manifest: from the first output on, the directory holds no
+    complete run until ``_write_manifest`` writes the new one."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
+    return out
+
+
 def _write_json(path: Path, payload) -> None:
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -78,7 +119,7 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     of ``csv.writer``'s excel dialect, which quotes none of these cells."""
     cells = [map(repr, np.asarray(c).tolist()) for c in columns]
     lines = map(",".join, zip(*cells, strict=True))
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         while block := list(islice(lines, CSV_BLOCK_ROWS)):
             fh.write("\r\n".join(block) + "\r\n")
@@ -122,8 +163,7 @@ def cmd_simulate(parser, args) -> int:
         noise = NoiseModel(sigma=noise.sigma, seed=args.seed)
         overrides["seed"] = args.seed
     w = simulate_fdoa(scenario.geometry, scenario.target, noise)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out_dir)
     _write_json(out / "measurement.json", {"w": [float(v) for v in w]})
     _write_manifest(out, "simulate", {"scenario": args.scenario}, overrides, noise.seed)
     return 0
@@ -166,8 +206,7 @@ def cmd_localize(parser, args) -> int:
         )
 
     result = localize(family, w, cfg)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out_dir)
     _write_json(
         out / "result.json",
         {
@@ -208,8 +247,7 @@ def cmd_diagnose(parser, args) -> int:
     tau = args.tau if args.tau is not None else float(w @ w)
 
     report = level_set(family, w, grid, tau)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out_dir)
     _write_csv(out / "level_set.csv", [*_names("x", family.P), "E"],
                [*report.points.T, report.errors])
 
@@ -273,8 +311,7 @@ def cmd_track(parser, args) -> int:
             file=sys.stderr,
         )
     best, value, trace = shooting_search(family, data, pos_grid, vel_grid)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out_dir)
     _write_csv(out / "trajectory.csv",
                ["t", *_names("x", family.M), *_names("v", family.M)],
                [best.times, *best.positions.T, *best.velocities.T])
@@ -299,7 +336,10 @@ def _add_grid_flags(sub, prefix: str) -> None:
     sub.add_argument(f"--{prefix}-counts", type=_counts)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``framefit`` parser, built once per process: argparse leaves each
+    parser in reference cycles that only a full garbage collection frees."""
     parser = argparse.ArgumentParser(
         prog="framefit",
         description="Frame-family localization and tracking from FDOA data",
@@ -312,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sigma", type=float)
     sim.add_argument("--seed", type=int)
     sim.add_argument("--out-dir", required=True)
-    sim.set_defaults(func=cmd_simulate)
 
     loc = subs.add_parser("localize", help="grid + Newton position estimate")
     loc.add_argument("--scenario", required=True)
@@ -322,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--max-iters", type=int, default=100)
     loc.add_argument("--grad-tol", type=float, default=1e-10)
     loc.add_argument("--out-dir", required=True)
-    loc.set_defaults(func=cmd_localize)
 
     diag = subs.add_parser("diagnose", help="level sets, residual bound, uniqueness")
     diag.add_argument("--scenario", required=True)
@@ -330,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(diag, "grid")
     diag.add_argument("--tau", type=float)
     diag.add_argument("--out-dir", required=True)
-    diag.set_defaults(func=cmd_diagnose)
 
     trk = subs.add_parser("track", help="shooting search over initial states")
     trk.add_argument("--scenario", required=True)
@@ -338,15 +375,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(trk, "grid")
     _add_grid_flags(trk, "vel")
     trk.add_argument("--out-dir", required=True)
-    trk.set_defaults(func=cmd_track)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Looked up per call, not stored in the cached parser, so a rebinding of
+    # a cmd_* name (a wrapper, a monkeypatch) takes effect on the next run.
+    command = {"simulate": cmd_simulate, "localize": cmd_localize,
+               "diagnose": cmd_diagnose, "track": cmd_track}[args.command]
     try:
-        return args.func(parser, args)
+        return command(parser, args)
     except (FramefitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

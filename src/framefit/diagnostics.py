@@ -95,8 +95,11 @@ def uniqueness_certificate(
     verdict requires it to exceed ``tol`` everywhere or, by default, the rank
     rule of ``frame_svd`` (``_spans``: RANK_RTOL times the largest singular
     value at that point).  A rank-deficient sample aborts with the offending
-    point in the error message; no samples raise DimensionMismatchError.
+    point in the error message; no samples raise DimensionMismatchError, and
+    a negative or NaN ``tol`` raises ValueError.
     """
+    if tol is not None and not tol >= 0.0:
+        raise ValueError(f"certificate tolerance must be nonnegative, got {tol}")
     dim = family.M + family.P
     kept_samples = []
     svals = []

@@ -2,6 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import os
+import stat
+import subprocess
+import sys
 import tempfile
 from datetime import timedelta
 from pathlib import Path
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import framefit
 from framefit import (
     GridSpec,
     SolverConfig,
@@ -21,7 +26,7 @@ from framefit import (
     shooting_search,
     simulate_fdoa,
 )
-from framefit.cli import CSV_BLOCK_ROWS, _write_csv, main
+from framefit.cli import CSV_BLOCK_ROWS, _write_csv, _write_json, build_parser, main
 from framefit.core import error_value
 from framefit.radar import NoiseModel
 
@@ -662,6 +667,116 @@ class TestWriteCsv:
             _reference_csv(ref, header, columns)
             _write_csv(out, header, [np.asarray(c) for c in columns])
             assert out.read_bytes() == ref.read_bytes()
+
+
+OUTPUTS = {
+    "simulate": {"manifest.json", "measurement.json"},
+    "localize": {"manifest.json", "result.json", "trace.csv"},
+    "diagnose": {"diagnostics.json", "level_set.csv", "manifest.json", "uniqueness.json"},
+    "track": {"manifest.json", "shooting_trace.csv", "tracking.json", "trajectory.csv"},
+}
+
+
+def _snapshot(out):
+    """Name -> (bytes, permission bits) of every entry in ``out``, hidden
+    ones included; empty when ``out`` was never made."""
+    if not out.exists():
+        return {}
+    return {p.name: (p.read_bytes(), stat.S_IMODE(p.stat().st_mode)) for p in out.iterdir()}
+
+
+class TestOutputFiles:
+    """Each output replaces its file whole, and manifest.json marks a complete run."""
+
+    def test_rerun_into_the_same_dirs_is_byte_identical(self, scene, tmp_path):
+        path = scene[-1]
+        series = tmp_path / "series.json"
+        series.write_text(json.dumps({"times": [0.0, 0.1, 0.2],
+                                      "w": [[0.1, -0.2, 0.3, 0.4]] * 3}))
+        base = ["--scenario", str(path), "--grid-counts=5,5"]
+        argv = {
+            "simulate": ["simulate", "--scenario", str(path)],
+            "localize": ["localize", *base],
+            "diagnose": ["diagnose", *base],
+            "track": ["track", *base, "--series", str(series), "--grid-counts=1,1",
+                      "--vel-counts=1,1"],
+        }
+        umask = os.umask(0o027)
+        try:
+            snapshots = []
+            for _ in range(2):
+                for cmd, args in argv.items():
+                    assert main(args + ["--out-dir", str(tmp_path / cmd)]) == 0
+                snapshots.append({cmd: _snapshot(tmp_path / cmd) for cmd in argv})
+        finally:
+            os.umask(umask)
+        assert snapshots[1] == snapshots[0]
+        for cmd, files in snapshots[1].items():
+            assert set(files) == OUTPUTS[cmd]  # no temp file left behind
+            assert {mode for _, mode in files.values()} == {0o666 & ~0o027}
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        csv_path, json_path = tmp_path / "t.csv", tmp_path / "r.json"
+        _write_csv(csv_path, ["a"], [np.arange(3)])
+        _write_json(json_path, {"a": 1})
+        before = _snapshot(tmp_path)
+        # unequal columns: zip(strict=True) raises after two full blocks went out
+        n = 2 * CSV_BLOCK_ROWS + 1
+        with pytest.raises(ValueError, match="shorter"):
+            _write_csv(csv_path, ["a", "b"], [np.arange(n), np.arange(n - 1)])
+        # json.dump writes "a" before it meets the object it cannot encode
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _write_json(json_path, {"a": 1, "z": object()})
+        assert _snapshot(tmp_path) == before
+
+    def test_failed_rerun_leaves_no_manifest(self, scene, tmp_path, monkeypatch, capsys):
+        path = scene[-1]
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        argv = ["localize", "--scenario", str(path), "--out-dir", str(out)]
+        assert main(argv + ["--grid-counts=5,5"]) == 0
+        complete = _snapshot(out)
+        # a run that fails before its first output leaves the complete set alone
+        missing = ["--measurement", str(tmp_path / "missing.json")]
+        assert main(argv + missing) == 1
+        assert _snapshot(out) == complete
+        # one that fails partway leaves no manifest and a whole result.json
+        assert main(["localize", "--scenario", str(path), "--out-dir", str(ref)]) == 0
+        capsys.readouterr()
+
+        def disk_full(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("framefit.cli._write_csv", disk_full)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert {p.name for p in out.iterdir()} == {"result.json", "trace.csv"}
+        assert (out / "result.json").read_bytes() in (
+            complete["result.json"][0], (ref / "result.json").read_bytes())
+        assert (out / "trace.csv").read_bytes() == complete["trace.csv"][0]
+
+    def test_one_parser_per_process_runs_like_a_fresh_process(
+            self, scene, tmp_path, monkeypatch):
+        # a usage error, a good run, then another subcommand: each exit code,
+        # stderr text and output file as from a new interpreter
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+        base = ["--scenario", str(scene[-1]), "--grid-counts=5,5"]
+        runs = [["localize", *base, "--max-iters", "2.5"], ["localize", *base],
+                ["diagnose", *base]]
+        src = str(Path(framefit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        codes = []
+        for i, argv in enumerate(runs):
+            fresh, here = tmp_path / f"fresh{i}", tmp_path / f"here{i}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "framefit.cli", *argv, "--out-dir", str(fresh)],
+                env=env, capture_output=True, text=True, timeout=120)
+            code, err = _run_cli(argv + ["--out-dir", str(here)])
+            assert (code, err) == (proc.returncode, proc.stderr)
+            assert _snapshot(here) == _snapshot(fresh)
+            codes.append(code)
+        assert codes == [2, 0, 0]
+        assert build_parser() is build_parser()
 
 
 class TestVersionFlag:

@@ -232,6 +232,17 @@ class TestUniquenessCertificate:
         assert not cert.passed
         assert cert.smallest_singular_values == [0.0]
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, np.nan])
+    def test_negative_or_nan_tol_is_rejected(self, tol):
+        # s_min > -1 would certify 3 vectors as spanning R^4
+        rng = np.random.default_rng(12)
+        family = radar_family(circular_geometry(rng, num_pairs=3))
+        w = rng.normal(size=3)
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            uniqueness_certificate(family, w, [np.array([1.0, 2.0])], tol=tol)
+        cert = uniqueness_certificate(family, w, [np.array([1.0, 2.0])], tol=0.0)
+        assert not cert.passed
+
     def test_no_samples_is_rejected(self):
         # passed=True with nothing checked would be a silently wrong answer
         _, family, _, w = noiseless_scene(14)
