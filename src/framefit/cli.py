@@ -111,14 +111,24 @@ def _names(prefix: str, n: int) -> list[str]:
     return [f"{prefix}_{i + 1}" for i in range(n)]
 
 
+def _cells(column) -> list[str]:
+    """``repr`` of every entry of an int or float ``column`` as a Python int
+    or float, made once per distinct value: grid coordinates repeat, so a
+    61x61 level set needs 61 ``repr`` calls per coordinate column, not 3721.
+    Values are told apart by their bits, so ``0.0`` and ``-0.0`` stay apart."""
+    values = np.asarray(column)
+    keys, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    text = np.array([repr(v) for v in keys.view(values.dtype).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Every output table, from equal-length columns: a header row, then row
-    i of every column.  Cells are ``repr`` of ``np.asarray(column).tolist()``,
-    so an int column prints as ints and a float column as the shortest decimal
+    """Every output table, from equal-length int or float columns: a header
+    row, then row i of every column.  Cells are ``_cells`` of each column, so
+    an int column prints as ints and a float column as the shortest decimal
     that reads back to the same float (``inf``, ``nan``).  The bytes are those
     of ``csv.writer``'s excel dialect, which quotes none of these cells."""
-    cells = [map(repr, np.asarray(c).tolist()) for c in columns]
-    lines = map(",".join, zip(*cells, strict=True))
+    lines = map(",".join, zip(*map(_cells, columns), strict=True))
     with _replacing(path, newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         while block := list(islice(lines, CSV_BLOCK_ROWS)):
@@ -142,13 +152,12 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict, overrides: dict,
 def _measurement(args, scenario, family) -> np.ndarray:
     path = args.measurement
     if path is None:
-        w = simulate_fdoa(scenario.geometry, scenario.target, scenario.noise)
-    else:
-        try:
-            with open(path) as fh:
-                w = np.asarray(json.load(fh)["w"], dtype=float)
-        except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioParseError(f"cannot read measurement {path}: {exc}") from exc
+        return simulate_fdoa(scenario.geometry, scenario.target, scenario.noise)
+    try:
+        with open(path) as fh:
+            w = np.asarray(json.load(fh)["w"], dtype=float)
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioParseError(f"cannot read measurement {path}: {exc}") from exc
     return family.check_measurement(w)
 
 

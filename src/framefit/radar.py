@@ -273,7 +273,8 @@ def simulate_fdoa(
     """Simulated FDOA measurement vector w = F(x0)^T v0 + noise.
 
     With sigma = 0 the result lies exactly in the coefficient space of the
-    frame at the true position.
+    frame at the true position.  Raises ScenarioValidationError when w or
+    |w|^2 overflows, as ``check_measurement`` does for a measurement read in.
     """
     family = radar_family(geometry)
     F = family.frame(truth.position)
@@ -285,7 +286,7 @@ def simulate_fdoa(
         raise ScenarioValidationError(
             "simulated measurement overflows: target velocity or noise sigma too large"
         )
-    return w
+    return family.check_measurement(w)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ fails to decrease the error or leaves the domain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,7 +65,7 @@ class GridSpec:
 
     @property
     def num_points(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts.tolist())  # Python ints: no int64 wrap
 
     def axes(self) -> list[np.ndarray]:
         return [

@@ -652,6 +652,7 @@ _COLUMNS = st.integers(0, 12).flatmap(lambda n: st.lists(
               st.lists(st.floats(), min_size=n, max_size=n)),
     min_size=1, max_size=4))
 _BLOCKS = 2 * CSV_BLOCK_ROWS + 1
+_AXIS = np.linspace(-10.0, 10.0, 61).tolist()  # a level-set grid axis
 
 
 class TestWriteCsv:
@@ -660,6 +661,9 @@ class TestWriteCsv:
     @example(columns=[[0, 1, 2, 3, 4], [np.inf, -0.0, 5e-324, 1e308, -np.inf]])
     @example(columns=[[], []])
     @example(columns=[list(range(_BLOCKS)), [0.1 * k for k in range(_BLOCKS)]])
+    @example(columns=[[0.0, -0.0, np.nan, np.inf, -np.inf, -np.nan, 0.0, -np.inf, -0.0,
+                       np.nan, np.inf, 0.0, -np.nan]])
+    @example(columns=[[x for x in _AXIS for _ in _AXIS], _AXIS * len(_AXIS)])
     def test_same_bytes_as_csv_writer(self, columns):
         header = [f"c_{j}" for j in range(len(columns))]
         with tempfile.TemporaryDirectory() as tmp:
@@ -949,10 +953,12 @@ class TestOverflow:
              None, "distances overflow"),
             ("simulate", {"target": {"position": [1.0, -2.0], "velocity": [1e308, 1e308]}},
              None, "simulated measurement overflows"),
+            ("simulate", {"target": {"position": [1.0, -2.0], "velocity": [1e200, 1e200]}},
+             None, "|w|^2 overflows"),
             ("track", {}, [[0.1, -0.2, 0.3], [1e308, 0.0, 0.0]] + [[0.1, -0.2, 0.3]] * 2,
              "time derivative overflows"),
         ],
-        ids=["station", "target", "velocity", "series"],
+        ids=["station", "target", "velocity", "velocity_square", "series"],
     )
     def test_overflowing_input_exits_one(self, tmp_path, command, changes, series,
                                          message):

@@ -88,6 +88,10 @@ class TestGridSpec:
         grid = GridSpec([0.0], [1.0], [3.0])
         assert grid.counts.dtype.kind == "i" and grid.num_points == 3
 
+    def test_num_points_is_the_exact_product(self):
+        # int64 arithmetic would wrap 2**64 to 0
+        assert GridSpec([0.0, 0.0], [1.0, 1.0], [2**32, 2**32]).num_points == 2**64
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(
