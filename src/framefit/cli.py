@@ -1,15 +1,19 @@
 """Command-line front end: simulate, localize, diagnose, track.
 
-Every run writes a manifest.json beside its outputs recording the command,
-input paths, explicit overrides, seed, and tool version; re-running with the
-same inputs reproduces every output file byte for byte.
+Each ``cmd_*`` loads its inputs and computes every output before it touches
+the out dir, then hands them to ``_publish``, which writes them and a
+manifest.json recording the command, the input paths, the resolved overrides,
+the seed and the tool version.  A run that fails before publishing leaves the
+previous outputs as they were; re-running with the same inputs reproduces
+every output file byte for byte.
 
 Each output file is replaced whole: its bytes go to a hidden temp file in the
 out dir, which takes the file's name once complete, so a reader or a killed
-run sees the old file or none, never a torn one.  A run removes the old
-manifest.json before its first output and writes the new one last, so an out
-dir holding a manifest holds one complete run.  Nothing is fsynced: outputs
-are not durable across a power loss.
+run sees the old file or none, never a torn one.  ``_publish`` removes the
+old manifest.json before the first output and writes the new one last, so an
+out dir holding a manifest holds one complete run; only a failed write leaves
+a partial set.  Nothing is fsynced: outputs are not durable across a power
+loss.
 
 Exit codes: 0 success, 1 runtime/solver error, 2 usage error.
 """
@@ -17,6 +21,7 @@ Exit codes: 0 success, 1 runtime/solver error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -41,18 +46,15 @@ TRACK_POINTS_PER_AXIS = 3   # track: 3^(P+M) shooting candidates, 81 in 2-D
 CSV_BLOCK_ROWS = 1024
 
 
-def _vector(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats: {text}") from exc
-
-
-def _counts(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text}") from exc
+def _list_of(kind, what: str):
+    """The argparse type of a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(tok) for tok in text.split(",")]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}: {text}") from exc
+    return parse
 
 
 def _grid(parser, args, prefix: str, dim: int, per_axis: int) -> GridSpec:
@@ -67,7 +69,16 @@ def _grid(parser, args, prefix: str, dim: int, per_axis: int) -> GridSpec:
         parser.error(str(exc))
     if len(grid.counts) != dim:
         parser.error(f"grid has dimension {len(grid.counts)}, the scene needs {dim}")
+    # numpy sizes an array in bytes by an intp, so no grid array can be larger
+    if grid.num_points * dim * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        parser.error(f"grid of {grid.num_points} points is too large for one array")
     return grid
+
+
+def _grid_record(prefix: str, grid: GridSpec) -> dict:
+    """The resolved ``--{prefix}-*`` flags, as a manifest records them."""
+    return {f"{prefix}_{key}": getattr(grid, key).tolist()
+            for key in ("lower", "upper", "counts")}
 
 
 @contextmanager
@@ -89,16 +100,6 @@ def _replacing(path: Path, newline=None):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _out_dir(path: str) -> Path:
-    """The ``--out-dir`` ``path``, created if missing, without the previous
-    run's manifest: from the first output on, the directory holds no
-    complete run until ``_write_manifest`` writes the new one."""
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").unlink(missing_ok=True)
-    return out
 
 
 def _write_json(path: Path, payload) -> None:
@@ -135,18 +136,29 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
             fh.write("\r\n".join(block) + "\r\n")
 
 
-def _write_manifest(out_dir: Path, command: str, inputs: dict, overrides: dict,
-                    seed) -> None:
-    _write_json(
-        out_dir / "manifest.json",
-        {
-            "command": command,
-            "inputs": inputs,
-            "overrides": overrides,
-            "seed": seed,
-            "version": __version__,
-        },
-    )
+def _publish(args, outputs: dict, overrides: dict, seed) -> int:
+    """Write ``outputs``, ``{file name: payload}``, into ``--out-dir`` in
+    order, then the manifest; returns the exit code 0.
+
+    A ``.csv`` payload is the ``(header, columns)`` of ``_write_csv``, any
+    other is JSON.  The out dir is made if missing and its old manifest
+    removed first, so from the first output on it holds no complete run
+    until the new manifest is written.  The manifest takes its command from
+    ``args.command`` and its inputs from those path flags the subcommand has."""
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
+    for name, payload in outputs.items():
+        if name.endswith(".csv"):
+            _write_csv(out / name, *payload)
+        else:
+            _write_json(out / name, payload)
+    inputs = {key: getattr(args, key) for key in ("scenario", "measurement", "series")
+              if hasattr(args, key)}
+    _write_json(out / "manifest.json", {"command": args.command, "inputs": inputs,
+                                        "overrides": overrides, "seed": seed,
+                                        "version": __version__})
+    return 0
 
 
 def _measurement(args, scenario, family) -> np.ndarray:
@@ -163,19 +175,11 @@ def _measurement(args, scenario, family) -> np.ndarray:
 
 def cmd_simulate(parser, args) -> int:
     scenario = load_scenario(args.scenario)
-    noise = scenario.noise
-    overrides = {}
-    if args.sigma is not None:
-        noise = NoiseModel(sigma=args.sigma, seed=noise.seed)
-        overrides["sigma"] = args.sigma
-    if args.seed is not None:
-        noise = NoiseModel(sigma=noise.sigma, seed=args.seed)
-        overrides["seed"] = args.seed
+    overrides = {key: value for key in ("sigma", "seed")
+                 if (value := getattr(args, key)) is not None}
+    noise = dataclasses.replace(scenario.noise, **overrides)
     w = simulate_fdoa(scenario.geometry, scenario.target, noise)
-    out = _out_dir(args.out_dir)
-    _write_json(out / "measurement.json", {"w": [float(v) for v in w]})
-    _write_manifest(out, "simulate", {"scenario": args.scenario}, overrides, noise.seed)
-    return 0
+    return _publish(args, {"measurement.json": {"w": w.tolist()}}, overrides, noise.seed)
 
 
 def cmd_localize(parser, args) -> int:
@@ -215,35 +219,21 @@ def cmd_localize(parser, args) -> int:
         )
 
     result = localize(family, w, cfg)
-    out = _out_dir(args.out_dir)
-    _write_json(
-        out / "result.json",
-        {
-            "minimizer": [float(v) for v in result.minimizer],
+    xs, Es, grad_norms = zip(*result.iterates)
+    outputs = {
+        "result.json": {
+            "minimizer": result.minimizer.tolist(),
             "value": result.value,
             "status": result.status.value,
             "iterations": len(result.iterates) - 1,
             "degenerate_grid": bool(degenerate),
         },
-    )
-    xs, Es, grad_norms = zip(*result.iterates)
-    _write_csv(out / "trace.csv", ["k", *_names("x", family.P), "E", "grad_norm"],
-               [np.arange(len(xs)), *np.transpose(xs), Es, grad_norms])
-    _write_manifest(
-        out,
-        "localize",
-        {"scenario": args.scenario, "measurement": args.measurement},
-        {
-            "gamma": args.gamma,
-            "max_iters": args.max_iters,
-            "grad_tol": args.grad_tol,
-            "grid_lower": [float(v) for v in grid.lower],
-            "grid_upper": [float(v) for v in grid.upper],
-            "grid_counts": [int(c) for c in grid.counts],
-        },
-        scenario.noise.seed,
-    )
-    return 0
+        "trace.csv": (["k", *_names("x", family.P), "E", "grad_norm"],
+                      [np.arange(len(xs)), *np.transpose(xs), Es, grad_norms]),
+    }
+    overrides = {"gamma": args.gamma, "max_iters": args.max_iters,
+                 "grad_tol": args.grad_tol, **_grid_record("grid", grid)}
+    return _publish(args, outputs, overrides, scenario.noise.seed)
 
 
 def cmd_diagnose(parser, args) -> int:
@@ -256,9 +246,6 @@ def cmd_diagnose(parser, args) -> int:
     tau = args.tau if args.tau is not None else float(w @ w)
 
     report = level_set(family, w, grid, tau)
-    out = _out_dir(args.out_dir)
-    _write_csv(out / "level_set.csv", [*_names("x", family.P), "E"],
-               [*report.points.T, report.errors])
 
     # Residual bound at the scenario truth, against the actual noise realization.
     x0 = scenario.target.position
@@ -266,43 +253,31 @@ def cmd_diagnose(parser, args) -> int:
     eps_norm = float(np.linalg.norm(w - clean))
     E0, holds = residual_bound_check(family, x0, w, eps_norm)
 
-    # Certificate sampled at the truth and a small ring around it.
-    spread = 0.01 * scenario.geometry.scene_diameter
-    offsets = [np.zeros(family.P)]
-    for p in range(family.P):
-        for sign in (+1.0, -1.0):
-            step = np.zeros(family.P)
-            step[p] = sign * spread
-            offsets.append(step)
-    samples = [x0 + o for o in offsets]
-    cert = uniqueness_certificate(family, w, samples)
+    # Certificate sampled at the truth and at those points of a small ring
+    # around it that lie in the domain: +spread, then -spread, on each axis.
+    # Offsets are +0.0 off their axis (0.0 - steps, not -steps), so every
+    # sample, the truth too, reads a -0.0 coordinate of x0 as 0.0.
+    steps = 0.01 * scenario.geometry.scene_diameter * np.eye(family.P)
+    ring = np.stack([steps, 0.0 - steps], axis=1).reshape(-1, family.P)
+    truth, *around = x0 + np.vstack([np.zeros(family.P), ring])
+    cert = uniqueness_certificate(family, w, [truth, *filter(family.contains, around)])
 
-    _write_json(
-        out / "uniqueness.json",
-        {
+    outputs = {
+        "level_set.csv": ([*_names("x", family.P), "E"], [*report.points.T, report.errors]),
+        "uniqueness.json": {
             "passed": cert.passed,
-            "samples": [[float(v) for v in s] for s in cert.samples],
+            "samples": [s.tolist() for s in cert.samples],
             "smallest_singular_values": cert.smallest_singular_values,
         },
-    )
-    _write_json(
-        out / "diagnostics.json",
-        {
+        "diagnostics.json": {
             "error_at_truth": E0,
             "noise_norm": eps_norm,
             "residual_bound_holds": bool(holds),
             "level_set_threshold": tau,
             "level_set_fraction": report.fraction,
         },
-    )
-    _write_manifest(
-        out,
-        "diagnose",
-        {"scenario": args.scenario, "measurement": args.measurement},
-        {"tau": tau},
-        scenario.noise.seed,
-    )
-    return 0
+    }
+    return _publish(args, outputs, {"tau": tau}, scenario.noise.seed)
 
 
 def cmd_track(parser, args) -> int:
@@ -320,29 +295,22 @@ def cmd_track(parser, args) -> int:
             file=sys.stderr,
         )
     best, value, trace = shooting_search(family, data, pos_grid, vel_grid)
-    out = _out_dir(args.out_dir)
-    _write_csv(out / "trajectory.csv",
-               ["t", *_names("x", family.M), *_names("v", family.M)],
-               [best.times, *best.positions.T, *best.velocities.T])
     x0s, v0s, values = zip(*trace)
-    _write_csv(out / "shooting_trace.csv",
-               [*_names("x0", family.P), *_names("v0", family.M), "value"],
-               [*np.transpose(x0s), *np.transpose(v0s), values])
-    _write_json(out / "tracking.json", {"best_value": float(value)})
-    _write_manifest(
-        out,
-        "track",
-        {"scenario": args.scenario, "series": args.series},
-        {},
-        scenario.noise.seed,
-    )
-    return 0
+    outputs = {
+        "trajectory.csv": (["t", *_names("x", family.M), *_names("v", family.M)],
+                           [best.times, *best.positions.T, *best.velocities.T]),
+        "shooting_trace.csv": ([*_names("x0", family.P), *_names("v0", family.M), "value"],
+                               [*np.transpose(x0s), *np.transpose(v0s), values]),
+        "tracking.json": {"best_value": float(value)},
+    }
+    overrides = {**_grid_record("grid", pos_grid), **_grid_record("vel", vel_grid)}
+    return _publish(args, outputs, overrides, scenario.noise.seed)
 
 
 def _add_grid_flags(sub, prefix: str) -> None:
-    sub.add_argument(f"--{prefix}-lower", type=_vector)
-    sub.add_argument(f"--{prefix}-upper", type=_vector)
-    sub.add_argument(f"--{prefix}-counts", type=_counts)
+    sub.add_argument(f"--{prefix}-lower", type=_list_of(float, "floats"))
+    sub.add_argument(f"--{prefix}-upper", type=_list_of(float, "floats"))
+    sub.add_argument(f"--{prefix}-counts", type=_list_of(int, "integers"))
 
 
 @functools.cache
@@ -398,6 +366,9 @@ def main(argv=None) -> int:
         return command(parser, args)
     except (FramefitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return 1
 
 

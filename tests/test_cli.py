@@ -28,7 +28,8 @@ from framefit import (
 )
 from framefit.cli import CSV_BLOCK_ROWS, _write_csv, _write_json, build_parser, main
 from framefit.core import error_value
-from framefit.radar import NoiseModel
+from framefit.errors import RankDeficientError
+from framefit.radar import NoiseModel, load_scenario
 
 from conftest import circular_geometry, noiseless_scene, time_limit
 
@@ -420,6 +421,22 @@ class TestDiagnose:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["level_set_fraction"] == 0.0
 
+    def test_ring_sample_on_a_station_is_skipped(self, tmp_path):
+        # the truth sits 1% of the scene diameter from the transmitter
+        # (100, 0), so the +x ring sample lands on that station exactly
+        diameter = load_scenario(_scene_file(tmp_path, **FOUR_PAIRS)).geometry.scene_diameter
+        position = [100.0 - 0.01 * diameter, 0.0]
+        assert position[0] + 0.01 * diameter == 100.0
+        path = _scene_file(tmp_path, **FOUR_PAIRS,
+                           target={"position": position, "velocity": [3.0, 1.0]})
+        out = tmp_path / "out"
+        code, err = _run_cli(["diagnose", "--scenario", str(path), "--grid-counts=5,5",
+                              "--out-dir", str(out)])
+        assert code == 0, err
+        samples = json.loads((out / "uniqueness.json").read_text())["samples"]
+        assert samples == [position, [position[0] - 0.01 * diameter, 0.0],
+                           [position[0], 0.01 * diameter], [position[0], -0.01 * diameter]]
+
     @pytest.mark.parametrize("tau", ["nan", "inf", "-1.0"])
     def test_bad_tau_exits_two(self, scene, tmp_path, capsys, tau):
         _, _, _, _, path = scene
@@ -758,6 +775,52 @@ class TestOutputFiles:
             complete["result.json"][0], (ref / "result.json").read_bytes())
         assert (out / "trace.csv").read_bytes() == complete["trace.csv"][0]
 
+    def test_failed_diagnose_rerun_leaves_the_previous_run(self, tmp_path, monkeypatch):
+        # the certificate comes after the level set: a run failing there
+        # must not have replaced level_set.csv or removed the manifest
+        out = tmp_path / "out"
+        argv = ["diagnose", "--scenario", str(_scene_file(tmp_path, **FOUR_PAIRS)),
+                "--grid-counts=5,5", "--out-dir", str(out)]
+        assert _run_cli(argv) == (0, "")
+        complete = _snapshot(out)
+
+        def rank_deficient(*args, **kwargs):
+            raise RankDeficientError("augmented vectors do not span")
+
+        monkeypatch.setattr("framefit.cli.uniqueness_certificate", rank_deficient)
+        assert _run_cli(argv + ["--tau=0"]) == (
+            1, "error: augmented vectors do not span\n")
+        assert _snapshot(out) == complete
+
+    def test_manifests_record_command_inputs_overrides_and_seed(self, tmp_path):
+        scene = str(_scene_file(tmp_path))
+        series = tmp_path / "series.json"
+        series.write_text(json.dumps(FUZZ_SERIES))
+        measurement = str(tmp_path / "simulate" / "measurement.json")
+        runs = {
+            "simulate": (["--sigma=0.5", "--seed=7"], {"scenario": scene},
+                         {"sigma": 0.5, "seed": 7}, 7),
+            "localize": (["--measurement", measurement, "--grid-counts=3,4"],
+                         {"scenario": scene, "measurement": measurement},
+                         {"gamma": 1.0, "max_iters": 100, "grad_tol": 1e-10,
+                          "grid_lower": [-10.0, -10.0], "grid_upper": [10.0, 10.0],
+                          "grid_counts": [3, 4]}, 3),
+            "diagnose": (["--grid-lower=-1,-2", "--grid-counts=3,3", "--tau=0.25"],
+                         {"scenario": scene, "measurement": None}, {"tau": 0.25}, 3),
+            "track": (["--series", str(series), "--grid-counts=1,1", "--vel-upper=5,6",
+                       "--vel-counts=1,1"], {"scenario": scene, "series": str(series)},
+                      {"grid_lower": [-10.0, -10.0], "grid_upper": [10.0, 10.0],
+                       "grid_counts": [1, 1], "vel_lower": [-10.0, -10.0],
+                       "vel_upper": [5.0, 6.0], "vel_counts": [1, 1]}, 3),
+        }
+        for command, (flags, inputs, overrides, seed) in runs.items():
+            out = tmp_path / command
+            code, err = _run_cli([command, "--scenario", scene, *flags, "--out-dir", str(out)])
+            assert code == 0, err
+            assert json.loads((out / "manifest.json").read_text()) == {
+                "command": command, "inputs": inputs, "overrides": overrides,
+                "seed": seed, "version": framefit.__version__}
+
     def test_one_parser_per_process_runs_like_a_fresh_process(
             self, scene, tmp_path, monkeypatch):
         # a usage error, a good run, then another subcommand: each exit code,
@@ -799,6 +862,11 @@ FUZZ_SCENARIO = {
     "receivers": [[0.0, 100.0], [-86.6, -50.0], [86.6, -50.0]],
     "target": {"position": [1.0, -2.0], "velocity": [3.0, 1.0]},
     "noise": {"sigma": 0.01, "seed": 3},
+}
+# The stations of a 4-pair 2-D scene, for FUZZ_SCENARIO's other keys.
+FOUR_PAIRS = {
+    "transmitters": [[100.0, 0.0], [-50.0, 86.6], [-50.0, -86.6], [0.0, -90.0]],
+    "receivers": [[0.0, 100.0], [-86.6, -50.0], [86.6, -50.0], [70.0, 70.0]],
 }
 FUZZ_SERIES = {"times": [0.0, 0.01, 0.02, 0.03], "w": [[0.1, -0.2, 0.3]] * 4}
 FUZZ_MEASUREMENT = {"w": [0.1, -0.2, 0.3]}
@@ -896,6 +964,41 @@ class TestFuzz:
             code, err = _run_cli(argv)
         assert code in (0, 1, 2)
         assert code == 0 or "error:" in err
+
+
+class TestGridSize:
+    """A grid too large for any numpy array is a usage error, and running out
+    of memory is an ``error:`` line: neither ends in a traceback."""
+
+    @staticmethod
+    def argv(tmp_path, command, *flags):
+        argv = [command, "--scenario", str(_scene_file(tmp_path, **FOUR_PAIRS)), *flags,
+                "--out-dir", str(tmp_path / "out")]
+        if command == "track":
+            series = tmp_path / "series.json"
+            series.write_text(json.dumps({"times": [0.0, 0.1, 0.2], "w": [[0.1] * 4] * 3}))
+            argv += ["--series", str(series)]
+        return argv
+
+    @pytest.mark.parametrize("command, flag", [("localize", "--grid-counts"),
+                                               ("diagnose", "--grid-counts"),
+                                               ("track", "--vel-counts")])
+    def test_grid_larger_than_an_array_exits_two(self, tmp_path, command, flag):
+        # 2**62 points of 2 float64 coordinates are 2**66 bytes
+        code, err = _run_cli(self.argv(tmp_path, command, f"{flag}={2**62},1"))
+        assert code == 2
+        assert f"error: grid of {2**62} points is too large for one array" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["localize", "diagnose", "track"])
+    def test_out_of_memory_exits_one(self, tmp_path, monkeypatch, command):
+        def points(self):
+            raise MemoryError("Unable to allocate 8.00 EiB")
+
+        monkeypatch.setattr(GridSpec, "points", points)
+        code, err = _run_cli(self.argv(tmp_path, command))
+        assert (code, err) == (1, "error: out of memory (Unable to allocate 8.00 EiB)\n")
+        assert not (tmp_path / "out").exists()
 
 
 def _scene_file(tmp_path, **changes):
