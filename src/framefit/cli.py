@@ -15,7 +15,7 @@ out dir holding a manifest holds one complete run; only a failed write leaves
 a partial set.  Nothing is fsynced: outputs are not durable across a power
 loss.
 
-Exit codes: 0 success, 1 runtime/solver error, 2 usage error.
+Exit codes: 0 success, 1 runtime/solver error, 2 usage error or bad flag value.
 """
 
 from __future__ import annotations
@@ -46,6 +46,19 @@ TRACK_POINTS_PER_AXIS = 3   # track: 3^(P+M) shooting candidates, 81 in 2-D
 CSV_BLOCK_ROWS = 1024
 
 
+def _from_flags(make, *args, **kwargs):
+    """``make(*args, **kwargs)`` of flag values, a ValueError made the flag error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _given(args, *keys: str) -> dict:
+    """The flags among ``keys`` that the command line sets."""
+    return {key: value for key in keys if (value := getattr(args, key)) is not None}
+
+
 def _list_of(kind, what: str):
     """The argparse type of a comma-separated list of ``kind`` values."""
     def parse(text: str) -> list:
@@ -57,21 +70,19 @@ def _list_of(kind, what: str):
     return parse
 
 
-def _grid(parser, args, prefix: str, dim: int, per_axis: int) -> GridSpec:
+def _grid(args, prefix: str, dim: int, per_axis: int) -> GridSpec:
     """The grid of the ``--{prefix}-lower/upper/counts`` flags; unset ones
-    default to [-10, 10] with ``per_axis`` points on every axis."""
+    default to [-10, 10] with ``per_axis`` points on every axis.  Raises
+    ValueError for a grid the flags cannot make for a ``dim``-axis scene."""
     lower = getattr(args, f"{prefix}_lower") or [-10.0] * dim
     upper = getattr(args, f"{prefix}_upper") or [10.0] * dim
     counts = getattr(args, f"{prefix}_counts") or [per_axis] * dim
-    try:
-        grid = GridSpec(np.asarray(lower), np.asarray(upper), np.asarray(counts))
-    except ValueError as exc:
-        parser.error(str(exc))
+    grid = GridSpec(np.asarray(lower), np.asarray(upper), np.asarray(counts))
     if len(grid.counts) != dim:
-        parser.error(f"grid has dimension {len(grid.counts)}, the scene needs {dim}")
+        raise ValueError(f"grid has dimension {len(grid.counts)}, the scene needs {dim}")
     # numpy sizes an array in bytes by an intp, so no grid array can be larger
     if grid.num_points * dim * np.dtype(float).itemsize > np.iinfo(np.intp).max:
-        parser.error(f"grid of {grid.num_points} points is too large for one array")
+        raise ValueError(f"grid of {grid.num_points} points is too large for one array")
     return grid
 
 
@@ -173,26 +184,21 @@ def _measurement(args, scenario, family) -> np.ndarray:
     return family.check_measurement(w)
 
 
-def cmd_simulate(parser, args) -> int:
+def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    overrides = {key: value for key in ("sigma", "seed")
-                 if (value := getattr(args, key)) is not None}
-    noise = dataclasses.replace(scenario.noise, **overrides)
+    overrides = _given(args, "sigma", "seed")
+    # the scenario's own noise is valid, so a failure here is a flag's
+    noise = _from_flags(dataclasses.replace, scenario.noise, **overrides)
     w = simulate_fdoa(scenario.geometry, scenario.target, noise)
     return _publish(args, {"measurement.json": {"w": w.tolist()}}, overrides, noise.seed)
 
 
-def cmd_localize(parser, args) -> int:
+def cmd_localize(args) -> int:
     scenario = load_scenario(args.scenario)
     family = radar_family(scenario.geometry)
+    grid = _from_flags(_grid, args, "grid", family.P, GRID_POINTS_PER_AXIS)
+    cfg = _from_flags(SolverConfig, grid=grid, **_given(args, "max_iters", "grad_tol"))
     w = _measurement(args, scenario, family)
-    grid = _grid(parser, args, "grid", family.P, GRID_POINTS_PER_AXIS)
-    try:
-        cfg = SolverConfig(
-            gamma=args.gamma, max_iters=args.max_iters, grad_tol=args.grad_tol, grid=grid
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
 
     # E vanishes where w lies in the M-dimensional range of F(x)^T.  Over
     # (x, v) that range sweeps up to M + P dimensions of R^N, so with fewer
@@ -231,25 +237,26 @@ def cmd_localize(parser, args) -> int:
         "trace.csv": (["k", *_names("x", family.P), "E", "grad_norm"],
                       [np.arange(len(xs)), *np.transpose(xs), Es, grad_norms]),
     }
-    overrides = {"gamma": args.gamma, "max_iters": args.max_iters,
-                 "grad_tol": args.grad_tol, **_grid_record("grid", grid)}
+    overrides = {"max_iters": cfg.max_iters, "grad_tol": cfg.grad_tol,
+                 **_grid_record("grid", grid)}
     return _publish(args, outputs, overrides, scenario.noise.seed)
 
 
-def cmd_diagnose(parser, args) -> int:
+def cmd_diagnose(args) -> int:
     if args.tau is not None and not 0.0 <= args.tau < np.inf:
-        parser.error(f"--tau must be finite and nonnegative, got {args.tau}")
+        raise argparse.ArgumentTypeError(
+            f"--tau must be finite and nonnegative, got {args.tau}")
     scenario = load_scenario(args.scenario)
     family = radar_family(scenario.geometry)
+    grid = _from_flags(_grid, args, "grid", family.P, GRID_POINTS_PER_AXIS)
     w = _measurement(args, scenario, family)
-    grid = _grid(parser, args, "grid", family.P, GRID_POINTS_PER_AXIS)
     tau = args.tau if args.tau is not None else float(w @ w)
 
     report = level_set(family, w, grid, tau)
 
     # Residual bound at the scenario truth, against the actual noise realization.
     x0 = scenario.target.position
-    clean = simulate_fdoa(scenario.geometry, scenario.target, NoiseModel(0.0, 0))
+    clean = simulate_fdoa(scenario.geometry, scenario.target, NoiseModel())
     eps_norm = float(np.linalg.norm(w - clean))
     E0, holds = residual_bound_check(family, x0, w, eps_norm)
 
@@ -280,12 +287,12 @@ def cmd_diagnose(parser, args) -> int:
     return _publish(args, outputs, {"tau": tau}, scenario.noise.seed)
 
 
-def cmd_track(parser, args) -> int:
+def cmd_track(args) -> int:
     scenario = load_scenario(args.scenario)
     family = radar_family(scenario.geometry)
+    pos_grid = _from_flags(_grid, args, "grid", family.P, TRACK_POINTS_PER_AXIS)
+    vel_grid = _from_flags(_grid, args, "vel", family.M, TRACK_POINTS_PER_AXIS)
     data = load_time_series(args.series)
-    pos_grid = _grid(parser, args, "grid", family.P, TRACK_POINTS_PER_AXIS)
-    vel_grid = _grid(parser, args, "vel", family.M, TRACK_POINTS_PER_AXIS)
     if family.N == family.M:
         print(
             f"warning: {family.N} pairs in {family.M} dimensions make a square frame: "
@@ -328,30 +335,28 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scenario", required=True)
     sim.add_argument("--sigma", type=float)
     sim.add_argument("--seed", type=int)
-    sim.add_argument("--out-dir", required=True)
 
     loc = subs.add_parser("localize", help="grid + Newton position estimate")
     loc.add_argument("--scenario", required=True)
     loc.add_argument("--measurement")
     _add_grid_flags(loc, "grid")
-    loc.add_argument("--gamma", type=float, default=1.0)
-    loc.add_argument("--max-iters", type=int, default=100)
-    loc.add_argument("--grad-tol", type=float, default=1e-10)
-    loc.add_argument("--out-dir", required=True)
+    loc.add_argument("--max-iters", type=int)
+    loc.add_argument("--grad-tol", type=float)
 
     diag = subs.add_parser("diagnose", help="level sets, residual bound, uniqueness")
     diag.add_argument("--scenario", required=True)
     diag.add_argument("--measurement")
     _add_grid_flags(diag, "grid")
     diag.add_argument("--tau", type=float)
-    diag.add_argument("--out-dir", required=True)
 
     trk = subs.add_parser("track", help="shooting search over initial states")
     trk.add_argument("--scenario", required=True)
     trk.add_argument("--series", required=True)
     _add_grid_flags(trk, "grid")
     _add_grid_flags(trk, "vel")
-    trk.add_argument("--out-dir", required=True)
+    for sub in subs.choices.values():  # every subcommand ends with --out-dir
+        sub.add_argument("--out-dir", required=True)
+        sub.set_defaults(command_parser=sub)
     return parser
 
 
@@ -363,7 +368,9 @@ def main(argv=None) -> int:
     command = {"simulate": cmd_simulate, "localize": cmd_localize,
                "diagnose": cmd_diagnose, "track": cmd_track}[args.command]
     try:
-        return command(parser, args)
+        return command(args)
+    except argparse.ArgumentTypeError as exc:
+        args.command_parser.error(str(exc))
     except (FramefitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

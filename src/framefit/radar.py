@@ -9,6 +9,7 @@ measurements are inner products of these elements with the target velocity.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,12 +119,11 @@ class NoiseModel:
 
 
 def bistatic_distance(geometry: RadarGeometry, n: int, x) -> float:
-    """Transmitter-to-target plus target-to-receiver path length for pair n."""
+    """Transmitter-to-target plus target-to-receiver path length for pair n;
+    ``math.hypot`` squares nothing, so it overflows only when the length does."""
     x = check_vector(x, geometry.dim, "parameter point")
-    return float(
-        np.linalg.norm(x - geometry.transmitters[n])
-        + np.linalg.norm(x - geometry.receivers[n])
-    )
+    tx, rx = x - geometry.transmitters[n], x - geometry.receivers[n]
+    return math.hypot(*tx) + math.hypot(*rx)
 
 
 def _near_station(r, tol):

@@ -1,9 +1,9 @@
 """Grid-initialized damped Newton minimization of the fit error.
 
 The initial guess is the best point of an exhaustive grid evaluation; the
-iteration then follows x_{k+1} = x_k - gamma H^{-1} g with a Levenberg-style
-shift when the Hessian is indefinite and simple step halving when a step
-fails to decrease the error or leaves the domain.
+iteration then follows x_{k+1} = x_k - t H^{-1} g with a Levenberg-style
+shift when the Hessian is indefinite; the step t starts at 1 and is halved
+while a step fails to decrease the error or leaves the domain.
 """
 
 from __future__ import annotations
@@ -84,14 +84,11 @@ class GridSpec:
 class SolverConfig:
     """Newton iteration controls; defaults suit unit-scale scenes."""
 
-    gamma: float = 1.0          # initial step scale, halved on backtracking
     max_iters: int = 100
     grad_tol: float = 1e-10
     grid: GridSpec | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValueError("gamma must lie in (0, 1]")
         if (isinstance(self.max_iters, bool)
                 or not isinstance(self.max_iters, (int, np.integer))):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
@@ -191,10 +188,8 @@ def _shifted_newton_direction(g, H):
     raise SingularHessianError("Newton system unsolvable even after shifting")
 
 
-def newton_step(
-    family: FrameFamily, w, x_k, E_k, g_k, H_k, cfg: SolverConfig
-) -> np.ndarray:
-    """One damped Newton update from x_k.
+def newton_step(family: FrameFamily, w, x_k, E_k, g_k, H_k) -> np.ndarray:
+    """One damped Newton update from x_k, trying the full step first.
 
     ``E_k``, ``g_k`` and ``H_k`` are the error, gradient and Hessian at x_k,
     as returned by ``error_gradient_hessian(family, x_k, w)``; the step
@@ -211,19 +206,16 @@ def newton_step(
         return x_k
     direction = _shifted_newton_direction(g_k, H_k)
 
-    gamma = cfg.gamma
     stayed_inside = False
-    for _ in range(MAX_BACKTRACKS + 1):
-        candidate = x_k - gamma * direction
+    for k in range(MAX_BACKTRACKS + 1):
+        candidate = x_k - 0.5**k * direction
         try:
             E = error_value(family, candidate, w)
         except FramefitError:
-            gamma *= 0.5
             continue
         stayed_inside = True
         if E <= E_k:
             return candidate
-        gamma *= 0.5
     if not stayed_inside:
         raise LeftDomainError("no backtracked Newton step stays in the domain")
     return x_k
@@ -247,7 +239,7 @@ def localize(family: FrameFamily, w, cfg: SolverConfig) -> SolveResult:
             status = SolveStatus.MAX_ITERS
             break
         try:
-            x_next = newton_step(family, w, x, E, g, H, cfg)
+            x_next = newton_step(family, w, x, E, g, H)
         except LeftDomainError:
             status = SolveStatus.LEFT_DOMAIN
             break

@@ -120,19 +120,21 @@ class TestSimulate:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "sigma, extra",
-        [(float("nan"), []), (0.1, ["--seed", "-1"])],
-        ids=["nan_sigma", "negative_seed"],
+        "sigma, seed",
+        [(float("nan"), 0), (0.1, -1), (-1.0, 0)],
+        ids=["nan_sigma", "negative_seed", "negative_sigma"],
     )
-    def test_invalid_noise_exits_one(self, tmp_path, capsys, sigma, extra):
+    def test_invalid_noise_exits_one(self, tmp_path, capsys, sigma, seed):
+        # bad noise in the scenario file is a runtime error; the same value
+        # given by --sigma or --seed is a usage error (TestFlagErrors)
         geometry, _, truth, _ = noiseless_scene(0)
-        path = write_scenario(
-            tmp_path / "s.json", geometry, truth.position, truth.velocity, sigma=sigma
-        )
+        path = write_scenario(tmp_path / "s.json", geometry, truth.position,
+                              truth.velocity, sigma=sigma, seed=seed)
         argv = ["simulate", "--scenario", str(path), "--out-dir", str(tmp_path / "o")]
-        code = main(argv + extra)
+        code = main(argv)
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: noise ")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "localize"])
     @pytest.mark.parametrize("noise", [[], "x", {"sigma": 0.1, "seed": 1.5}],
@@ -293,8 +295,8 @@ class TestLocalize:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--max-iters", "0"], ["--gamma", "2"], ["--grad-tol", "0"]],
-        ids=["max_iters", "gamma", "grad_tol"],
+        [["--max-iters", "0"], ["--grad-tol", "0"]],
+        ids=["max_iters", "grad_tol"],
     )
     def test_bad_solver_flag_exits_two(self, scene, tmp_path, flags):
         _, _, _, _, path = scene
@@ -802,7 +804,7 @@ class TestOutputFiles:
                          {"sigma": 0.5, "seed": 7}, 7),
             "localize": (["--measurement", measurement, "--grid-counts=3,4"],
                          {"scenario": scene, "measurement": measurement},
-                         {"gamma": 1.0, "max_iters": 100, "grad_tol": 1e-10,
+                         {"max_iters": 100, "grad_tol": 1e-10,
                           "grid_lower": [-10.0, -10.0], "grid_upper": [10.0, 10.0],
                           "grid_counts": [3, 4]}, 3),
             "diagnose": (["--grid-lower=-1,-2", "--grid-counts=3,3", "--tau=0.25"],
@@ -999,6 +1001,65 @@ class TestGridSize:
         code, err = _run_cli(self.argv(tmp_path, command))
         assert (code, err) == (1, "error: out of memory (Unable to allocate 8.00 EiB)\n")
         assert not (tmp_path / "out").exists()
+
+
+class TestFlagErrors:
+    """Every bad flag value leaves through its subcommand's parser: exit 2,
+    that subcommand's usage line and ``framefit <cmd>: error:``, and no out
+    dir.  Flags are checked before any input file but the scenario is read."""
+
+    CASES = [
+        ("simulate", ["--sigma=-1"], "noise sigma must be finite and nonnegative"),
+        ("simulate", ["--sigma=nan"], "noise sigma must be finite and nonnegative"),
+        ("simulate", ["--seed=-1"], "noise seed must lie in [0, 2**128)"),
+        ("localize", ["--grid-lower=5,5", "--grid-upper=1,1"],
+         "grid requires lower < upper componentwise"),
+        ("localize", ["--grid-upper=inf,inf"], "grid bounds must be finite"),
+        ("localize", ["--grid-counts=0,5"], "grid counts must be positive integers"),
+        ("localize", ["--grid-counts=3,3,3"],
+         "grid lower, upper, counts must be congruent vectors"),
+        ("localize", ["--grid-lower=-1,-1,-1", "--grid-upper=1,1,1", "--grid-counts=3,3,3"],
+         "grid has dimension 3, the scene needs 2"),
+        ("localize", [f"--grid-counts={2**62},1"],
+         f"grid of {2**62} points is too large for one array"),
+        ("localize", ["--max-iters=0"], "max_iters must be positive"),
+        ("localize", ["--grad-tol=0"], "grad_tol must be finite and strictly positive"),
+        ("diagnose", ["--tau=-1"], "--tau must be finite and nonnegative, got -1.0"),
+        ("diagnose", ["--grid-counts=0,5"], "grid counts must be positive integers"),
+        ("track", ["--grid-counts=0,5"], "grid counts must be positive integers"),
+        ("track", ["--vel-counts=0,1"], "grid counts must be positive integers"),
+        ("track", ["--vel-counts=1,1,1", "--vel-lower=0,0,0", "--vel-upper=1,1,1"],
+         "grid has dimension 3, the scene needs 2"),
+    ]
+
+    @staticmethod
+    def check(tmp_path, command, flags, message):
+        argv = [command, "--scenario", str(_scene_file(tmp_path, **FOUR_PAIRS)), *flags,
+                "--out-dir", str(tmp_path / "out")]
+        code, err = _run_cli(argv)
+        assert code == 2
+        assert err.startswith(f"usage: framefit {command} ")
+        assert f"\nframefit {command}: error: {message}\n" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flags, message", CASES,
+                             ids=[" ".join([command, *flags]) for command, flags, _ in CASES])
+    def test_exits_two_through_the_subcommand_parser(self, tmp_path, command, flags,
+                                                     message):
+        if command == "track":
+            series = tmp_path / "series.json"
+            series.write_text(json.dumps({"times": [0.0, 0.1], "w": [[0.1] * 4] * 2}))
+            flags = [*flags, "--series", str(series)]
+        self.check(tmp_path, command, flags, message)
+
+    @pytest.mark.parametrize("command, flags", [
+        ("localize", ["--grid-counts=0,5", "--measurement"]),
+        ("diagnose", ["--grid-counts=0,5", "--measurement"]),
+        ("track", ["--vel-counts=0,1", "--series"]),
+    ])
+    def test_flags_are_checked_before_other_input_files(self, tmp_path, command, flags):
+        self.check(tmp_path, command, [*flags, str(tmp_path / "missing.json")],
+                   "grid counts must be positive integers")
 
 
 def _scene_file(tmp_path, **changes):

@@ -47,6 +47,13 @@ class TestBistaticDistance:
             x = rng.normal(size=2) * 10
             assert bistatic_distance(self.geom, 0, x) >= 6.0 - 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x, expected", [([1e200, 0.0], 2e200),
+                                             ([1e154, 1e154], 2 * np.sqrt(2) * 1e154),
+                                             ([1.7e308, 0.0], np.inf)])
+    def test_huge_point_does_not_overflow_early(self, x, expected):
+        assert np.isclose(bistatic_distance(self.geom, 0, x), expected, rtol=1e-15)
+
     @pytest.mark.parametrize("x", [[np.inf, 0.0], [3.0, np.nan], [3.0, 4.0, 0.0]])
     def test_rejects_non_finite_or_wrong_shape_point(self, x):
         with pytest.raises(DimensionMismatchError):

@@ -234,35 +234,28 @@ class TestNewtonStep:
         c = 0.37
         family = arc_family(center=c)
         w = np.array([1.0, 0.0])
-        cfg = SolverConfig(gamma=1.0)
         x = np.array([c + 0.5])
-        x1 = newton_step(family, w, x, *error_gradient_hessian(family, x, w), cfg)
+        x1 = newton_step(family, w, x, *error_gradient_hessian(family, x, w))
         assert abs(x1[0] - c) < 1e-12
 
     def test_zero_gradient_fixed_point(self):
         family = arc_family(center=0.0)
         w = np.array([1.0, 0.0])
         x = np.array([0.0])
-        x1 = newton_step(
-            family, w, x, *error_gradient_hessian(family, x, w), SolverConfig()
-        )
+        x1 = newton_step(family, w, x, *error_gradient_hessian(family, x, w))
         assert np.allclose(x1, [0.0])
 
     def test_contracts_near_minimum(self):
         _, family, truth, w = noiseless_scene(3)
         x = truth.position + np.array([0.05, -0.04])
-        x1 = newton_step(
-            family, w, x, *error_gradient_hessian(family, x, w), SolverConfig()
-        )
+        x1 = newton_step(family, w, x, *error_gradient_hessian(family, x, w))
         assert np.linalg.norm(x1 - truth.position) < np.linalg.norm(x - truth.position)
 
     def test_monotone_under_backtracking(self):
         _, family, truth, w = noiseless_scene(4)
         x = truth.position + np.array([2.0, -1.5])
         E0 = error_value(family, x, w)
-        x1 = newton_step(
-            family, w, x, *error_gradient_hessian(family, x, w), SolverConfig()
-        )
+        x1 = newton_step(family, w, x, *error_gradient_hessian(family, x, w))
         assert error_value(family, x1, w) <= E0
 
 
@@ -387,12 +380,6 @@ class TestLocalize:
 
 
 class TestSolverConfigValidation:
-    def test_gamma_range(self):
-        with pytest.raises(ValueError):
-            SolverConfig(gamma=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(gamma=1.5)
-
     def test_positive_tolerances(self):
         with pytest.raises(ValueError):
             SolverConfig(grad_tol=0.0)
