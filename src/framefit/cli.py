@@ -33,8 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .core import read_json
 from .diagnostics import level_set, residual_bound_check, uniqueness_certificate
-from .errors import FramefitError, ScenarioParseError
+from .errors import FramefitError
 from .radar import load_scenario, radar_family, simulate_fdoa, NoiseModel
 from .solver import GridSpec, SolverConfig, grid_sweep, localize
 from .tracking import load_time_series, shooting_search
@@ -173,14 +174,9 @@ def _publish(args, outputs: dict, overrides: dict, seed) -> int:
 
 
 def _measurement(args, scenario, family) -> np.ndarray:
-    path = args.measurement
-    if path is None:
+    if args.measurement is None:
         return simulate_fdoa(scenario.geometry, scenario.target, scenario.noise)
-    try:
-        with open(path) as fh:
-            w = np.asarray(json.load(fh)["w"], dtype=float)
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioParseError(f"cannot read measurement {path}: {exc}") from exc
+    (w,) = read_json(args.measurement, "measurement", "w")
     return family.check_measurement(w)
 
 

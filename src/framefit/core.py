@@ -9,6 +9,7 @@ to the range of F(x)^T, i.e. the energy of w in the null space of F(x).
 from __future__ import annotations
 
 import abc
+import json
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -20,6 +21,7 @@ from .errors import (
     FramefitError,
     MissingSecondOrderError,
     RankDeficientError,
+    ScenarioParseError,
     ScenarioValidationError,
 )
 
@@ -76,6 +78,17 @@ def check_vector(x, size, what: str) -> np.ndarray:
     if not all_finite(x):
         raise DimensionMismatchError(f"{what} has non-finite entries")
     return x
+
+
+def read_json(path, what: str, *fields: str):
+    """The parsed UTF-8 JSON file at ``path``, or given ``fields`` its fields as
+    float arrays; any failure to read it raises ScenarioParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        return tuple(np.asarray(data[f], dtype=float) for f in fields) if fields else data
+    except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise ScenarioParseError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _spans(s, M: int):

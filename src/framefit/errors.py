@@ -51,7 +51,7 @@ class AllCandidatesFailedError(FramefitError, RuntimeError):
 
 
 class ScenarioParseError(FramefitError, ValueError):
-    """A scenario or time-series file could not be parsed."""
+    """A scenario, measurement or time-series file could not be read or parsed."""
 
 
 class ScenarioValidationError(FramefitError, ValueError):

@@ -8,13 +8,12 @@ measurements are inner products of these elements with the target velocity.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameFamily, FrameJet, check_vector, fields_equal
+from .core import FrameFamily, FrameJet, check_vector, fields_equal, read_json
 from .errors import (
     DimensionMismatchError,
     NearSingularError,
@@ -349,9 +348,4 @@ def parse_scenario(data: dict) -> RadarScenario:
 
 def load_scenario(path) -> RadarScenario:
     """Read a scenario JSON file; see parse_scenario for the schema."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioParseError(f"cannot read scenario {path}: {exc}") from exc
-    return parse_scenario(data)
+    return parse_scenario(read_json(path, "scenario"))

@@ -57,8 +57,10 @@ class GridSpec:
             span = upper - lower
         if not np.isfinite(span).all():
             raise ValueError("grid span upper - lower overflows")
-        if not np.all((counts >= 1) & (counts < 2.0**63) & (counts == np.floor(counts))):
+        if not np.all((counts >= 1) & (counts == np.floor(counts))):
             raise ValueError("grid counts must be positive integers")
+        if not np.all(counts < 2.0**63):
+            raise ValueError("grid counts too large: each must be below 2^63")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "counts", counts.astype(int))
@@ -228,10 +230,13 @@ def localize(family: FrameFamily, w, cfg: SolverConfig) -> SolveResult:
     w = family.check_measurement(w)
     x = grid_search(family, w, cfg.grid)
     iterates = []
-    status = SolveStatus.MAX_ITERS
+    step = np.inf
     for k in range(cfg.max_iters + 1):
         E, g, H = error_gradient_hessian(family, x, w)
         iterates.append((x.copy(), E, _norm(g)))
+        if step < STEP_TOL:
+            status = SolveStatus.STEP_CONVERGED
+            break
         if iterates[-1][2] < cfg.grad_tol:
             status = SolveStatus.GRADIENT_CONVERGED
             break
@@ -245,10 +250,5 @@ def localize(family: FrameFamily, w, cfg: SolverConfig) -> SolveResult:
             break
         step = float(np.linalg.norm(x_next - x))
         x = x_next
-        if step < STEP_TOL:
-            E, g, _ = error_gradient_hessian(family, x, w)
-            iterates.append((x.copy(), E, _norm(g)))
-            status = SolveStatus.STEP_CONVERGED
-            break
     minimizer, value, _ = iterates[-1]
     return SolveResult(minimizer, value, iterates, status)

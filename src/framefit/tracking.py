@@ -16,18 +16,18 @@ so the family must have P = M.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FrameFamily, all_finite, check_vector, dual_coefficients, fields_equal
+from .core import (
+    FrameFamily, all_finite, check_vector, dual_coefficients, fields_equal, read_json,
+)
 from .errors import (
     AllCandidatesFailedError,
     DimensionMismatchError,
     FramefitError,
     LeftDomainError,
-    ScenarioParseError,
     ScenarioValidationError,
 )
 from .solver import GridSpec
@@ -67,7 +67,9 @@ class TimeSeries:
         dt = np.diff(t)
         if np.any(dt <= 0.0):
             raise ScenarioValidationError("times must be strictly increasing")
-        if np.max(np.abs(dt - dt[0])) > UNIFORM_RTOL * max(abs(dt[0]), 1.0):
+        # plus a few ulps of the largest time, the rounding of t itself
+        slack = UNIFORM_RTOL * max(abs(dt[0]), 1.0) + 4 * np.spacing(np.abs(t).max())
+        if np.max(np.abs(dt - dt[0])) > slack:
             raise ScenarioValidationError("time grid must be uniform")
         with np.errstate(over="ignore", invalid="ignore"):
             rates = sampled_derivative(v, dt[0])
@@ -287,11 +289,4 @@ def shooting_search(
 
 def load_time_series(path) -> TimeSeries:
     """Read a JSON file with a ``times`` array and a ``w`` array of arrays."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        times = np.asarray(data["times"], dtype=float)
-        values = np.asarray(data["w"], dtype=float)
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioParseError(f"cannot read time series {path}: {exc}") from exc
-    return TimeSeries(times, values)
+    return TimeSeries(*read_json(path, "time series", "times", "w"))

@@ -46,6 +46,16 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+# Input files that no reader may answer with a traceback: Latin-1 bytes (JSON
+# must be UTF-8), nesting deeper than the recursion limit, and an integer past
+# Python's 4300-digit conversion limit.
+UNREADABLE_FILES = {
+    "non_utf8": '{"name": "caf\xe9"}'.encode("latin-1"),
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+    "long_int": b'{"seed": ' + b"7" * 5000 + b"}",
+}
+
+
 def random_full_rank(rng, M, N):
     """Gaussian M x N matrix, redrawn in the unlikely rank-deficient case."""
     while True:

@@ -31,7 +31,7 @@ from framefit.core import error_value
 from framefit.errors import RankDeficientError
 from framefit.radar import NoiseModel, load_scenario
 
-from conftest import circular_geometry, noiseless_scene, time_limit
+from conftest import UNREADABLE_FILES, circular_geometry, noiseless_scene, time_limit
 
 
 def write_scenario(path, geometry, position, velocity, sigma=0.0, seed=0):
@@ -149,6 +149,15 @@ class TestSimulate:
         assert "error: malformed scenario: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text", UNREADABLE_FILES.values(), ids=list(UNREADABLE_FILES))
+    def test_unreadable_scenario_exits_one(self, tmp_path, capsys, text):
+        path = tmp_path / "scene.json"
+        path.write_bytes(text)
+        code = main(["simulate", "--scenario", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read scenario {path}: ")
+        assert not (tmp_path / "o").exists()
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(
             [
@@ -199,13 +208,13 @@ class TestLocalize:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"v": [1.0, 2.0]}', "not json", "[1.0, 2.0]"],
-        ids=["no_w", "not_json", "list"],
+        [b'{"v": [1.0, 2.0]}', b"not json", b"[1.0, 2.0]", *UNREADABLE_FILES.values()],
+        ids=["no_w", "not_json", "list", *UNREADABLE_FILES],
     )
     def test_bad_measurement_exits_one(self, scene, tmp_path, capsys, text):
         _, _, _, _, path = scene
         mpath = tmp_path / "m.json"
-        mpath.write_text(text)
+        mpath.write_bytes(text)
         code = main(
             [
                 "localize",
@@ -573,6 +582,16 @@ class TestTrack:
         )
         assert code == 1
         assert "error: cannot read time series" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", UNREADABLE_FILES.values(), ids=list(UNREADABLE_FILES))
+    def test_unreadable_series_exits_one(self, scene, tmp_path, capsys, text):
+        series = tmp_path / "series.json"
+        series.write_bytes(text)
+        code = main(["track", "--scenario", str(scene[-1]), "--series", str(series),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read time series {series}: ")
+        assert not (tmp_path / "o").exists()
 
     def test_non_finite_series_exits_one(self, scene, tmp_path, capsys):
         _, _, _, _, path = scene
@@ -1022,6 +1041,10 @@ class TestFlagErrors:
          "grid has dimension 3, the scene needs 2"),
         ("localize", [f"--grid-counts={2**62},1"],
          f"grid of {2**62} points is too large for one array"),
+        ("localize", [f"--grid-counts={2**63},1"],
+         "grid counts too large: each must be below 2^63"),
+        ("localize", [f"--grid-counts={2**64},1"],
+         "grid counts too large: each must be below 2^63"),
         ("localize", ["--max-iters=0"], "max_iters must be positive"),
         ("localize", ["--grad-tol=0"], "grad_tol must be finite and strictly positive"),
         ("diagnose", ["--tau=-1"], "--tau must be finite and nonnegative, got -1.0"),

@@ -25,7 +25,7 @@ from framefit.errors import (
 )
 from framefit.radar import load_scenario, parse_scenario
 
-from conftest import circular_geometry, noiseless_scene
+from conftest import UNREADABLE_FILES, circular_geometry, noiseless_scene
 
 
 class TestBistaticDistance:
@@ -381,6 +381,13 @@ class TestScenarioIO:
         scenario = load_scenario(path)
         assert scenario.geometry.num_pairs == 2
         assert np.allclose(scenario.target.position, [4.0, 5.0])
+
+    @pytest.mark.parametrize("text", UNREADABLE_FILES.values(), ids=list(UNREADABLE_FILES))
+    def test_unreadable_file_rejected(self, tmp_path, text):
+        path = tmp_path / "scene.json"
+        path.write_bytes(text)
+        with pytest.raises(ScenarioParseError, match="^cannot read scenario "):
+            load_scenario(path)
 
     def test_target_at_station_rejected(self):
         data = self.scenario_dict()

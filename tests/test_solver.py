@@ -84,6 +84,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(lower, upper, counts)
 
+    @pytest.mark.parametrize("count", [2**63, 2**64], ids=["2^63", "2^64"])
+    def test_oversized_count_reported_too_large(self, count):
+        with pytest.raises(ValueError, match="grid counts too large: each must be below 2"):
+            GridSpec([0.0, 0.0], [1.0, 1.0], [count, 1])
+
     def test_integral_float_counts_accepted(self):
         grid = GridSpec([0.0], [1.0], [3.0])
         assert grid.counts.dtype.kind == "i" and grid.num_points == 3

@@ -84,6 +84,19 @@ class TestTimeSeries:
     def test_rejects_nonuniform_grid(self):
         with pytest.raises(ScenarioValidationError):
             TimeSeries([0.0, 1.0, 2.5], [[0.0], [0.0], [0.0]])
+        # a step off by 1e-3 is no rounding, however large the times
+        for offset in (0.0, 1.7e9):
+            times = offset + 0.1 * np.arange(5)
+            times[-1] += 1e-3
+            with pytest.raises(ScenarioValidationError, match="time grid must be uniform"):
+                TimeSeries(times, np.ones((5, 3)))
+
+    def test_accepts_uniform_grid_at_epoch_times(self):
+        # np.diff of 1.7e9 + 0.1 k is off from 0.1 by up to 1.4e-7: rounding of t
+        times = 1.7e9 + 0.1 * np.arange(201)
+        series = TimeSeries(times, np.ones((201, 3)))
+        assert series.dt == times[1] - times[0]
+        assert np.array_equal(series.rates, np.zeros((201, 3)))
 
     @pytest.mark.parametrize(
         "times, values, what",
