@@ -39,7 +39,6 @@ from .radar import (
     RadarScenario,
     TargetState,
     bistatic_distance,
-    frame_element,
     load_scenario,
     parse_scenario,
     radar_family,

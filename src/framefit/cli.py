@@ -37,7 +37,7 @@ from .core import read_json
 from .diagnostics import level_set, residual_bound_check, uniqueness_certificate
 from .errors import FramefitError
 from .radar import load_scenario, radar_family, simulate_fdoa, NoiseModel
-from .solver import GridSpec, SolverConfig, grid_sweep, localize
+from .solver import GridSpec, SolverConfig, SolveStatus, grid_sweep, localize
 from .tracking import load_time_series, shooting_search
 
 DEGENERACY_RTOL = 1e-12
@@ -208,19 +208,30 @@ def cmd_localize(args) -> int:
             "the result is one exact fit of many",
             file=sys.stderr,
         )
-    # A square family (N == M) has zero error everywhere: no single-instant fix.
+    # A zero measurement, or a square family (N == M), has zero error
+    # everywhere: no single-instant fix.
     _, errors = grid_sweep(family, w, grid)
     w_scale = max(float(w @ w), np.finfo(float).tiny)
     degenerate = np.nanmax(errors) <= DEGENERACY_RTOL * w_scale
     if degenerate:
+        cause = (" (zero measurement)" if not w.any()
+                 else " (square N = M frame family)" if family.N == family.M else "")
         print(
-            "warning: error is numerically zero at every grid point "
-            "(square N = M frame family); position is not identifiable "
-            "from a single-instant measurement",
+            f"warning: error is numerically zero at every grid point{cause}; "
+            "position is not identifiable from a single-instant measurement",
             file=sys.stderr,
         )
 
     result = localize(family, w, cfg)
+    if result.status is SolveStatus.LEFT_REGION:
+        lower, upper = grid.region()
+        region = " x ".join(f"[{lo!r}, {hi!r}]"
+                            for lo, hi in zip(lower.tolist(), upper.tolist()))
+        print(
+            f"warning: Newton left the search region {region}, the grid widened by "
+            "half its span on each side; the result is the last iterate inside it",
+            file=sys.stderr,
+        )
     xs, Es, grad_norms = zip(*result.iterates)
     outputs = {
         "result.json": {

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     FramefitError,
-    MissingSecondOrderError,
     RankDeficientError,
     ScenarioParseError,
     ScenarioValidationError,
@@ -226,20 +225,6 @@ class FrameJet:
                 raise DimensionMismatchError("d2F is not symmetric in (q, p)")
             object.__setattr__(self, "d2F", d2F)
 
-    @property
-    def order(self) -> int:
-        if self.d2F is not None:
-            return 2
-        if self.dF is not None:
-            return 1
-        return 0
-
-    def require_order(self, order: int) -> None:
-        if self.order < order:
-            raise MissingSecondOrderError(
-                f"jet has order {self.order}, need order {order}"
-            )
-
 
 class FrameFamily(abc.ABC):
     """A parametrized family of frames for R^M.
@@ -267,21 +252,20 @@ class FrameFamily(abc.ABC):
         family with a cheaper value-only evaluation overrides it."""
         return self.jet(x, order=0).F
 
-    def frames(self, X):
-        """F(x) at every row of X, shape (B, P): the stack (B, M, N) and a mask
-        of the rows where ``frame(x)`` does not raise.  F is NaN on the other
-        rows.  This base version calls ``frame`` once per row; a family with a
-        stacked evaluation overrides it."""
+    def frames(self, X) -> np.ndarray:
+        """F(x) at every row of X, shape (B, P), as one stack (B, M, N) that is
+        NaN on the rows where ``frame(x)`` raises.  A row that is not finite is
+        outside the domain, as ``frame_svd`` finds of one F; no mask says it
+        again.  This base version calls ``frame`` once per row; a family with
+        a stacked evaluation overrides it."""
         X = self.check_points(X)
         F = np.full((len(X), self.M, self.N), np.nan)
-        inside = np.zeros(len(X), dtype=bool)
         for i, x in enumerate(X):
             try:
                 F[i] = self.frame(x)
             except FramefitError:
-                continue
-            inside[i] = True
-        return F, inside
+                pass
+        return F
 
     def frame_curvature(self, x, v):
         """F(x), shape (M, N), and the N-vector kappa = Fdot^T v, where Fdot
@@ -386,8 +370,8 @@ def error_values(family: FrameFamily, X, w) -> np.ndarray:
     X = family.check_points(X)
     values = np.full(len(X), np.nan)
     for start in range(0, len(X), ERROR_BLOCK):
-        F, inside = family.frames(X[start:start + ERROR_BLOCK])
-        rows = np.flatnonzero(inside & np.isfinite(F).all(axis=(1, 2)))
+        F = family.frames(X[start:start + ERROR_BLOCK])
+        rows = np.flatnonzero(np.isfinite(F).all(axis=(1, 2)))
         if len(rows):
             values[start + rows] = _null_energies(F[rows], w, family.M)
     return values

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FrameFamily, FrameJet, error_value, fields_equal, frame_svd
-from .errors import InvalidStepError
+from .errors import InvalidStepError, MissingSecondOrderError
 
 FD_GRAD_STEP = 1e-5
 FD_HESS_STEP = 1e-4
@@ -60,11 +60,12 @@ class ProjectorPieces:
 def projector_pieces(jet: FrameJet, w) -> ProjectorPieces:
     """Evaluate all projector quantities at one point from one SVD of F.
 
-    Requires a second-order jet.  ``Pqp_Pw`` is the symmetric part of the
-    product, so it is exactly symmetric even for a jet whose d2F is
-    symmetric only to roundoff.
+    Raises MissingSecondOrderError unless the jet has d2F.  ``Pqp_Pw`` is the
+    symmetric part of the product, so it is exactly symmetric even for a jet
+    whose d2F is symmetric only to roundoff.
     """
-    jet.require_order(2)
+    if jet.d2F is None:
+        raise MissingSecondOrderError("projector pieces need a jet with d2F")
     dF, d2F = jet.dF, jet.d2F
     w = np.asarray(w, dtype=float)
 

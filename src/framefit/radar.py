@@ -164,7 +164,7 @@ def _unit_jets(d, order: int, tol: float):
     return u, first, second
 
 
-def unit_vector_jet(x, order: int = 2, tol: float = 0.0):
+def unit_vector_jet(x, order: int = 2):
     """Value and derivatives of the normalization map x -> x / |x|.
 
     Returns (u, first, second) where ``first[:, p]`` is the partial of u with
@@ -173,23 +173,13 @@ def unit_vector_jet(x, order: int = 2, tol: float = 0.0):
 
         -(1/|x|^3) [ pi(x)(delta_p x_q + delta_q x_p) + pi(x)[p, q] x ].
 
-    ``second`` is None for order < 2.  Raises NearSingularError when |x| <= tol
-    (or is exactly zero), DimensionMismatchError unless x is a finite vector.
+    ``second`` is None for order < 2.  Raises NearSingularError when |x| is
+    zero, DimensionMismatchError unless x is a finite vector.
     """
     x = check_vector(x, None, "point")
     return tuple(
-        None if part is None else part[0]
-        for part in _unit_jets(x[None, :], order, max(0.0, tol))
+        None if part is None else part[0] for part in _unit_jets(x[None, :], order, 0.0)
     )
-
-
-def frame_element(geometry: RadarGeometry, n: int, x) -> np.ndarray:
-    """Gradient of the n-th bistatic distance: column n of the radar frame at x.
-
-    Its domain is the family's: it raises NearSingularError near any station,
-    not only near pair n's, and DimensionMismatchError for a non-finite x.
-    """
-    return RadarFrameFamily(geometry).frame(x)[:, n]
 
 
 class RadarFrameFamily(FrameFamily):
@@ -246,7 +236,7 @@ class RadarFrameFamily(FrameFamily):
         c = (v @ v - uv * uv) / r
         return (u[:N] + u[N:]).T, c[:N] + c[N:]
 
-    def frames(self, X):
+    def frames(self, X) -> np.ndarray:
         """``frame(x)`` at every row of X in one pass over all points and
         stations, each F in frame's (transposed) layout; see FrameFamily.frames."""
         X = self.check_points(X)
@@ -258,7 +248,7 @@ class RadarFrameFamily(FrameFamily):
         # rows outside stay NaN: no 0/0 at a station node, no inf/inf
         u = np.divide(d, r[:, :, None], out=np.full_like(d, np.nan),
                       where=inside[:, None, None])
-        return (u[:, :N] + u[:, N:]).transpose(0, 2, 1), inside
+        return (u[:, :N] + u[:, N:]).transpose(0, 2, 1)
 
 
 def radar_family(geometry: RadarGeometry) -> RadarFrameFamily:

@@ -75,6 +75,14 @@ class GridSpec:
             for lo, hi, c in zip(self.lower, self.upper, self.counts)
         ]
 
+    def region(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper corners of the box ``localize`` searches: the grid's
+        box widened by half its span on each side.  A corner past the float
+        range is inf."""
+        with np.errstate(over="ignore"):
+            half_span = 0.5 * (self.upper - self.lower)
+            return self.lower - half_span, self.upper + half_span
+
     def points(self) -> np.ndarray:
         """The (num_points, P) grid points in lexicographic index order
         (first axis slowest)."""
@@ -84,11 +92,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton iteration controls; defaults suit unit-scale scenes."""
+    """The starting grid and the Newton iteration controls; the defaults suit
+    unit-scale scenes."""
 
+    grid: GridSpec
     max_iters: int = 100
     grad_tol: float = 1e-10
-    grid: GridSpec | None = None
 
     def __post_init__(self):
         if (isinstance(self.max_iters, bool)
@@ -105,6 +114,7 @@ class SolveStatus(Enum):
     STEP_CONVERGED = "StepConverged"
     MAX_ITERS = "MaxIters"
     LEFT_DOMAIN = "LeftDomain"
+    LEFT_REGION = "LeftRegion"
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,10 +234,15 @@ def newton_step(family: FrameFamily, w, x_k, E_k, g_k, H_k) -> np.ndarray:
 
 
 def localize(family: FrameFamily, w, cfg: SolverConfig) -> SolveResult:
-    """Grid search followed by the Newton iteration, with a full trace."""
-    if cfg.grid is None:
-        raise ValueError("SolverConfig.grid is required for localize")
+    """Grid search followed by the Newton iteration, with a full trace.
+
+    A Newton step that lands outside ``cfg.grid.region()`` ends the iteration
+    with status LEFT_REGION, at the last iterate inside: far from the
+    stations every frame element tends to one direction, and the limit of E
+    can undercut every minimum in the box.
+    """
     w = family.check_measurement(w)
+    low, high = cfg.grid.region()
     x = grid_search(family, w, cfg.grid)
     iterates = []
     step = np.inf
@@ -247,6 +262,9 @@ def localize(family: FrameFamily, w, cfg: SolverConfig) -> SolveResult:
             x_next = newton_step(family, w, x, E, g, H)
         except LeftDomainError:
             status = SolveStatus.LEFT_DOMAIN
+            break
+        if not (np.all(low <= x_next) and np.all(x_next <= high)):
+            status = SolveStatus.LEFT_REGION
             break
         step = float(np.linalg.norm(x_next - x))
         x = x_next

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    FrameFamily, all_finite, check_vector, dual_coefficients, fields_equal, read_json,
+    FrameFamily, all_finite, check_vector, dual_coefficients, fields_equal, frame_svd,
+    read_json,
 )
 from .errors import (
     AllCandidatesFailedError,
@@ -146,15 +147,17 @@ def _residual_pass(family: FrameFamily, traj: Trajectory, data: TimeSeries):
     shape (K, N), from one ``frames`` call.
 
     Each product has the per-sample shapes, so every value equals the
-    per-sample ``frame`` computation bitwise.  Raises the error ``frame`` raises
-    at the first sample outside the domain.
+    per-sample ``frame`` computation bitwise.  At the first sample whose F is
+    not finite, raises what ``frame_svd(family.frame(x))`` raises there:
+    ``frame``'s error, or RankDeficientError for a non-finite F.
     """
     if traj.positions.shape[0] != data.num_samples:
         raise DimensionMismatchError("trajectory and data grids differ")
     _check_width(family, data)
-    frames, inside = family.frames(traj.positions)
-    if not inside.all():
-        family.frame(traj.positions[np.argmin(inside)])  # raises
+    frames = family.frames(traj.positions)
+    finite = np.isfinite(frames).all(axis=(1, 2))
+    if not finite.all():
+        frame_svd(family.frame(traj.positions[np.argmin(finite)]))  # raises
     Ft_v = frames.transpose(0, 2, 1) @ traj.velocities[:, :, None]
     return frames, Ft_v[:, :, 0] - data.values
 

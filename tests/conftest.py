@@ -169,7 +169,6 @@ def dense_projector_operators(jet):
 def reference_projector_pieces(jet, w):
     """The per-p loop form of ``projector_pieces`` through the dual G: the
     reference for the SVD-factor products of the library."""
-    jet.require_order(2)
     F, dF, d2F = jet.F, jet.dF, jet.d2F
     M, N = F.shape
     P = dF.shape[0]

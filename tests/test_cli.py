@@ -262,8 +262,37 @@ class TestLocalize:
             ]
         )
         assert code == 0
-        assert "warning" in capsys.readouterr().err
+        assert "(square N = M frame family)" in capsys.readouterr().err
         assert json.loads((out / "result.json").read_text())["degenerate_grid"]
+
+    def test_zero_measurement_warns_degenerate(self, scene, tmp_path, capsys):
+        # 4 pairs in 2-D: the family is not square, the measurement is zero
+        _, _, _, _, path = scene
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({"w": [0.0, 0.0, 0.0, 0.0]}))
+        out = tmp_path / "out"
+        code = main(["localize", "--scenario", str(path), "--measurement", str(mpath),
+                     "--out-dir", str(out)])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "warning: error is numerically zero at every grid point" in err
+        assert "zero measurement" in err and "square" not in err
+        assert json.loads((out / "result.json").read_text())["degenerate_grid"]
+
+    def test_newton_leaving_the_region_warns(self, tmp_path, capsys):
+        # on the 3-pair CI scene, Newton runs from (-10, -10) to an exact fit
+        # at (-50, -50), outside the region [-20, 20]^2 of the default grid
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({"w": [1.0, 0.0, 0.0]}))
+        out = tmp_path / "out"
+        code = main(["localize", "--scenario", str(_scene_file(tmp_path)), "--measurement",
+                     str(mpath), "--out-dir", str(out)])
+        assert code == 0
+        assert ("warning: Newton left the search region [-20.0, 20.0] x [-20.0, 20.0]"
+                in capsys.readouterr().err)
+        result = json.loads((out / "result.json").read_text())
+        assert result["status"] == "LeftRegion"
+        assert result["minimizer"] == [-10.0, -10.0] and result["iterations"] == 0
 
     def test_fewer_pairs_than_m_plus_p_warns(self, tmp_path, capsys):
         # the 3-pair scene of the CI smoke step: E vanishes on a curve through
@@ -1098,6 +1127,8 @@ class TestOverflow:
     RuntimeWarning as an error, as under ``python -W error::RuntimeWarning``."""
 
     def test_huge_measurement_converges(self, tmp_path):
+        # the answer, (-50, -50), lies in this grid; from the default grid
+        # the first Newton step leaves the search region
         scene = _scene_file(tmp_path)
         minimizers = []
         for scale in (1.0, 1e100, 1e150):
@@ -1105,7 +1136,8 @@ class TestOverflow:
             mpath.write_text(json.dumps({"w": [scale, 0.0, 0.0]}))
             out = tmp_path / f"out{scale}"
             code, err = _run_cli(["localize", "--scenario", str(scene), "--measurement",
-                                  str(mpath), "--out-dir", str(out)])
+                                  str(mpath), "--grid-lower=-60,-60", "--grid-upper=-10,-10",
+                                  "--grid-counts=5,5", "--out-dir", str(out)])
             assert code == 0, err
             minimizers.append(json.loads((out / "result.json").read_text())["minimizer"])
         assert np.allclose(minimizers[1:], minimizers[0], rtol=0.0, atol=1e-6)

@@ -11,7 +11,6 @@ from framefit import (
     bistatic_distance,
     error_value,
     frame_bounds,
-    frame_element,
     radar_family,
     simulate_fdoa,
     unit_vector_jet,
@@ -95,10 +94,6 @@ class TestUnitVectorJet:
     def test_near_singular(self):
         with pytest.raises(NearSingularError):
             unit_vector_jet(np.zeros(2))
-        with pytest.raises(NearSingularError):
-            unit_vector_jet(np.zeros(2), tol=-1.0)
-        with pytest.raises(NearSingularError):
-            unit_vector_jet(np.array([1e-12, 0.0]), tol=1e-9)
 
     @pytest.mark.parametrize("x", [[np.nan, 1.0], [1.0, -np.inf], 1.0])
     def test_rejects_non_finite_or_non_vector_point(self, x):
@@ -110,21 +105,20 @@ class TestUnitVectorJet:
 class TestFrameElement:
     def test_sum_of_unit_vectors(self):
         geom = RadarGeometry([[0.0, 0.0]], [[6.0, 0.0]])
-        f = frame_element(geom, 0, [3.0, 4.0])
+        f = radar_family(geom).frame([3.0, 4.0])[:, 0]
         assert np.allclose(f, [0.0, 1.6])
 
     def test_monostatic_norm_two(self):
         geom = RadarGeometry([[1.0, 1.0]], [[1.0, 1.0]])
-        f = frame_element(geom, 0, [4.0, 5.0])
+        f = radar_family(geom).frame([4.0, 5.0])[:, 0]
         assert np.isclose(np.linalg.norm(f), 2.0)
 
     def test_norm_at_most_two(self):
         rng = np.random.default_rng(2)
-        geom = circular_geometry(rng)
+        family = radar_family(circular_geometry(rng))
         for _ in range(50):
             x = rng.uniform(-20, 20, size=2)
-            for n in range(geom.num_pairs):
-                assert np.linalg.norm(frame_element(geom, n, x)) <= 2.0 + 1e-12
+            assert np.linalg.norm(family.frame(x), axis=0).max() <= 2.0 + 1e-12
 
     def test_is_gradient_of_bistatic_distance(self):
         rng = np.random.default_rng(3)
@@ -133,7 +127,7 @@ class TestFrameElement:
         for _ in range(100):
             x = rng.uniform(-20, 20, size=2)
             n = int(rng.integers(geom.num_pairs))
-            f = frame_element(geom, n, x)
+            f = radar_family(geom).frame(x)[:, n]
             fd = np.array(
                 [
                     (
@@ -154,13 +148,13 @@ class TestFrameElement:
             x = rng.uniform(-20, 20, size=2)
             F = family.jet(x, order=0).F
             for n in range(geom.num_pairs):
-                assert np.array_equal(frame_element(geom, n, x), F[:, n])
+                assert np.array_equal(family.frame(x)[:, n], F[:, n])
 
     def test_domain_is_the_family_domain(self):
         # pair 0 is far from x, but x sits on pair 1's transmitter
         geom = RadarGeometry([[0.0, 0.0], [5.0, 5.0]], [[6.0, 0.0], [0.0, 6.0]])
         with pytest.raises(NearSingularError):
-            frame_element(geom, 0, [5.0, 5.0])
+            radar_family(geom).frame([5.0, 5.0])
 
 
 class TestRadarGeometry:
@@ -239,7 +233,7 @@ class TestRadarFamily:
             # second[q, p, m] of pair n -> d2F[q, p, m, n]
             ref = np.array([p[2] for p in pairs]).transpose(1, 2, 3, 0)
             assert np.array_equal(jet.d2F, ref)
-        assert jet.order == order
+        assert (jet.dF is None, jet.d2F is None) == (order < 1, order < 2)
 
     def test_jets_match_finite_differences(self):
         rng = np.random.default_rng(6)

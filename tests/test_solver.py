@@ -189,12 +189,12 @@ class TestGridSweep:
         assert np.count_nonzero(np.isnan(errors)) == 4
 
 
-def line_family(bad):
-    """1-D family F(x) = [1, x] for x <= 0.5 whose second entry is ``bad``
+def line_family(bad, end=0.5):
+    """1-D family F(x) = [1, x] for x <= ``end`` whose second entry is ``bad``
     (NaN or an infinity) beyond, so F(x) is no frame there."""
 
     def f(x):
-        return np.array([[1.0, x[0] if x[0] <= 0.5 else bad]])
+        return np.array([[1.0, x[0] if x[0] <= end else bad]])
 
     return CallableFrameFamily(
         (1, 2, 1),
@@ -369,6 +369,46 @@ class TestLocalize:
         assert len(result.iterates) > 2
         assert len(calls) == len(result.iterates)
 
+    def test_max_iters_status(self):
+        _, family, _, w = noiseless_scene(5)
+        result = localize(family, w, SolverConfig(grid=self.grid, max_iters=1))
+        assert result.status is SolveStatus.MAX_ITERS
+        assert len(result.iterates) == 2
+
+    def test_step_converged_status(self):
+        # E, g and H scale with |w|^2 while the iterates do not, so the
+        # absolute grad_tol is out of reach and the step length ends the run
+        _, family, truth, w = noiseless_scene(0)
+        result = localize(family, 1e6 * w, SolverConfig(grid=self.grid, max_iters=30))
+        assert result.status is SolveStatus.STEP_CONVERGED
+        assert result.iterates[-1][2] >= 1e-10
+        assert np.linalg.norm(result.minimizer - truth.position) <= 1e-9
+
+    def test_left_domain_status(self):
+        # E = (x + 0.35)^2 / (1 + x^2); the domain ends 1e-9 past the best
+        # grid node, -0.6, on the minimum's side, so every backtracked
+        # Newton candidate is NaN
+        family = line_family(np.nan, end=-0.6 + 1e-9)
+        grid = GridSpec([-1.0], [1.0], [11])
+        result = localize(family, [1.0, -0.35], SolverConfig(grid=grid))
+        assert result.status is SolveStatus.LEFT_DOMAIN
+        assert np.array_equal(result.minimizer, grid.points()[2])
+        assert len(result.iterates) == 1
+
+    def test_left_region_status(self):
+        # seed 9 with a sigma-1 noise draw: from the best grid node (-10, 8)
+        # the first Newton step lands at about (-4568, 1989), outside the
+        # region [-20, 20]^2; unchecked, Newton ran on to (-5.9e9, 2.6e9)
+        _, family, _, w = noiseless_scene(9)
+        w = w + np.random.default_rng(1009).standard_normal((100, 4))[66]
+        assert self.grid.region()[0].tolist() == [-20.0, -20.0]
+        assert self.grid.region()[1].tolist() == [20.0, 20.0]
+        result = localize(family, w, SolverConfig(grid=self.grid))
+        assert result.status is SolveStatus.LEFT_REGION
+        assert result.minimizer.tolist() == [-10.0, 8.0]
+        assert result.value == 5.892205399974773
+        assert len(result.iterates) == 1
+
     def test_noise_error_trend(self):
         # median localization error should shrink with the noise level
         medians = []
@@ -385,26 +425,28 @@ class TestLocalize:
 
 
 class TestSolverConfigValidation:
+    grid = GridSpec([-1.0], [1.0], [3])
+
     def test_positive_tolerances(self):
         with pytest.raises(ValueError):
-            SolverConfig(grad_tol=0.0)
+            SolverConfig(self.grid, grad_tol=0.0)
 
     @pytest.mark.parametrize("grad_tol", [np.inf, -np.inf, np.nan])
     def test_non_finite_grad_tol(self, grad_tol):
         with pytest.raises(ValueError, match="finite"):
-            SolverConfig(grad_tol=grad_tol)
+            SolverConfig(self.grid, grad_tol=grad_tol)
 
     @pytest.mark.parametrize("max_iters", [2.5, 3.0, True, False, "3", None],
                              ids=["fraction", "integral_float", "true", "false", "str", "none"])
     def test_max_iters_must_be_an_integer(self, max_iters):
         # localize counts iterations with range(); a bool is no count
         with pytest.raises(ValueError, match="integer"):
-            SolverConfig(max_iters=max_iters)
+            SolverConfig(self.grid, max_iters=max_iters)
 
     @pytest.mark.parametrize("max_iters", [0, -1, np.int64(0)])
     def test_max_iters_must_be_positive(self, max_iters):
         with pytest.raises(ValueError, match="positive"):
-            SolverConfig(max_iters=max_iters)
+            SolverConfig(self.grid, max_iters=max_iters)
 
     def test_numpy_integer_max_iters(self):
         _, family, _, w = noiseless_scene(0)

@@ -24,6 +24,7 @@ from framefit.errors import (
     FramefitError,
     LeftDomainError,
     NearSingularError,
+    RankDeficientError,
     ScenarioValidationError,
 )
 from framefit.cli import _names, _write_csv
@@ -439,6 +440,24 @@ def test_trajectory_through_a_station_raises(evaluate):
     data = TimeSeries(times, np.ones((5, family.N)))
     with pytest.raises(NearSingularError):
         evaluate(family, Trajectory(times, pos, vel), data)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("evaluate", [functional_value, el_residual],
+                         ids=["functional_value", "el_residual"])
+def test_trajectory_into_non_finite_frames_raises(evaluate, bad):
+    # the family leaves its domain the documented way, with a non-finite F,
+    # from x0 = 0.5 on: samples 5 to 10 of the path x(t) = (t, t)
+    family = CallableFrameFamily(
+        (2, 3, 2),
+        lambda x: np.array([[1.0, 0.0, 1.0], [0.0, 1.0, x[0] if x[0] < 0.5 else bad]]),
+    )
+    times = np.linspace(0.0, 1.0, 11)
+    traj = Trajectory(times, np.c_[times, times], np.ones((11, 2)))
+    data = TimeSeries(times, np.ones((11, 3)))
+    with pytest.raises(RankDeficientError):
+        evaluate(family, traj, data)
 
 
 class TestSeriesWidth:
