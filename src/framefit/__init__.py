@@ -43,7 +43,6 @@ from .radar import (
     parse_scenario,
     radar_family,
     simulate_fdoa,
-    unit_vector_jet,
 )
 from .solver import (
     GridSpec,

@@ -79,13 +79,39 @@ def check_vector(x, size, what: str) -> np.ndarray:
     return x
 
 
+def _json_number(value, what: str):
+    """The rule for every number in an input file: it is a JSON number, an
+    int or a float, returned as it is.  A bool, string or null raises
+    ValueError rather than reading as 1.0, a parsed float or NaN."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return value
+
+
+def _json_integer(value, what: str) -> int:
+    """A JSON number with an integral value (7 or 7.0): no NaN, inf or 2.5."""
+    if int(_json_number(value, what)) != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _json_numbers(value, what: str) -> np.ndarray:
+    """A JSON number or nested lists of them as a float array; every entry
+    must pass ``_json_number``."""
+    entries = np.asarray(value, dtype=object)
+    for entry in entries.flat:
+        _json_number(entry, f"each entry of {what}")
+    return entries.astype(float)
+
+
 def read_json(path, what: str, *fields: str):
     """The parsed UTF-8 JSON file at ``path``, or given ``fields`` its fields as
-    float arrays; any failure to read it raises ScenarioParseError."""
+    float arrays of JSON numbers; any failure to read it raises
+    ScenarioParseError."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        return tuple(np.asarray(data[f], dtype=float) for f in fields) if fields else data
+        return tuple(_json_numbers(data[f], f) for f in fields) if fields else data
     except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ScenarioParseError(f"cannot read {what} {path}: {exc}") from exc
 

@@ -108,31 +108,22 @@ def error_gradient_hessian(family: FrameFamily, x, w):
     return pieces.E, gradient(pieces), hessian(pieces)
 
 
-def fd_gradient(family: FrameFamily, x, w, h: float = FD_GRAD_STEP) -> np.ndarray:
-    """Central-difference gradient of the error, for validating the analytic one."""
+def _central_differences(family: FrameFamily, f, x, h: float) -> np.ndarray:
+    """(f(x + h e_p) - f(x - h e_p)) / 2h for each parameter p, stacked on a
+    leading axis."""
     if not 0.0 < h < np.inf:
         raise InvalidStepError(f"finite-difference step must be positive and finite, got {h}")
     x = family.check_point(x)
-    g = np.empty(family.P)
-    for p in range(family.P):
-        step = np.zeros(family.P)
-        step[p] = h
-        g[p] = (error_value(family, x + step, w) - error_value(family, x - step, w)) / (
-            2.0 * h
-        )
-    return g
+    return np.array([(f(x + step) - f(x - step)) / (2.0 * h) for step in h * np.eye(family.P)])
+
+
+def fd_gradient(family: FrameFamily, x, w, h: float = FD_GRAD_STEP) -> np.ndarray:
+    """Central-difference gradient of the error, for validating the analytic one."""
+    return _central_differences(family, lambda y: error_value(family, y, w), x, h)
 
 
 def fd_hessian(family: FrameFamily, x, w, h: float = FD_HESS_STEP) -> np.ndarray:
     """Central differences of the analytic gradient; not symmetrized."""
-    if not 0.0 < h < np.inf:
-        raise InvalidStepError(f"finite-difference step must be positive and finite, got {h}")
-    x = family.check_point(x)
-    H = np.empty((family.P, family.P))
-    for q in range(family.P):
-        step = np.zeros(family.P)
-        step[q] = h
-        _, g_plus, _ = error_gradient_hessian(family, x + step, w)
-        _, g_minus, _ = error_gradient_hessian(family, x - step, w)
-        H[q] = (g_plus - g_minus) / (2.0 * h)
-    return H
+    return _central_differences(
+        family, lambda y: error_gradient_hessian(family, y, w)[1], x, h
+    )

@@ -13,7 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameFamily, FrameJet, check_vector, fields_equal, read_json
+from .core import (
+    FrameFamily,
+    FrameJet,
+    _json_integer,
+    _json_number,
+    _json_numbers,
+    check_vector,
+    fields_equal,
+    read_json,
+)
 from .errors import (
     DimensionMismatchError,
     NearSingularError,
@@ -109,6 +118,9 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.sigma < np.inf:
             raise ScenarioValidationError("noise sigma must be finite and nonnegative")
+        # a float or bool key would silently draw the stream of its int()
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ScenarioValidationError(f"noise seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**128:  # a Philox key has 128 bits
             raise ScenarioValidationError("noise seed must lie in [0, 2**128)")
 
@@ -144,44 +156,6 @@ def _unit_vectors(d, tol: float):
     return d / r[:, None], r
 
 
-def _unit_jets(d, order: int, tol: float):
-    """``unit_vector_jet`` at each row of d, shape (K, M), stacked on a leading K axis.
-
-    Raises NearSingularError when some row is ``_near_station``.
-    """
-    u, r = _unit_vectors(d, tol)
-    if order < 1:
-        return u, None, None
-    pi = np.eye(d.shape[1])[None, :, :] - u[:, :, None] * u[:, None, :]   # (K, M, M)
-    first = pi / r[:, None, None]
-    if order < 2:
-        return u, first, None
-    second = -(
-        d[:, :, None, None] * pi[:, None, :, :]
-        + d[:, None, :, None] * pi[:, :, None, :]
-        + pi[:, :, :, None] * d[:, None, None, :]
-    ) / (r**3)[:, None, None, None]
-    return u, first, second
-
-
-def unit_vector_jet(x, order: int = 2):
-    """Value and derivatives of the normalization map x -> x / |x|.
-
-    Returns (u, first, second) where ``first[:, p]`` is the partial of u with
-    respect to x_p, namely pi(x) delta_p / |x| with pi(x) = I - x x^T / |x|^2,
-    and ``second[q, p]`` is the mixed second partial
-
-        -(1/|x|^3) [ pi(x)(delta_p x_q + delta_q x_p) + pi(x)[p, q] x ].
-
-    ``second`` is None for order < 2.  Raises NearSingularError when |x| is
-    zero, DimensionMismatchError unless x is a finite vector.
-    """
-    x = check_vector(x, None, "point")
-    return tuple(
-        None if part is None else part[0] for part in _unit_jets(x[None, :], order, 0.0)
-    )
-
-
 class RadarFrameFamily(FrameFamily):
     """The frame family whose n-th column is the gradient of phi_n.
 
@@ -195,23 +169,53 @@ class RadarFrameFamily(FrameFamily):
         self.N = geometry.num_pairs
         self.P = geometry.dim
 
+    def _jets(self, X, order: int):
+        """F (B, M, N) at every row of X (B, P) and, from order 1, dF
+        (B, P, M, N), from order 2 also d2F (B, P, P, M, N), in one pass over
+        all points and stations.  A row that is not finite or is
+        ``_near_station`` comes out NaN throughout: no 0/0 at a station node,
+        no inf/inf.
+
+        Each frame element is the sum of two values of the normalization map
+        u(d) = d / |d| at d = x - a_n and d = x - b_n.  With r = |d| and
+        pi(d) = I - u u^T, its partial with respect to x_p is pi delta_p / r,
+        and its mixed second partial with respect to x_q and x_p is
+
+            -(1/r^3) [ pi (delta_p d_q + delta_q d_p) + pi[p, q] d ].
+        """
+        N = self.N
+        d = X[:, None, :] - self.geometry.stations          # (B, 2N, M)
+        r = np.sqrt(np.einsum("bkm,bkm->bk", d, d))          # (B, 2N)
+        near = _near_station(r, self.geometry.singularity_tolerance).any(axis=1)
+        inside = np.isfinite(X).all(axis=1) & ~near
+        u = np.divide(d, r[:, :, None], out=np.full_like(d, np.nan),
+                      where=inside[:, None, None])
+        # transmitters :N, receivers N:; u[b, n, m] -> F[b, m, n]
+        jets = [(u[:, :N] + u[:, N:]).transpose(0, 2, 1)]
+        if order >= 1:
+            pi = np.eye(self.M) - u[:, :, :, None] * u[:, :, None, :]   # (B, 2N, M, M)
+            first = pi / r[:, :, None, None]
+            # first[b, n, m, p] -> dF[b, p, m, n]
+            jets.append((first[:, :N] + first[:, N:]).transpose(0, 3, 2, 1))
+        if order >= 2:
+            second = -(
+                d[:, :, :, None, None] * pi[:, :, None, :, :]
+                + d[:, :, None, :, None] * pi[:, :, :, None, :]
+                + pi[:, :, :, :, None] * d[:, :, None, None, :]
+            ) / (r**3)[:, :, None, None, None]
+            # second[b, n, q, p, m] -> d2F[b, q, p, m, n]
+            jets.append((second[:, :N] + second[:, N:]).transpose(0, 2, 3, 4, 1))
+        return jets
+
     def jet(self, x, order: int = 2) -> FrameJet:
+        """Row 0 of ``_jets`` for order >= 1; ``jet(x, 0)`` wraps ``frame(x)``."""
         if order < 1:
             return FrameJet(self.frame(x))
         x = self.check_point(x)
-        N = self.N
-        # one _unit_jets call for all stations: transmitters :N, receivers N:
-        u, first, second = _unit_jets(
-            x - self.geometry.stations, order, self.geometry.singularity_tolerance
-        )
-        F = (u[:N] + u[N:]).T                            # (M, N)
-        # first[n, m, p] -> dF[p, m, n]
-        dF = (first[:N] + first[N:]).transpose(2, 1, 0)
-        d2F = None
-        if order >= 2:
-            # second[n, q, p, m] -> d2F[q, p, m, n]
-            d2F = (second[:N] + second[N:]).transpose(1, 2, 3, 0)
-        return FrameJet(F, dF, d2F)
+        jets = self._jets(x[None], order)
+        if math.isnan(jets[0][0, 0, 0]):
+            self.frame(x)  # a row outside is NaN throughout: raise frame's error
+        return FrameJet(*(part[0] for part in jets))
 
     def frame(self, x) -> np.ndarray:
         """F(x) from one station pass through ``_unit_vectors``, with no jet
@@ -237,18 +241,9 @@ class RadarFrameFamily(FrameFamily):
         return (u[:N] + u[N:]).T, c[:N] + c[N:]
 
     def frames(self, X) -> np.ndarray:
-        """``frame(x)`` at every row of X in one pass over all points and
-        stations, each F in frame's (transposed) layout; see FrameFamily.frames."""
-        X = self.check_points(X)
-        N = self.N
-        d = X[:, None, :] - self.geometry.stations          # (B, 2N, M)
-        r = np.sqrt(np.einsum("bkm,bkm->bk", d, d))          # (B, 2N)
-        near = _near_station(r, self.geometry.singularity_tolerance).any(axis=1)
-        inside = np.isfinite(X).all(axis=1) & ~near
-        # rows outside stay NaN: no 0/0 at a station node, no inf/inf
-        u = np.divide(d, r[:, :, None], out=np.full_like(d, np.nan),
-                      where=inside[:, None, None])
-        return (u[:, :N] + u[:, N:]).transpose(0, 2, 1)
+        """``frame(x)`` at every row of X, each F in frame's (transposed)
+        layout, from ``_jets``; see FrameFamily.frames."""
+        return self._jets(self.check_points(X), 0)[0]
 
 
 def radar_family(geometry: RadarGeometry) -> RadarFrameFamily:
@@ -287,30 +282,23 @@ class RadarScenario:
     noise: NoiseModel
 
 
-def _json_integer(value, what: str) -> int:
-    """A JSON number with an integral value (7 or 7.0): no bool, str, NaN, inf or 2.5."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def parse_scenario(data: dict) -> RadarScenario:
     """Build and validate a scenario from its JSON dictionary form."""
     try:
         dim = _json_integer(data["dim"], "dim")
         geometry = RadarGeometry(
-            np.asarray(data["transmitters"], dtype=float),
-            np.asarray(data["receivers"], dtype=float),
+            _json_numbers(data["transmitters"], "transmitters"),
+            _json_numbers(data["receivers"], "receivers"),
         )
         target = TargetState(
-            np.asarray(data["target"]["position"], dtype=float),
-            np.asarray(data["target"]["velocity"], dtype=float),
+            _json_numbers(data["target"]["position"], "target position"),
+            _json_numbers(data["target"]["velocity"], "target velocity"),
         )
         noise_spec = data.get("noise", {})
         if not isinstance(noise_spec, dict):
             raise TypeError(f"noise must be an object, got {noise_spec!r}")
         noise = NoiseModel(
-            sigma=float(noise_spec.get("sigma", 0.0)),
+            sigma=float(_json_number(noise_spec.get("sigma", 0.0), "noise sigma")),
             seed=_json_integer(noise_spec.get("seed", 0), "noise seed"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -329,7 +317,7 @@ def parse_scenario(data: dict) -> RadarScenario:
         raise ScenarioValidationError(
             "target too far from the stations: the distances overflow"
         )
-    if np.any(dists <= geometry.singularity_tolerance):
+    if _near_station(dists, geometry.singularity_tolerance).any():
         raise ScenarioValidationError(
             "target position coincides with a transmitter or receiver"
         )

@@ -137,8 +137,11 @@ class TestSimulate:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "localize"])
-    @pytest.mark.parametrize("noise", [[], "x", {"sigma": 0.1, "seed": 1.5}],
-                             ids=["list", "string", "fractional_seed"])
+    @pytest.mark.parametrize(
+        "noise",
+        [[], "x", {"sigma": 0.1, "seed": 1.5}, {"sigma": True, "seed": 3}, {"sigma": "0.5"}],
+        ids=["list", "string", "fractional_seed", "bool_sigma", "string_sigma"],
+    )
     def test_malformed_noise_exits_one(self, scene, tmp_path, capsys, command, noise):
         path = scene[-1]
         data = json.loads(path.read_text())
@@ -208,8 +211,9 @@ class TestLocalize:
 
     @pytest.mark.parametrize(
         "text",
-        [b'{"v": [1.0, 2.0]}', b"not json", b"[1.0, 2.0]", *UNREADABLE_FILES.values()],
-        ids=["no_w", "not_json", "list", *UNREADABLE_FILES],
+        [b'{"v": [1.0, 2.0]}', b"not json", b"[1.0, 2.0]", *UNREADABLE_FILES.values(),
+         b'{"w": ["1", "0", "0", "0"]}', b'{"w": [true, false, false, false]}'],
+        ids=["no_w", "not_json", "list", *UNREADABLE_FILES, "string_w", "bool_w"],
     )
     def test_bad_measurement_exits_one(self, scene, tmp_path, capsys, text):
         _, _, _, _, path = scene

@@ -14,6 +14,7 @@ from framefit import (
     GridSpec,
     LinearFrameFamily,
     NoiseModel,
+    QuadraticFrameFamily,
     SolverConfig,
     TargetState,
     TimeSeries,
@@ -133,8 +134,12 @@ class TestProjectNull:
 
     def test_dimension_mismatch(self):
         F = np.array([[1.0, 0, 0], [0, 1, 0]])
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match="measurement has shape"):
             project_null(F, dual_synthesis(F), np.array([1.0, 2.0]))
+        with pytest.raises(DimensionMismatchError, match="dual has shape"):
+            project_null(F, dual_synthesis(F).T, np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DimensionMismatchError, match="expected a matrix"):
+            project_null(F[0], dual_synthesis(F), np.array([1.0, 2.0, 3.0]))
 
     def test_idempotent_self_adjoint_annihilating(self):
         rng = np.random.default_rng(3)
@@ -396,6 +401,8 @@ class TestErrorValues:
         rng = np.random.default_rng(seed)
         family = random_quadratic_family(rng, M, M + extra, P)
         X = rng.normal(size=(ERROR_BLOCK + 17, P)) * 3.0
+        # a row where frame() raises, which the base frames() leaves NaN
+        X[5, -1] = np.nan
         assert_stacked_matches_per_point(family, X, rng.normal(size=M + extra))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -529,6 +536,49 @@ class TestFrameJet:
     def test_order_reporting(self):
         jet = FrameJet(np.eye(2), np.zeros((1, 2, 2)))
         assert jet.dF.shape == (1, 2, 2) and jet.d2F is None
+
+    @pytest.mark.parametrize(
+        "dF, d2F, message",
+        [
+            (np.zeros((2, 2)), None, "dF has shape"),
+            (np.zeros((1, 2, 3)), None, "dF has shape"),
+            (np.zeros((1, 2, 2)), np.zeros((2, 2, 2, 2)), "d2F has shape"),
+            (None, np.zeros((1, 1, 2, 2)), "d2F given without dF"),
+        ],
+        ids=["dF_not_3d", "dF_wrong_frame", "d2F_wrong_P", "d2F_without_dF"],
+    )
+    def test_rejects_wrong_derivative_shapes(self, dF, d2F, message):
+        with pytest.raises(DimensionMismatchError, match=message):
+            FrameJet(np.eye(2), dF, d2F)
+
+
+class TestFamilyConstruction:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: QuadraticFrameFamily(np.eye(2), np.zeros((1, 2, 3))), "C must have"),
+            (lambda: QuadraticFrameFamily(np.eye(2), np.zeros((2, 2))), "C must have"),
+            (lambda: QuadraticFrameFamily(np.eye(2), np.zeros((1, 2, 2)), np.zeros((2, 2, 2, 2))),
+             "D must have shape"),
+            (lambda: QuadraticFrameFamily(np.eye(2), np.zeros((2, 2, 2)),
+                                          np.arange(16.0).reshape(2, 2, 2, 2)),
+             "D must be symmetric"),
+            (lambda: ConstantFrameFamily(np.ones(3)), "F0 must be a matrix"),
+        ],
+        ids=["C_wrong_frame", "C_not_3d", "D_wrong_shape", "D_asymmetric", "F0_vector"],
+    )
+    def test_rejects_inconsistent_coefficients(self, make, message):
+        with pytest.raises(DimensionMismatchError, match=message):
+            make()
+
+    def test_callable_family_without_derivative_evaluators(self):
+        def f(x):
+            return np.array([[1.0, x[0]]])
+
+        with pytest.raises(DimensionMismatchError, match="no first-order"):
+            CallableFrameFamily((1, 2, 1), f).jet([0.5], 1)
+        with pytest.raises(DimensionMismatchError, match="no second-order"):
+            CallableFrameFamily((1, 2, 1), f, lambda x: np.array([[[0.0, 1.0]]])).jet([0.5], 2)
 
 
 def test_family_determinism():

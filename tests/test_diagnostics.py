@@ -21,6 +21,7 @@ from framefit.errors import (
     DimensionMismatchError,
     EmptyDomainError,
     FramefitError,
+    RankDeficientError,
     ScenarioValidationError,
 )
 from framefit.radar import RadarGeometry
@@ -249,6 +250,12 @@ class TestUniquenessCertificate:
         for samples in ([], iter(())):
             with pytest.raises(DimensionMismatchError, match="at least one sample"):
                 uniqueness_certificate(family, w, samples)
+
+    def test_rank_deficient_sample_is_named(self):
+        # F0 has rank 1: no sample is in the domain, and the first one is named
+        family = ConstantFrameFamily(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]), P=2)
+        with pytest.raises(RankDeficientError, match=r"^sample \[0\.5 1\.5\]: "):
+            uniqueness_certificate(family, np.ones(3), [np.array([0.5, 1.5]), np.zeros(2)])
 
     def test_default_verdict_is_the_rank_rule(self):
         # tol=None applies frame_svd's rank rule to the augmented singular values

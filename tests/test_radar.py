@@ -13,7 +13,6 @@ from framefit import (
     frame_bounds,
     radar_family,
     simulate_fdoa,
-    unit_vector_jet,
 )
 from framefit.errors import (
     DimensionMismatchError,
@@ -59,16 +58,35 @@ class TestBistaticDistance:
             bistatic_distance(self.geom, 0, x)
 
 
+def monostatic_at_origin(dim):
+    """One pair with transmitter and receiver at the origin.  Its frame
+    element at x is twice the normalization map x -> x / |x|, so its F, dF
+    and d2F are exactly twice that map's value and partials."""
+    return radar_family(RadarGeometry(np.zeros((1, dim)), np.zeros((1, dim))))
+
+
+def unit_map_jet(x, order=2):
+    """The normalization map at the vector x and its partials, halved from
+    ``monostatic_at_origin``: (u, first, second) with ``first[m, p]`` the
+    partial of u_m with respect to x_p and ``second[q, p, m]`` the mixed
+    second partial; the parts above ``order`` are None."""
+    jet = monostatic_at_origin(len(x)).jet(x, order)
+    u = 0.5 * jet.F[:, 0]
+    first = None if jet.dF is None else 0.5 * jet.dF[..., 0].T
+    second = None if jet.d2F is None else 0.5 * jet.d2F[..., 0]
+    return u, first, second
+
+
 class TestUnitVectorJet:
     def test_projector_value(self):
-        _, first, _ = unit_vector_jet(np.array([3.0, 4.0]))
+        _, first, _ = unit_map_jet(np.array([3.0, 4.0]))
         pi = np.array([[16.0, -12.0], [-12.0, 9.0]]) / 25.0
         assert np.allclose(first * 5.0, pi)
         assert np.allclose(first[:, 0], [16.0 / 125.0, -12.0 / 125.0])
 
     def test_projector_annihilates_x(self):
         x = np.array([3.0, 4.0])
-        u, first, _ = unit_vector_jet(x)
+        u, first, _ = unit_map_jet(x)
         assert np.allclose(first @ x, 0.0, atol=1e-14)
         assert np.isclose(np.linalg.norm(u), 1.0)
 
@@ -79,12 +97,12 @@ class TestUnitVectorJet:
             x = rng.normal(size=3) * 4
             if np.linalg.norm(x) < 0.5:
                 continue
-            _, _, second = unit_vector_jet(x)
+            _, _, second = unit_map_jet(x)
             for p in range(3):
                 step = np.zeros(3)
                 step[p] = h
-                _, fplus, _ = unit_vector_jet(x + step)
-                _, fminus, _ = unit_vector_jet(x - step)
+                _, fplus, _ = unit_map_jet(x + step)
+                _, fminus, _ = unit_map_jet(x - step)
                 fd = (fplus - fminus) / (2.0 * h)
                 # fd[:, q] approximates second[p, q] mixed partials
                 assert np.max(np.abs(second[p].T - fd.T)) <= 1e-6 * max(
@@ -92,14 +110,15 @@ class TestUnitVectorJet:
                 )
 
     def test_near_singular(self):
-        with pytest.raises(NearSingularError):
-            unit_vector_jet(np.zeros(2))
+        for order in (0, 1, 2):
+            with pytest.raises(NearSingularError):
+                unit_map_jet(np.zeros(2), order)
 
     @pytest.mark.parametrize("x", [[np.nan, 1.0], [1.0, -np.inf], 1.0])
     def test_rejects_non_finite_or_non_vector_point(self, x):
         for order in (0, 1, 2):
             with pytest.raises(DimensionMismatchError):
-                unit_vector_jet(x, order)
+                monostatic_at_origin(2).jet(x, order)
 
 
 class TestFrameElement:
@@ -169,6 +188,20 @@ class TestRadarGeometry:
         with pytest.raises(DimensionMismatchError):
             RadarGeometry(np.zeros((3, 2, 1)), np.ones((3, 2, 1)))
 
+    @pytest.mark.parametrize(
+        "transmitters, receivers",
+        [
+            (np.zeros((2, 1)), np.ones((2, 1))),
+            (np.zeros((2, 4)), np.ones((2, 4))),
+            ([[0.0, 0.0], [np.nan, 1.0]], np.ones((2, 2))),
+            (np.zeros((2, 3)), [[1.0, 2.0, np.inf], [0.0, 0.0, 1.0]]),
+        ],
+        ids=["dim_1", "dim_4", "nan_station", "inf_station"],
+    )
+    def test_rejects_other_dimensions_and_non_finite_stations(self, transmitters, receivers):
+        with pytest.raises(DimensionMismatchError):
+            RadarGeometry(transmitters, receivers)
+
 
 class TestRadarFamily:
     def test_single_pair_never_a_frame_in_2d(self):
@@ -219,10 +252,10 @@ class TestRadarFamily:
         stations = np.vstack([geom.transmitters, geom.receivers])
         assume(np.min(np.linalg.norm(stations - x, axis=1)) > 1e-3)
         jet = radar_family(geom).jet(x, order)
-        # per-station reference: one unit_vector_jet per transmitter and receiver
+        # per-station reference: one unit_map_jet per transmitter and receiver
         pairs = []
         for a, b in zip(geom.transmitters, geom.receivers):
-            ja, jb = unit_vector_jet(x - a, order), unit_vector_jet(x - b, order)
+            ja, jb = unit_map_jet(x - a, order), unit_map_jet(x - b, order)
             pairs.append([pa + pb for pa, pb in zip(ja[: order + 1], jb[: order + 1])])
         assert np.array_equal(jet.F, np.array([p[0] for p in pairs]).T)
         if order >= 1:
@@ -234,6 +267,39 @@ class TestRadarFamily:
             ref = np.array([p[2] for p in pairs]).transpose(1, 2, 3, 0)
             assert np.array_equal(jet.d2F, ref)
         assert (jet.dF is None, jet.d2F is None) == (order < 1, order < 2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 3]),
+        num_pairs=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        order=st.sampled_from([0, 1, 2]),
+    )
+    def test_stacked_jets_equal_per_row_jets(self, dim, num_pairs, seed, order):
+        rng = np.random.default_rng(seed)
+        geom = RadarGeometry(
+            rng.uniform(-100.0, 100.0, size=(num_pairs, dim)),
+            rng.uniform(-100.0, 100.0, size=(num_pairs, dim)),
+        )
+        family = radar_family(geom)
+        X = rng.uniform(-50.0, 50.0, size=(7, dim))
+        X[0] = geom.transmitters[-1]
+        X[1] = geom.receivers[0] + 0.5 * geom.singularity_tolerance
+        X[2, 0] = np.nan
+        X[3, -1] = np.inf
+        jets = family._jets(X, order)
+        assert len(jets) == order + 1
+        for i, x in enumerate(X):
+            try:
+                jet = family.jet(x, order)
+            except FramefitError:
+                # the first two rows are at a station, the next two not finite
+                assert all(np.isnan(part[i]).all() for part in jets)
+                continue
+            assert i >= 4
+            for part, ref in zip(jets, (jet.F, jet.dF, jet.d2F)):
+                assert np.array_equal(part[i], ref)
 
     def test_jets_match_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -345,7 +411,8 @@ class TestSimulateFdoa:
 
 class TestNoiseModel:
     @pytest.mark.parametrize(
-        "sigma, seed", [(np.nan, 0), (np.inf, 0), (-0.1, 0), (0.1, -1)]
+        "sigma, seed",
+        [(np.nan, 0), (np.inf, 0), (-0.1, 0), (0.1, -1), (0.1, 1.5), (0.1, True), (0.1, "1")],
     )
     def test_rejects_invalid_settings(self, sigma, seed):
         with pytest.raises(ScenarioValidationError):
@@ -394,6 +461,7 @@ class TestScenarioIO:
         [
             [], "x", None, {"seed": 1.5}, {"seed": float("inf")}, {"seed": "1.5"},
             {"seed": True}, {"seed": "7"}, {"seed": None}, {"seed": [7]},
+            {"sigma": True, "seed": 3}, {"sigma": "0.5"}, {"sigma": [0.5]}, {"sigma": None},
         ],
     )
     def test_malformed_noise_rejected(self, noise):
@@ -409,6 +477,27 @@ class TestScenarioIO:
         data = self.scenario_dict()
         data["dim"] = dim
         with pytest.raises(ScenarioParseError, match="malformed scenario"):
+            parse_scenario(data)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("position", ["1", "-2"]),
+            ("velocity", [1.0, None]),
+            ("transmitters", [[True, 0.0], [10.0, 0.0]]),
+            ("receivers", [[0.0, 10.0], [10.0, "10"]]),
+        ],
+    )
+    def test_coordinate_that_is_no_json_number_rejected(self, field, value):
+        data = self.scenario_dict()
+        (data["target"] if field in ("position", "velocity") else data)[field] = value
+        with pytest.raises(ScenarioParseError, match="must be a number"):
+            parse_scenario(data)
+
+    def test_target_position_of_another_dimension_rejected(self):
+        data = self.scenario_dict()
+        data["target"] = {"position": [4.0, 5.0, 1.0], "velocity": [1.0, 0.0, 0.0]}
+        with pytest.raises(ScenarioValidationError, match="target position dimension"):
             parse_scenario(data)
 
     def test_integral_float_dim_accepted(self):

@@ -256,6 +256,15 @@ class TestNewtonStep:
         x1 = newton_step(family, w, x, *error_gradient_hessian(family, x, w))
         assert np.linalg.norm(x1 - truth.position) < np.linalg.norm(x - truth.position)
 
+    def test_returns_x_k_when_no_step_lowers_E(self):
+        # E >= 0 everywhere, so no candidate lowers an E_k of -1 and every
+        # one stays inside: x_k comes back, not the last candidate
+        family = arc_family(center=0.37)
+        w = np.array([1.0, 0.0])
+        x = np.array([0.87])
+        _, g, H = error_gradient_hessian(family, x, w)
+        assert np.array_equal(newton_step(family, w, x, -1.0, g, H), x)
+
     def test_monotone_under_backtracking(self):
         _, family, truth, w = noiseless_scene(4)
         x = truth.position + np.array([2.0, -1.5])

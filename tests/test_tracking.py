@@ -112,6 +112,12 @@ class TestTimeSeries:
         with pytest.raises(ScenarioValidationError, match=f"non-finite {what}"):
             TimeSeries(times, values)
 
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [2.0, 1.0, 0.0]],
+                             ids=["repeated", "decreasing"])
+    def test_rejects_times_that_do_not_increase(self, times):
+        with pytest.raises(ScenarioValidationError, match="strictly increasing"):
+            TimeSeries(times, [[0.0], [0.0], [0.0]])
+
     def test_rejects_values_of_more_than_two_axes(self):
         # a (K, N, 1) array has N in its second axis but is no K x N table
         with pytest.raises(ScenarioValidationError, match="K x N"):
@@ -158,6 +164,22 @@ class TestFunctionalValue:
         )
         data = TimeSeries(times, rng.normal(size=(9, 4)))
         assert functional_value(family, traj, data) >= 0.0
+
+    def test_trajectory_on_another_grid_raises(self):
+        family = radar_scene(1)
+        traj = Trajectory(np.linspace(0.0, 1.0, 5), np.ones((5, 2)), np.ones((5, 2)))
+        data = TimeSeries(np.linspace(0.0, 1.0, 9), np.ones((9, 4)))
+        with pytest.raises(DimensionMismatchError, match="grids differ"):
+            functional_value(family, traj, data)
+
+    @pytest.mark.parametrize(
+        "positions, velocities",
+        [(np.ones((5, 2)), np.ones((5, 3))), (np.ones((4, 2)), np.ones((4, 2)))],
+        ids=["velocity_width", "sample_count"],
+    )
+    def test_incongruent_trajectory_rejected(self, positions, velocities):
+        with pytest.raises(DimensionMismatchError, match="not congruent"):
+            Trajectory(np.linspace(0.0, 1.0, 5), positions, velocities)
 
 
 class TestElAcceleration:
