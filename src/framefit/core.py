@@ -79,11 +79,16 @@ def check_vector(x, size, what: str) -> np.ndarray:
     return x
 
 
+def _is_number(value) -> bool:
+    """Whether value is a Python or numpy int or float; a bool is not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _json_number(value, what: str):
     """The rule for every number in an input file: it is a JSON number, an
-    int or a float, returned as it is.  A bool, string or null raises
-    ValueError rather than reading as 1.0, a parsed float or NaN."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    int or a float (``_is_number``), returned as it is.  A bool, string or
+    null raises ValueError rather than reading as 1.0, a parsed float or NaN."""
+    if not _is_number(value):
         raise ValueError(f"{what} must be a number, got {value!r}")
     return value
 
@@ -256,12 +261,12 @@ class FrameFamily(abc.ABC):
     """A parametrized family of frames for R^M.
 
     Subclasses fix the dimensions (M, N, P) and evaluate jets.  The domain is
-    where the columns of F(x) form a frame.  The rank rule ``_spans`` alone
-    decides it, applied by ``frame_svd`` to one F and by ``error_values`` to
-    a stack, so no family adds membership rules of its own.  ``error_value``
-    takes F from ``frame`` and the derivative routines take their jets from
-    ``jet``, both unchecked: a subclass whose ``jet`` (or ``frame``
-    override) skips ``check_point`` gets no validation of x.
+    the points x where ``frame(x)`` is defined (the radar ``frame`` raises
+    NearSingularError next to a station) and passes the rank rule ``_spans``,
+    applied by ``frame_svd`` to one F and by ``error_values`` to a stack.
+    ``error_value`` takes F from ``frame`` and the derivative routines take
+    their jets from ``jet``, both unchecked: a subclass whose ``jet`` (or
+    ``frame`` override) skips ``check_point`` gets no validation of x.
     """
 
     M: int

@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     FrameFamily,
     FrameJet,
+    _is_number,
     _json_integer,
     _json_number,
     _json_numbers,
@@ -116,6 +117,9 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
+        # True would draw sigma-1 noise, and a string or None fail to compare
+        if not _is_number(self.sigma):
+            raise ScenarioValidationError(f"noise sigma must be a number, got {self.sigma!r}")
         if not 0.0 <= self.sigma < np.inf:
             raise ScenarioValidationError("noise sigma must be finite and nonnegative")
         # a float or bool key would silently draw the stream of its int()
@@ -208,9 +212,7 @@ class RadarFrameFamily(FrameFamily):
         return jets
 
     def jet(self, x, order: int = 2) -> FrameJet:
-        """Row 0 of ``_jets`` for order >= 1; ``jet(x, 0)`` wraps ``frame(x)``."""
-        if order < 1:
-            return FrameJet(self.frame(x))
+        """Row 0 of ``_jets``; near a station, raises what ``frame(x)`` raises."""
         x = self.check_point(x)
         jets = self._jets(x[None], order)
         if math.isnan(jets[0][0, 0, 0]):
@@ -219,7 +221,7 @@ class RadarFrameFamily(FrameFamily):
 
     def frame(self, x) -> np.ndarray:
         """F(x) from one station pass through ``_unit_vectors``, with no jet
-        built; ``jet(x, 0)`` wraps it.  See FrameFamily.frame."""
+        built: the per-point hot path.  See FrameFamily.frame."""
         x = self.check_point(x)
         N = self.N
         u, _ = _unit_vectors(x - self.geometry.stations, self.geometry.singularity_tolerance)

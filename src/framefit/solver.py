@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import FrameFamily, error_value, fields_equal
+from .core import FrameFamily, _is_number, error_value, fields_equal
 from .derivatives import error_gradient_hessian
 from .errors import (
     EmptyDomainError,
@@ -105,6 +105,8 @@ class SolverConfig:
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
+        if not _is_number(self.grad_tol):
+            raise ValueError(f"grad_tol must be a number, got {self.grad_tol!r}")
         if not 0.0 < self.grad_tol < np.inf:
             raise ValueError("grad_tol must be finite and strictly positive")
 

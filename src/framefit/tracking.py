@@ -43,7 +43,7 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 class TimeSeries:
     """Uniformly sampled FDOA data: times (K,) and values (K, N), K >= 3.
 
-    ``rates`` is ``sampled_derivative(values, dt)``, computed once.
+    ``rates`` is ``np.gradient(values, dt, axis=0, edge_order=2)``, computed once.
     """
 
     times: np.ndarray
@@ -73,7 +73,7 @@ class TimeSeries:
         if np.max(np.abs(dt - dt[0])) > slack:
             raise ScenarioValidationError("time grid must be uniform")
         with np.errstate(over="ignore", invalid="ignore"):
-            rates = sampled_derivative(v, dt[0])
+            rates = np.gradient(v, dt[0], axis=0, edge_order=2)
         if not np.isfinite(rates).all():
             raise ScenarioValidationError(
                 "time series values too large: their time derivative overflows"
@@ -110,20 +110,6 @@ class Trajectory:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "positions", x)
         object.__setattr__(self, "velocities", v)
-
-
-def sampled_derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    """Second-order time derivative of uniformly sampled rows.
-
-    Central differences at interior samples, one-sided three-point stencils at
-    the endpoints; exact for rows quadratic in time.
-    """
-    v = np.atleast_2d(np.asarray(values, dtype=float))
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
-    return out
 
 
 def _check_positions(family: FrameFamily) -> None:
@@ -175,14 +161,13 @@ def el_acceleration(family: FrameFamily, x, v, wdot) -> np.ndarray:
     Returns ``dual_coefficients(F, wdot - kappa)``, (F F^T)^{-1} F [ wdot -
     kappa ], with F and kappa = Fdot^T v from ``family.frame_curvature``, so
     neither the dual nor Fdot is formed.
-    Raises DimensionMismatchError unless x and v are finite vectors of length
-    M (= P) and wdot one of length N, RankDeficientError where F is not a
+    Raises DimensionMismatchError unless P = M, x and v are finite vectors of
+    length M and wdot one of length N, RankDeficientError where F is not a
     frame, and LeftDomainError when the acceleration overflows (a huge v or
     wdot).  numpy warns of that overflow first, so where RuntimeWarning is an
     error the caller gets the warning instead.
     """
-    _check_positions(family)
-    F, kappa = family.frame_curvature(x, v)  # validates x and v
+    F, kappa = family.frame_curvature(x, v)  # checks P = M, x and v
     wdot = check_vector(wdot, family.N, "data rate")
     a = dual_coefficients(F, wdot - kappa)
     if not all_finite(a):
@@ -196,7 +181,7 @@ def el_residual(family: FrameFamily, traj: Trajectory, data: TimeSeries) -> np.n
     O(dt^2) small along trajectories that satisfy the stationarity equation.
     """
     frames, residuals = _residual_pass(family, traj, data)
-    rdot = sampled_derivative(residuals, data.dt)
+    rdot = np.gradient(residuals, data.dt, axis=0, edge_order=2)
     return (frames @ rdot[:, :, None])[:, :, 0]
 
 

@@ -301,6 +301,17 @@ class TestRadarFamily:
             for part, ref in zip(jets, (jet.F, jet.dF, jet.d2F)):
                 assert np.array_equal(part[i], ref)
 
+        def outcome(evaluate, x):
+            try:
+                F = evaluate(x)
+            except FramefitError as exc:
+                return type(exc), str(exc)
+            return F.tobytes(), F.shape, F.strides
+
+        # jet(x, 0).F is frame(x): values, strides, error class and message
+        for x in [*X, X[4, :-1]]:
+            assert outcome(lambda x: family.jet(x, 0).F, x) == outcome(family.frame, x)
+
     def test_jets_match_finite_differences(self):
         rng = np.random.default_rng(6)
         family = radar_family(circular_geometry(rng))
@@ -412,11 +423,16 @@ class TestSimulateFdoa:
 class TestNoiseModel:
     @pytest.mark.parametrize(
         "sigma, seed",
-        [(np.nan, 0), (np.inf, 0), (-0.1, 0), (0.1, -1), (0.1, 1.5), (0.1, True), (0.1, "1")],
+        [(np.nan, 0), (np.inf, 0), (-0.1, 0), (0.1, -1), (0.1, 1.5), (0.1, True), (0.1, "1"),
+         (True, 0), ("0.5", 0), (None, 0), ([0.5], 0)],
     )
     def test_rejects_invalid_settings(self, sigma, seed):
         with pytest.raises(ScenarioValidationError):
             NoiseModel(sigma, seed)
+
+    @pytest.mark.parametrize("sigma", [0, 1, 0.5, np.int64(1), np.float32(0.5)])
+    def test_accepts_python_and_numpy_numbers(self, sigma):
+        assert np.array_equal(NoiseModel(sigma, 3).draw(2), sigma * NoiseModel(1.0, 3).draw(2))
 
     def test_seed_is_a_128_bit_philox_key(self):
         NoiseModel(0.1, 2**128 - 1).draw(3)

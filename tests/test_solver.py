@@ -445,6 +445,17 @@ class TestSolverConfigValidation:
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(self.grid, grad_tol=grad_tol)
 
+    @pytest.mark.parametrize("grad_tol", [True, "1e-10", None],
+                             ids=["true", "str", "none"])
+    def test_grad_tol_must_be_a_number(self, grad_tol):
+        # True would read as a tolerance of 1
+        with pytest.raises(ValueError, match="number"):
+            SolverConfig(self.grid, grad_tol=grad_tol)
+
+    @pytest.mark.parametrize("grad_tol", [1, 1e-10, np.int64(1), np.float32(1e-6)])
+    def test_python_and_numpy_numbers_accepted(self, grad_tol):
+        assert SolverConfig(self.grid, grad_tol=grad_tol).grad_tol == grad_tol
+
     @pytest.mark.parametrize("max_iters", [2.5, 3.0, True, False, "3", None],
                              ids=["fraction", "integral_float", "true", "false", "str", "none"])
     def test_max_iters_must_be_an_integer(self, max_iters):

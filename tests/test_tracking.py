@@ -29,7 +29,7 @@ from framefit.errors import (
 )
 from framefit.cli import _names, _write_csv
 from framefit import radar_family
-from framefit.tracking import load_time_series, sampled_derivative
+from framefit.tracking import load_time_series
 
 from conftest import (
     arc_family,
@@ -126,14 +126,14 @@ class TestTimeSeries:
     def test_sampled_derivative_exact_for_quadratics(self):
         t = np.linspace(0.0, 1.0, 11)
         vals = (3.0 + 2.0 * t - 5.0 * t**2)[:, None]
-        d = sampled_derivative(vals, t[1] - t[0])
+        d = TimeSeries(t, vals).rates
         assert np.allclose(d[:, 0], 2.0 - 10.0 * t, atol=1e-10)
 
     def test_rates_are_the_sampled_derivative(self):
         t = np.linspace(0.0, 0.3, 7)
         vals = np.c_[np.sin(t), t**3, np.exp(t)]
         data = TimeSeries(t, vals)
-        assert np.array_equal(data.rates, sampled_derivative(vals, data.dt))
+        assert np.array_equal(data.rates, np.gradient(vals, data.dt, axis=0, edge_order=2))
         assert "rates" not in repr(data)
 
 
@@ -218,9 +218,8 @@ class TestElAcceleration:
             lambda t: x0 + t * v0 + 0.5 * t * t * a0,
             lambda t: v0 + t * a0,
         )
-        wdot = sampled_derivative(data.values, data.dt)
         k = 100
-        a = el_acceleration(family, pos[k], vel[k], wdot[k])
+        a = el_acceleration(family, pos[k], vel[k], data.rates[k])
         assert np.linalg.norm(a - a0) <= 1e-3  # limited by sampled wdot accuracy
 
     @settings(max_examples=300, deadline=None, derandomize=True)
