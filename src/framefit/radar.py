@@ -147,19 +147,6 @@ def _near_station(r, tol):
     return r <= tol
 
 
-def _unit_vectors(d, tol: float):
-    """The lengths r (K,) of the rows of d (K, M) and the unit vectors d / r.
-
-    Raises NearSingularError when some row is ``_near_station``.
-    """
-    r = np.sqrt(np.einsum("km,km->k", d, d))        # (K,)
-    # r holds no NaN when d does not, and the builtin min is cheaper on few rows
-    r_min = min(r.tolist())
-    if _near_station(r_min, tol):
-        raise NearSingularError(f"point at distance {r_min} from a station (tol {tol})")
-    return d / r[:, None], r
-
-
 class RadarFrameFamily(FrameFamily):
     """The frame family whose n-th column is the gradient of phi_n.
 
@@ -211,36 +198,45 @@ class RadarFrameFamily(FrameFamily):
             jets.append((second[:, :N] + second[:, N:]).transpose(0, 2, 3, 4, 1))
         return jets
 
+    def _station_pass(self, x):
+        """F(x), the unit vectors u (2N, M) from the stations to the checked x
+        and their distances r (2N,); NearSingularError if x is ``_near_station``."""
+        x = self.check_point(x)
+        d = x - self.geometry.stations                 # (2N, M)
+        r = np.sqrt(np.einsum("km,km->k", d, d))        # (2N,)
+        # r holds no NaN when x does not, and the builtin min is cheaper on few rows
+        r_min = min(r.tolist())
+        tol = self.geometry.singularity_tolerance
+        if _near_station(r_min, tol):
+            raise NearSingularError(f"point at distance {r_min} from a station (tol {tol})")
+        u = d / r[:, None]
+        return (u[:self.N] + u[self.N:]).T, u, r
+
     def jet(self, x, order: int = 2) -> FrameJet:
         """Row 0 of ``_jets``; near a station, raises what ``frame(x)`` raises."""
         x = self.check_point(x)
         jets = self._jets(x[None], order)
         if math.isnan(jets[0][0, 0, 0]):
-            self.frame(x)  # a row outside is NaN throughout: raise frame's error
+            self._station_pass(x)  # a row outside is NaN throughout: raise frame's error
         return FrameJet(*(part[0] for part in jets))
 
     def frame(self, x) -> np.ndarray:
-        """F(x) from one station pass through ``_unit_vectors``, with no jet
-        built: the per-point hot path.  See FrameFamily.frame."""
-        x = self.check_point(x)
-        N = self.N
-        u, _ = _unit_vectors(x - self.geometry.stations, self.geometry.singularity_tolerance)
-        return (u[:N] + u[N:]).T
+        """F(x) from ``_station_pass``, with no jet built: the per-point hot
+        path.  See FrameFamily.frame."""
+        return self._station_pass(x)[0]
 
     def frame_curvature(self, x, v):
-        """``frame(x)``, bitwise, and kappa from one station pass; see
+        """``frame(x)``, bitwise, and kappa from the same ``_station_pass``; see
         FrameFamily.frame_curvature.  The unit vector u to a station at
         distance r moves at (v - u (u . v)) / r, so its rate applied to v is
         (|v|^2 - (u . v)^2) / r, the second derivative of the distance to
         that station along v; kappa_n sums it over pair n's two stations.
         No (2N, M, M) projector and no (M, N) rate matrix is built."""
-        x = self.check_point(x)
-        N = self.N
-        u, r = _unit_vectors(x - self.geometry.stations, self.geometry.singularity_tolerance)
+        F, u, r = self._station_pass(x)
         v = check_vector(v, self.P, "velocity")
         uv = u @ v                                        # (2N,)
         c = (v @ v - uv * uv) / r
-        return (u[:N] + u[N:]).T, c[:N] + c[N:]
+        return F, c[:self.N] + c[self.N:]
 
     def frames(self, X) -> np.ndarray:
         """``frame(x)`` at every row of X, each F in frame's (transposed)

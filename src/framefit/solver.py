@@ -265,6 +265,9 @@ def localize(family: FrameFamily, w, cfg: SolverConfig) -> SolveResult:
         except LeftDomainError:
             status = SolveStatus.LEFT_DOMAIN
             break
+        if np.array_equal(x_next, x):  # no decrease found: E, g and H are known
+            status = SolveStatus.STEP_CONVERGED
+            break
         if not (np.all(low <= x_next) and np.all(x_next <= high)):
             status = SolveStatus.LEFT_REGION
             break

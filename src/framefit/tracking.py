@@ -192,10 +192,11 @@ def integrate_trajectory(
 
     RK4 steps one stacked state y = (x, v) of length 2M, whose rate is
     (v, ``el_acceleration``), so each stage is one array update; every entry
-    is computed as for x and v stepped apart.  The data derivative
-    ``data.rates`` at the sample times is linearly interpolated at half steps.
-    If any stage point leaves the frame domain, a LeftDomainError carrying the
-    completed prefix as ``partial`` is raised.  A start x0 or v0 that is not a
+    is computed as for x and v stepped apart.  Row k of one (K, 2M) array is
+    the state at sample k; positions and velocities are its column halves.
+    ``data.rates`` is linearly interpolated at all half steps at once.  If
+    any stage point leaves the frame domain, a LeftDomainError carrying the
+    completed rows as ``partial`` is raised.  A start x0 or v0 that is not a
     finite vector of length M (= P) raises DimensionMismatchError before any
     step.
     """
@@ -205,37 +206,35 @@ def integrate_trajectory(
     _check_width(family, data)
     K, dt, M = data.num_samples, data.dt, family.M
     wdot = data.rates
-    y = np.concatenate((x, v))
-    positions = [x]
-    velocities = [v]
+    wd_half = 0.5 * (wdot[:-1] + wdot[1:])
+    states = np.empty((K, 2 * M))
+    states[0] = np.concatenate((x, v))
 
     def rhs(y_s, wd):
         return np.concatenate((y_s[M:], el_acceleration(family, y_s[:M], y_s[M:], wd)))
+
+    def prefix(n):  # the trajectory of the first n states
+        return Trajectory(data.times[:n], states[:n, :M], states[:n, M:])
 
     # A state that overflows leaves the domain: the checks of the next stage
     # raise for it, so numpy's overflow warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K - 1):
-            wd_half = 0.5 * (wdot[k] + wdot[k + 1])
+            y = states[k]
             try:
                 k1 = rhs(y, wdot[k])
-                k2 = rhs(y + 0.5 * dt * k1, wd_half)
-                k3 = rhs(y + 0.5 * dt * k2, wd_half)
+                k2 = rhs(y + 0.5 * dt * k1, wd_half[k])
+                k3 = rhs(y + 0.5 * dt * k2, wd_half[k])
                 k4 = rhs(y + dt * k3, wdot[k + 1])
-                y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                states[k + 1] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 if k == K - 2:  # no next stage checks the last state
-                    check_vector(y[:M], M, "position")
-                    check_vector(y[M:], M, "velocity")
+                    check_vector(states[k + 1, :M], M, "position")
+                    check_vector(states[k + 1, M:], M, "velocity")
             except FramefitError as exc:
-                partial = Trajectory(
-                    data.times[: k + 1], np.array(positions), np.array(velocities)
-                )
                 raise LeftDomainError(
-                    f"integration left the domain at step {k}: {exc}", partial=partial
+                    f"integration left the domain at step {k}: {exc}", partial=prefix(k + 1)
                 ) from exc
-            positions.append(y[:M])
-            velocities.append(y[M:])
-    return Trajectory(data.times, np.array(positions), np.array(velocities))
+    return prefix(K)
 
 
 def shooting_search(

@@ -10,6 +10,7 @@ from framefit import (
     TargetState,
     bistatic_distance,
     error_value,
+    error_values,
     frame_bounds,
     radar_family,
     simulate_fdoa,
@@ -234,6 +235,29 @@ class TestRadarFamily:
                 family.jet(x, order)
         with pytest.raises(NearSingularError):
             error_value(family, x, np.ones(geom.num_pairs))
+
+    def test_station_tolerance_is_the_boundary(self):
+        # (tol, 0) lies exactly tol from the transmitter at the origin, since
+        # sqrt(tol * tol) == tol: every path treats it as singular, and the
+        # point one ulp farther as inside, with frames' row equal to frame
+        geom = RadarGeometry([[0, 0], [0, 60], [-50, 20]], [[80, 10], [-30, -40], [40, 70]])
+        family = radar_family(geom)
+        tol = geom.singularity_tolerance
+        w = np.array([1.0, -2.0, 0.5])
+        at, past = np.array([tol, 0.0]), np.array([np.nextafter(tol, np.inf), 0.0])
+        singular = [
+            family.frame, lambda x: family.frame_curvature(x, [1.0, 2.0]),
+            *(lambda x, k=k: family.jet(x, k) for k in (0, 1, 2)),
+            lambda x: error_value(family, x, w),
+        ]
+        for evaluate in singular:
+            with pytest.raises(NearSingularError):
+                evaluate(at)
+            evaluate(past)
+        assert np.isnan(family.frames(at[None])).all()
+        assert np.isnan(error_values(family, at[None], w)).all()
+        assert family.frames(past[None])[0].tobytes() == family.frame(past).tobytes()
+        assert np.isfinite(error_values(family, past[None], w)).all()
 
     @settings(max_examples=150, deadline=None)
     @given(

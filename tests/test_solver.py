@@ -393,6 +393,23 @@ class TestLocalize:
         assert result.iterates[-1][2] >= 1e-10
         assert np.linalg.norm(result.minimizer - truth.position) <= 1e-9
 
+    @pytest.mark.parametrize("seed, scale, minimizer", [
+        (92, 1e3, [-6.786370244026181, -2.394867556205613]),
+        (30, 1e6, [-1.1342880213470314, -6.523631735147309]),
+    ])
+    def test_stops_when_the_line_search_finds_no_decrease(self, seed, scale, minimizer):
+        # the last Newton direction is about 1e-14 long: every backtracked
+        # candidate raises E until a halving rounds back to x_k itself, and
+        # that iterate is already recorded
+        _, family, _, w = noiseless_scene(seed)
+        result = localize(family, scale * w, SolverConfig(grid=self.grid, max_iters=30))
+        assert result.status is SolveStatus.STEP_CONVERGED
+        assert np.allclose(result.minimizer, minimizer, rtol=0.0, atol=1e-12)
+        assert len(result.iterates) == 4
+        xs = [x for x, _, _ in result.iterates]
+        assert not any(np.array_equal(a, b) for a, b in zip(xs, xs[1:]))
+        assert result.value == result.iterates[-1][1]
+
     def test_left_domain_status(self):
         # E = (x + 0.35)^2 / (1 + x^2); the domain ends 1e-9 past the best
         # grid node, -0.6, on the minimum's side, so every backtracked
