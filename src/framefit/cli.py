@@ -369,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # argparse would report these with the top-level usage
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     # Looked up per call, not stored in the cached parser, so a rebinding of
     # a cmd_* name (a wrapper, a monkeypatch) takes effect on the next run.
     command = {"simulate": cmd_simulate, "localize": cmd_localize,

@@ -42,10 +42,9 @@ def _values_equal(a, b) -> bool:
 
 
 def fields_equal(self, other):
-    """``==`` for the frozen dataclasses with array fields: the compared
-    fields by value, arrays by ``np.array_equal`` and lists and tuples
-    element by element, so it never raises.  NaN compares unequal, as under
-    ``==``.  A class takes ``eq=False`` and sets ``__eq__ = fields_equal``."""
+    """``==`` for ``record`` classes: the compared fields by value, arrays by
+    ``np.array_equal`` and lists and tuples element by element, so it never
+    raises.  NaN compares unequal, as under ``==``."""
     if type(other) is not type(self):
         return NotImplemented
     return all(
@@ -53,6 +52,15 @@ def fields_equal(self, other):
         for f in fields(self)
         if f.compare
     )
+
+
+def record(cls):
+    """The frozen dataclass of ``cls`` with ``fields_equal`` as its ``==``.
+    Records hold arrays, so they are unhashable: ``__hash__`` is None."""
+    cls = dataclass(frozen=True, eq=False)(cls)
+    cls.__eq__ = fields_equal
+    cls.__hash__ = None
+    return cls
 
 
 def _as_matrix(F) -> np.ndarray:
@@ -82,6 +90,11 @@ def check_vector(x, size, what: str) -> np.ndarray:
 def _is_number(value) -> bool:
     """Whether value is a Python or numpy int or float; a bool is not."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    """Whether value is a Python or numpy int; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _json_number(value, what: str):
@@ -211,7 +224,7 @@ def frame_bounds(F) -> tuple[float, float]:
     return float(s[-1] ** 2), float(s[0] ** 2)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class FrameJet:
     """Synthesis matrix at a point together with its parameter derivatives.
 
@@ -223,8 +236,6 @@ class FrameJet:
     F: np.ndarray
     dF: np.ndarray | None = None
     d2F: np.ndarray | None = None
-
-    __eq__ = fields_equal
 
     def __post_init__(self):
         F = _as_matrix(self.F)
@@ -255,6 +266,16 @@ class FrameJet:
             ):
                 raise DimensionMismatchError("d2F is not symmetric in (q, p)")
             object.__setattr__(self, "d2F", d2F)
+
+
+def _check_positions(family: FrameFamily) -> None:
+    """Raises DimensionMismatchError unless the family's parameters are
+    positions (P = M), as the tracking dynamics need."""
+    if family.P != family.M:
+        raise DimensionMismatchError(
+            f"the family's parameters must be positions (P = M), "
+            f"got P = {family.P}, M = {family.M}"
+        )
 
 
 class FrameFamily(abc.ABC):
@@ -303,15 +324,12 @@ class FrameFamily(abc.ABC):
         = sum_p v_p dF[p] is the rate of F along a velocity v: kappa_n =
         sum_{p,m} v_p v_m dF[p, m, n], all that the tracking dynamics need of
         the first derivatives.  Needs P = M, since v is both the parameter
-        velocity and the vector Fdot^T is applied to.  Raises where
-        ``jet(x, 1)`` raises, then DimensionMismatchError unless v is a
-        finite vector of length P.  This base version contracts
-        ``jet(x, 1).dF`` with v twice; a family with a cheaper second
-        directional derivative overrides it."""
-        if self.P != self.M:
-            raise DimensionMismatchError(
-                f"frame curvature needs P = M, got P = {self.P}, M = {self.M}"
-            )
+        velocity and the vector Fdot^T is applied to; ``_check_positions``
+        raises first otherwise.  Then raises where ``jet(x, 1)`` raises, then
+        DimensionMismatchError unless v is a finite vector of length P.  This
+        base version contracts ``jet(x, 1).dF`` with v twice; a family with a
+        cheaper second directional derivative overrides it."""
+        _check_positions(self)
         jet = self.jet(x, order=1)
         v = check_vector(v, self.P, "velocity")
         return jet.F, np.einsum("p,pmn,m->n", v, jet.dF, v)

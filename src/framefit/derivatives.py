@@ -24,18 +24,16 @@ p, or over all pairs (q, p), and no N x N operator is ever materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import FrameFamily, FrameJet, error_value, fields_equal, frame_svd
+from .core import FrameFamily, FrameJet, error_value, frame_svd, record
 from .errors import InvalidStepError, MissingSecondOrderError
 
 FD_GRAD_STEP = 1e-5
 FD_HESS_STEP = 1e-4
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class ProjectorPieces:
     """Cached vectors from which the gradient and Hessian are assembled.
 
@@ -53,8 +51,6 @@ class ProjectorPieces:
     Pps_w: np.ndarray     # (P, N)   Pi_p* w
     P_Pps_w: np.ndarray   # (P, N)   Pi Pi_p* w
     Pqp_Pw: np.ndarray    # (P, P, N) Pi_qp Pi w
-
-    __eq__ = fields_equal
 
 
 def projector_pieces(jet: FrameJet, w) -> ProjectorPieces:

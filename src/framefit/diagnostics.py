@@ -9,11 +9,9 @@ R^{M+P}, the zero set of the error contains no smooth curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import FrameFamily, _spans, dual_coefficients, error_value, error_values, fields_equal
+from .core import FrameFamily, _spans, dual_coefficients, error_value, error_values, record
 from .errors import DimensionMismatchError, RankDeficientError
 from .solver import GridSpec, in_domain_count
 
@@ -29,7 +27,7 @@ def residual_bound_check(family: FrameFamily, x0, w, eps_norm: float):
     return E, E <= eps_norm**2 + 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class LevelSetReport:
     """Grid points whose error does not exceed the threshold."""
 
@@ -37,8 +35,6 @@ class LevelSetReport:
     points: np.ndarray  # (K, P) kept grid points in lexicographic grid order
     errors: np.ndarray  # (K,) their errors
     fraction: float  # covered fraction of in-domain grid points
-
-    __eq__ = fields_equal
 
 
 def level_set(family: FrameFamily, w, grid: GridSpec, tau: float) -> LevelSetReport:
@@ -71,7 +67,7 @@ def augmented_vectors(family: FrameFamily, x, w) -> np.ndarray:
     return np.vstack([jet.F, bottom])
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class UniquenessCertificate:
     """Point-sample check of the augmented-frame spanning condition.
 
@@ -82,8 +78,6 @@ class UniquenessCertificate:
     samples: list
     smallest_singular_values: list
     passed: bool
-
-    __eq__ = fields_equal
 
 
 def uniqueness_certificate(

@@ -72,8 +72,9 @@ class CallableFrameFamily(FrameFamily):
     """Frame family built from user-supplied evaluation callables.
 
     ``f(x) -> (M, N)``, ``df(x) -> (P, M, N)`` and ``d2f(x) -> (P, P, M, N)``
-    supply the jet pieces.  Where ``f(x)`` is not a frame, NaN or inf entries
-    included, x lies outside the domain.
+    supply the jet pieces; a piece of another shape raises
+    DimensionMismatchError.  Where ``f(x)`` is not a frame, NaN or inf
+    entries included, x lies outside the domain.
     """
 
     def __init__(self, dims, f, df=None, d2f=None):
@@ -93,6 +94,10 @@ class CallableFrameFamily(FrameFamily):
             if self._df is None:
                 raise DimensionMismatchError("family has no first-order evaluator")
             dF = np.asarray(self._df(x), dtype=float)
+            if dF.shape != (self.P, self.M, self.N):
+                raise DimensionMismatchError(
+                    f"df(x) has shape {dF.shape}, expected ({self.P}, {self.M}, {self.N})"
+                )
         if order >= 2:
             if self._d2f is None:
                 raise DimensionMismatchError("family has no second-order evaluator")

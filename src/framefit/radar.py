@@ -16,13 +16,14 @@ import numpy as np
 from .core import (
     FrameFamily,
     FrameJet,
+    _is_integer,
     _is_number,
     _json_integer,
     _json_number,
     _json_numbers,
     check_vector,
-    fields_equal,
     read_json,
+    record,
 )
 from .errors import (
     DimensionMismatchError,
@@ -36,14 +37,12 @@ from .errors import (
 SINGULARITY_RTOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class RadarGeometry:
     """Fixed transmitter and receiver positions, N of each, in R^M (meters)."""
 
     transmitters: np.ndarray  # (N, M)
     receivers: np.ndarray     # (N, M)
-
-    __eq__ = fields_equal
 
     def __post_init__(self):
         tx = np.atleast_2d(np.asarray(self.transmitters, dtype=float))
@@ -88,14 +87,12 @@ class RadarGeometry:
         return SINGULARITY_RTOL * self._diameter
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class TargetState:
     """Target position and velocity at one instant (meters, meters/second)."""
 
     position: np.ndarray
     velocity: np.ndarray
-
-    __eq__ = fields_equal
 
     def __post_init__(self):
         pos = check_vector(self.position, None, "target position")
@@ -123,7 +120,7 @@ class NoiseModel:
         if not 0.0 <= self.sigma < np.inf:
             raise ScenarioValidationError("noise sigma must be finite and nonnegative")
         # a float or bool key would silently draw the stream of its int()
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+        if not _is_integer(self.seed):
             raise ScenarioValidationError(f"noise seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**128:  # a Philox key has 128 bits
             raise ScenarioValidationError("noise seed must lie in [0, 2**128)")

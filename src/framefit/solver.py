@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import FrameFamily, _is_number, error_value, fields_equal
+from .core import FrameFamily, _is_integer, _is_number, error_value, record
 from .derivatives import error_gradient_hessian
 from .errors import (
     EmptyDomainError,
@@ -30,15 +30,13 @@ SHIFT_DOUBLINGS = int(np.log2(MAX_SHIFT_FACTOR / 1e-12)) + 1
 STEP_TOL = 1e-12  # a Newton step shorter than this ends the iteration
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class GridSpec:
     """Axis-aligned evaluation grid: counts[p] points on [lower[p], upper[p]]."""
 
     lower: np.ndarray
     upper: np.ndarray
     counts: np.ndarray
-
-    __eq__ = fields_equal
 
     def __post_init__(self):
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
@@ -100,8 +98,7 @@ class SolverConfig:
     grad_tol: float = 1e-10
 
     def __post_init__(self):
-        if (isinstance(self.max_iters, bool)
-                or not isinstance(self.max_iters, (int, np.integer))):
+        if not _is_integer(self.max_iters):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
@@ -119,7 +116,7 @@ class SolveStatus(Enum):
     LEFT_REGION = "LeftRegion"
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class SolveResult:
     """Outcome of a localization run, with the full iterate trace."""
 
@@ -127,8 +124,6 @@ class SolveResult:
     value: float
     iterates: list  # (x_k, E(x_k), |grad E(x_k)|) per recorded iterate
     status: SolveStatus
-
-    __eq__ = fields_equal
 
 
 def in_domain_count(errors) -> int:

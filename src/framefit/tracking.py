@@ -16,13 +16,13 @@ so the family must have P = M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
 from .core import (
-    FrameFamily, all_finite, check_vector, dual_coefficients, fields_equal, frame_svd,
-    read_json,
+    FrameFamily, _check_positions, all_finite, check_vector, dual_coefficients, frame_svd,
+    read_json, record,
 )
 from .errors import (
     AllCandidatesFailedError,
@@ -39,7 +39,7 @@ UNIFORM_RTOL = 1e-12
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class TimeSeries:
     """Uniformly sampled FDOA data: times (K,) and values (K, N), K >= 3.
 
@@ -49,8 +49,6 @@ class TimeSeries:
     times: np.ndarray
     values: np.ndarray
     rates: np.ndarray = field(init=False, repr=False, compare=False)
-
-    __eq__ = fields_equal
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -91,15 +89,13 @@ class TimeSeries:
         return len(self.times)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Trajectory:
     """Positions and velocities on a shared time grid."""
 
     times: np.ndarray
     positions: np.ndarray   # (K, M)
     velocities: np.ndarray  # (K, M)
-
-    __eq__ = fields_equal
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -110,14 +106,6 @@ class Trajectory:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "positions", x)
         object.__setattr__(self, "velocities", v)
-
-
-def _check_positions(family: FrameFamily) -> None:
-    if family.P != family.M:
-        raise DimensionMismatchError(
-            f"tracking needs a family whose parameters are positions (P = M), "
-            f"got P = {family.P}, M = {family.M}"
-        )
 
 
 def _check_width(family: FrameFamily, data: TimeSeries) -> None:

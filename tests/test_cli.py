@@ -1086,6 +1086,7 @@ class TestFlagErrors:
         ("track", ["--vel-counts=0,1"], "grid counts must be positive integers"),
         ("track", ["--vel-counts=1,1,1", "--vel-lower=0,0,0", "--vel-upper=1,1,1"],
          "grid has dimension 3, the scene needs 2"),
+        ("localize", ["--bogus=1"], "unrecognized arguments: --bogus=1"),
     ]
 
     @staticmethod

@@ -207,6 +207,19 @@ class TestErrorValue:
         with pytest.raises(DimensionMismatchError):
             error_value(family, [0.0], [1.0, 2.0, 3.0])
 
+    def test_derivatives_of_wrong_shape_rejected(self):
+        # df and d2f shaped for P = 3 on a family that declares P = 2: a jet
+        # must not hand a length-3 gradient to a 2-parameter solver
+        family = CallableFrameFamily(
+            (2, 3, 2), lambda x: np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]),
+            lambda x: np.zeros((3, 2, 3)), lambda x: np.zeros((3, 3, 2, 3)))
+        x, w = np.array([0.1, 0.2]), np.array([1.0, 2.0, 3.0])
+        for call in (lambda: family.jet(x, 1), lambda: family.jet(x, 2),
+                     lambda: error_gradient_hessian(family, x, w),
+                     lambda: family.frame_curvature(x, [1.0, 1.0])):
+            with pytest.raises(DimensionMismatchError):
+                call()
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -705,6 +718,8 @@ def test_equality_compares_fields_by_value(name):
     assert a == same and not a != same
     assert a != changed and changed != a and not a == changed
     assert a != 3 and a == dataclasses.replace(a)  # replace() re-runs __post_init__
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 @pytest.mark.filterwarnings("error")
