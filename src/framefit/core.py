@@ -42,15 +42,13 @@ def _values_equal(a, b) -> bool:
 
 
 def fields_equal(self, other):
-    """``==`` for ``record`` classes: the compared fields by value, arrays by
+    """``==`` for ``record`` classes: the fields by value, arrays by
     ``np.array_equal`` and lists and tuples element by element, so it never
     raises.  NaN compares unequal, as under ``==``."""
     if type(other) is not type(self):
         return NotImplemented
     return all(
-        _values_equal(getattr(self, f.name), getattr(other, f.name))
-        for f in fields(self)
-        if f.compare
+        _values_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
     )
 
 
@@ -95,6 +93,12 @@ def _is_number(value) -> bool:
 def _is_integer(value) -> bool:
     """Whether value is a Python or numpy int; a bool is not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_order(order) -> None:
+    """Raises ValueError unless the jet order is the integer 0, 1 or 2."""
+    if not (_is_integer(order) and 0 <= order <= 2):
+        raise ValueError(f"jet order must be 0, 1 or 2, got {order!r}")
 
 
 def _json_number(value, what: str):
@@ -296,7 +300,8 @@ class FrameFamily(abc.ABC):
 
     @abc.abstractmethod
     def jet(self, x, order: int = 2) -> FrameJet:
-        """F(x) and, for ``order`` >= 1 or 2, its partials; calls check_point(x)."""
+        """F(x) and, for ``order`` 1 or 2, its partials; calls _check_order(order),
+        then check_point(x)."""
 
     def frame(self, x) -> np.ndarray:
         """F(x) alone, shape (M, N), bitwise ``jet(x, 0).F``; raises where

@@ -47,7 +47,8 @@ class LeftDomainError(FramefitError, RuntimeError):
 
 
 class AllCandidatesFailedError(FramefitError, RuntimeError):
-    """Every shooting candidate failed to integrate across the time window."""
+    """No shooting candidate has a finite functional: each left the domain or
+    overflowed."""
 
 
 class ScenarioParseError(FramefitError, ValueError):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FrameFamily, FrameJet
+from .core import FrameFamily, FrameJet, _check_order
 from .errors import DimensionMismatchError
 
 
@@ -38,6 +38,7 @@ class QuadraticFrameFamily(FrameFamily):
         self._quadratic = bool(self.D.any())
 
     def jet(self, x, order: int = 2) -> FrameJet:
+        _check_order(order)
         x = self.check_point(x)
         F = self.F0 + np.tensordot(x, self.C, axes=1)
         if self._quadratic:
@@ -82,6 +83,7 @@ class CallableFrameFamily(FrameFamily):
         self._f, self._df, self._d2f = f, df, d2f
 
     def jet(self, x, order: int = 2) -> FrameJet:
+        _check_order(order)
         x = self.check_point(x)
         # C order, as frames() stacks it, so error_values matches error_value bitwise
         F = np.ascontiguousarray(self._f(x), dtype=float)

@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     FrameFamily,
     FrameJet,
+    _check_order,
     _is_integer,
     _is_number,
     _json_integer,
@@ -59,7 +60,7 @@ class RadarGeometry:
         object.__setattr__(self, "receivers", rx)
         pts = np.vstack([tx, rx])  # (2N, M): transmitters, then receivers
         object.__setattr__(self, "stations", pts)
-        # cache the diameter: jet evaluation reads it in its inner loop
+        # the largest distance between two stations; 1.0 for a degenerate scene
         with np.errstate(over="ignore"):
             d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
         diam = float(d.max())
@@ -67,7 +68,8 @@ class RadarGeometry:
             raise DimensionMismatchError(
                 "station coordinates too large: the scene diameter overflows"
             )
-        object.__setattr__(self, "_diameter", diam if diam > 0.0 else 1.0)
+        object.__setattr__(self, "scene_diameter", diam if diam > 0.0 else 1.0)
+        object.__setattr__(self, "singularity_tolerance", SINGULARITY_RTOL * self.scene_diameter)
 
     @property
     def num_pairs(self) -> int:
@@ -76,15 +78,6 @@ class RadarGeometry:
     @property
     def dim(self) -> int:
         return self.transmitters.shape[1]
-
-    @property
-    def scene_diameter(self) -> float:
-        """Largest distance between any two stations; 1.0 for a degenerate scene."""
-        return self._diameter
-
-    @property
-    def singularity_tolerance(self) -> float:
-        return SINGULARITY_RTOL * self._diameter
 
 
 @record
@@ -211,6 +204,7 @@ class RadarFrameFamily(FrameFamily):
 
     def jet(self, x, order: int = 2) -> FrameJet:
         """Row 0 of ``_jets``; near a station, raises what ``frame(x)`` raises."""
+        _check_order(order)
         x = self.check_point(x)
         jets = self._jets(x[None], order)
         if math.isnan(jets[0][0, 0, 0]):
@@ -268,7 +262,7 @@ def simulate_fdoa(
     return family.check_measurement(w)
 
 
-@dataclass(frozen=True)
+@record
 class RadarScenario:
     """A complete simulated scene: geometry, target truth, and noise model."""
 

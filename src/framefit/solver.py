@@ -9,7 +9,6 @@ while a step fails to decrease the error or leaves the domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -88,7 +87,7 @@ class GridSpec:
         return np.stack(grids, axis=-1).reshape(-1, len(grids))
 
 
-@dataclass(frozen=True)
+@record
 class SolverConfig:
     """The starting grid and the Newton iteration controls; the defaults suit
     unit-scale scenes."""

@@ -16,8 +16,6 @@ so the family must have P = M.
 
 from __future__ import annotations
 
-from dataclasses import field
-
 import numpy as np
 
 from .core import (
@@ -35,20 +33,17 @@ from .solver import GridSpec
 
 UNIFORM_RTOL = 1e-12
 
-# numpy renamed trapz to trapezoid in 2.0
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 
 @record
 class TimeSeries:
     """Uniformly sampled FDOA data: times (K,) and values (K, N), K >= 3.
 
-    ``rates`` is ``np.gradient(values, dt, axis=0, edge_order=2)``, computed once.
+    ``dt`` and ``rates``, ``np.gradient(values, dt, axis=0, edge_order=2)``,
+    are computed once.
     """
 
     times: np.ndarray
     values: np.ndarray
-    rates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -78,11 +73,8 @@ class TimeSeries:
             )
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "dt", float(dt[0]))
         object.__setattr__(self, "rates", rates)
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
     @property
     def num_samples(self) -> int:
@@ -121,11 +113,12 @@ def _residual_pass(family: FrameFamily, traj: Trajectory, data: TimeSeries):
     shape (K, N), from one ``frames`` call.
 
     Each product has the per-sample shapes, so every value equals the
-    per-sample ``frame`` computation bitwise.  At the first sample whose F is
-    not finite, raises what ``frame_svd(family.frame(x))`` raises there:
+    per-sample ``frame`` computation bitwise.  Raises DimensionMismatchError
+    unless the trajectory's times are the data's.  At the first sample whose
+    F is not finite, raises what ``frame_svd(family.frame(x))`` raises there:
     ``frame``'s error, or RankDeficientError for a non-finite F.
     """
-    if traj.positions.shape[0] != data.num_samples:
+    if not np.array_equal(traj.times, data.times):
         raise DimensionMismatchError("trajectory and data grids differ")
     _check_width(family, data)
     frames = family.frames(traj.positions)
@@ -137,10 +130,13 @@ def _residual_pass(family: FrameFamily, traj: Trajectory, data: TimeSeries):
 
 
 def functional_value(family: FrameFamily, traj: Trajectory, data: TimeSeries) -> float:
-    """Composite-trapezoid value of the integrated squared residual."""
+    """Composite-trapezoid value of the integrated squared residual, the sum
+    numpy's ``trapezoid`` forms.  A value past the float range is inf, with
+    no overflow warning."""
     _, residuals = _residual_pass(family, traj, data)
-    squares = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
-    return float(_trapezoid(squares, dx=data.dt))
+    with np.errstate(over="ignore"):
+        squares = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
+        return float((data.dt * (squares[1:] + squares[:-1]) / 2.0).sum())
 
 
 def el_acceleration(family: FrameFamily, x, v, wdot) -> np.ndarray:
@@ -232,8 +228,10 @@ def shooting_search(
 
     Returns (best trajectory, best value, trace), where the trace records
     (x0, v0, value) for every candidate in lexicographic order; candidates
-    that fail to integrate are recorded with value inf.  Grids of the wrong
-    dimension raise DimensionMismatchError before any candidate runs.
+    that leave the domain are recorded with value inf.  Grids of the wrong
+    dimension raise DimensionMismatchError before any candidate runs.  When
+    no candidate has a finite value, AllCandidatesFailedError says how many
+    left the domain and how many have a non-finite functional.
     """
     _check_positions(family)
     for grid, what in ((pos_grid, "position"), (vel_grid, "velocity")):
@@ -245,6 +243,7 @@ def shooting_search(
     best = None
     best_value = np.inf
     trace = []
+    left = 0
     velocities = vel_grid.points()
     for x0 in pos_grid.points():
         for v0 in velocities:
@@ -252,13 +251,17 @@ def shooting_search(
                 traj = integrate_trajectory(family, x0, v0, data)
                 value = functional_value(family, traj, data)
             except FramefitError:
+                left += 1
                 trace.append((x0, v0, np.inf))
                 continue
             trace.append((x0, v0, value))
             if value < best_value:
                 best, best_value = traj, value
     if best is None:
-        raise AllCandidatesFailedError("every shooting candidate failed to integrate")
+        raise AllCandidatesFailedError(
+            f"every shooting candidate failed: {left} of {len(trace)} left the domain, "
+            f"and the functional of {len(trace) - left} is not finite"
+        )
     return best, best_value, trace
 
 

@@ -573,6 +573,25 @@ class TestTrack:
         # the first candidate sits at the lower corner of both default boxes
         assert trace[1].split(",")[:4] == ["-10.0"] * 4
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("size", [2.0**511, 1e160], ids=["sum", "squares"])
+    def test_overflowing_functional_exits_one(self, tmp_path, size):
+        # the one candidate integrates, but its functional overflows: for
+        # 2**511 in the trapezoid sum, for 1e160 in the squares
+        series = tmp_path / "series.json"
+        series.write_text(json.dumps({"times": [0.0, 0.1, 0.2, 0.3],
+                                      "w": [[size, -size, size]] * 4}))
+        scene = _scene_file(tmp_path, **MOVING_SCENE)
+        out = tmp_path / "out"
+        code, err = _run_cli(["track", "--scenario", str(scene), "--series", str(series),
+                              "--grid-lower=1,0.5", "--grid-upper=2,1.5", "--grid-counts=1,1",
+                              "--vel-lower=2,-1", "--vel-upper=3,0", "--vel-counts=1,1",
+                              "--out-dir", str(out)])
+        assert code == 1
+        assert err.startswith("error: every shooting candidate failed: 0 of 1 left the domain")
+        assert "Warning" not in err
+        assert not out.exists()
+
     def test_series_width_mismatch_exits_one(self, scene, tmp_path, capsys):
         _, _, _, _, path = scene
         series = tmp_path / "series.json"
@@ -921,6 +940,13 @@ FUZZ_SCENARIO = {
 FOUR_PAIRS = {
     "transmitters": [[100.0, 0.0], [-50.0, 86.6], [-50.0, -86.6], [0.0, -90.0]],
     "receivers": [[0.0, 100.0], [-86.6, -50.0], [86.6, -50.0], [70.0, 70.0]],
+}
+# The moving-target 3-pair scene of the CI smoke test.
+MOVING_SCENE = {
+    "transmitters": [[30.0, 0.0], [0.0, 30.0], [-25.0, -20.0]],
+    "receivers": [[-30.0, 10.0], [10.0, -30.0], [20.0, 25.0]],
+    "target": {"position": [1.0, 0.5], "velocity": [2.0, -1.0]},
+    "noise": {"sigma": 0.0, "seed": 0},
 }
 FUZZ_SERIES = {"times": [0.0, 0.01, 0.02, 0.03], "w": [[0.1, -0.2, 0.3]] * 4}
 FUZZ_MEASUREMENT = {"w": [0.1, -0.2, 0.3]}

@@ -40,7 +40,7 @@ from framefit.errors import (
     RankDeficientError,
     ScenarioValidationError,
 )
-from framefit.radar import RadarGeometry
+from framefit.radar import RadarGeometry, RadarScenario
 
 from conftest import (
     circular_geometry,
@@ -663,6 +663,14 @@ BAD_POINTS = {
 }
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "callable", "radar"])
+@pytest.mark.parametrize("order", [3, -1, True, 2.0, "2", None])
+def test_jet_rejects_an_order_other_than_0_1_2(kind, order):
+    family = _families_2x4()[kind]
+    with pytest.raises(ValueError, match=f"jet order must be 0, 1 or 2, got {order!r}"):
+        family.jet(np.zeros(2), order)
+
+
 @pytest.mark.parametrize("kind", sorted(_families_2x4()))
 @pytest.mark.parametrize("point", sorted(BAD_POINTS))
 def test_every_entry_point_rejects_a_bad_point(kind, point):
@@ -691,6 +699,7 @@ def _equality_cases():
     report = level_set(family, w, grid, float(w @ w))
     cert = uniqueness_certificate(family, w, [truth.position, truth.position + 1.0])
     pieces = projector_pieces(jet, w)
+    scenario = RadarScenario(geometry, truth, NoiseModel(sigma=0.5, seed=3))
     return {
         "GridSpec": (GridSpec([0, 0], [1, 1], [2, 2]), GridSpec([0, 0], [1, 1], [2, 3])),
         "GridSpec_shape": (GridSpec([0, 0], [1, 1], [2, 2]), GridSpec([0], [1], [2])),
@@ -704,6 +713,10 @@ def _equality_cases():
         "SolveResult": (result, dataclasses.replace(result, iterates=result.iterates[:-1])),
         "LevelSetReport": (report, dataclasses.replace(report, errors=report.errors + 1.0)),
         "UniquenessCertificate": (cert, dataclasses.replace(cert, samples=cert.samples[::-1])),
+        "SolverConfig": (SolverConfig(grid=grid), SolverConfig(grid=dataclasses.replace(
+            grid, counts=[7, 8]))),
+        "RadarScenario": (scenario, dataclasses.replace(scenario, target=TargetState(
+            truth.position, -truth.velocity))),
     }
 
 
@@ -711,6 +724,7 @@ def _equality_cases():
 @pytest.mark.parametrize("name", [
     "GridSpec", "GridSpec_shape", "TimeSeries", "Trajectory", "RadarGeometry", "TargetState",
     "FrameJet", "ProjectorPieces", "SolveResult", "LevelSetReport", "UniquenessCertificate",
+    "SolverConfig", "RadarScenario",
 ])
 def test_equality_compares_fields_by_value(name):
     a, changed = _equality_cases()[name]
@@ -718,7 +732,7 @@ def test_equality_compares_fields_by_value(name):
     assert a == same and not a != same
     assert a != changed and changed != a and not a == changed
     assert a != 3 and a == dataclasses.replace(a)  # replace() re-runs __post_init__
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=f"unhashable type: '{type(a).__name__}'"):
         hash(a)
 
 

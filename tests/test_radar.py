@@ -22,7 +22,7 @@ from framefit.errors import (
     ScenarioParseError,
     ScenarioValidationError,
 )
-from framefit.radar import load_scenario, parse_scenario
+from framefit.radar import SINGULARITY_RTOL, load_scenario, parse_scenario
 
 from conftest import UNREADABLE_FILES, circular_geometry, noiseless_scene
 
@@ -183,6 +183,13 @@ class TestRadarGeometry:
         assert np.array_equal(
             geom.stations, np.vstack([geom.transmitters, geom.receivers])
         )
+
+    def test_scene_diameter_and_singularity_tolerance(self):
+        geom = RadarGeometry([[0.0, 0.0], [3.0, 0.0]], [[0.0, 4.0], [1.0, 1.0]])
+        assert geom.scene_diameter == 5.0
+        assert geom.singularity_tolerance == SINGULARITY_RTOL * geom.scene_diameter
+        # every station at one point: the diameter falls back to 1.0
+        assert RadarGeometry([[2.0, 2.0]], [[2.0, 2.0]]).scene_diameter == 1.0
 
     def test_rejects_coordinates_of_more_than_two_axes(self):
         # (N, 2, 1) arrays have a second axis of length 2 but are no point lists

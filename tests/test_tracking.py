@@ -167,10 +167,13 @@ class TestFunctionalValue:
 
     def test_trajectory_on_another_grid_raises(self):
         family = radar_scene(1)
-        traj = Trajectory(np.linspace(0.0, 1.0, 5), np.ones((5, 2)), np.ones((5, 2)))
         data = TimeSeries(np.linspace(0.0, 1.0, 9), np.ones((9, 4)))
-        with pytest.raises(DimensionMismatchError, match="grids differ"):
-            functional_value(family, traj, data)
+        # another sample count, and the data's count on times shifted by 5
+        for times in (np.linspace(0.0, 1.0, 5), data.times + 5.0):
+            traj = Trajectory(times, np.ones((len(times), 2)), np.ones((len(times), 2)))
+            for evaluate in (functional_value, el_residual):
+                with pytest.raises(DimensionMismatchError, match="grids differ"):
+                    evaluate(family, traj, data)
 
     @pytest.mark.parametrize(
         "positions, velocities",
@@ -568,7 +571,8 @@ class TestShootingSearch:
         monkeypatch.setattr(tracking, "integrate_trajectory", recording)
         best, best_value, trace = shooting_search(family, data, *grids)
         assert len(runs) == len(candidates)
-        data_scale = float(tracking._trapezoid(np.sum(data.values**2, axis=1), dx=data.dt))
+        squares = np.sum(data.values**2, axis=1)
+        data_scale = float((data.dt * (squares[1:] + squares[:-1]) / 2.0).sum())
         ref_values = []
         runaways = 0
         for (x0, v0), (traj, step), (_, _, value) in zip(candidates, runs, trace):
@@ -602,7 +606,24 @@ class TestShootingSearch:
         data = TimeSeries(times, np.zeros((5, 1)))
         pg = GridSpec([0.0, 0.0], [1.0, 1.0], [2, 2])
         vg = GridSpec([0.0, 0.0], [1.0, 1.0], [1, 1])
-        with pytest.raises(AllCandidatesFailedError):
+        with pytest.raises(AllCandidatesFailedError,
+                           match="4 of 4 left the domain, and the functional of 0 is not"):
+            shooting_search(family, data, pg, vg)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("size", [2.0**511, 1e160], ids=["sum", "squares"])
+    def test_overflowing_functional_fails_cleanly(self, size):
+        # every |w_k|^2 is finite for 2**511, but the trapezoid sum of two
+        # overflows; for 1e160 the squares themselves do
+        family = radar_family(RadarGeometry([[30.0, 0.0], [0.0, 30.0], [-25.0, -20.0]],
+                                            [[-30.0, 10.0], [10.0, -30.0], [20.0, 25.0]]))
+        data = TimeSeries([0.0, 0.1, 0.2, 0.3], [[size, -size, size]] * 4)
+        pg = GridSpec([1.0, 0.5], [2.0, 1.5], [1, 1])
+        vg = GridSpec([2.0, -1.0], [3.0, 0.0], [1, 1])
+        traj = integrate_trajectory(family, [1.0, 0.5], [2.0, -1.0], data)
+        assert functional_value(family, traj, data) == np.inf
+        with pytest.raises(AllCandidatesFailedError,
+                           match="0 of 1 left the domain, and the functional of 1 is not"):
             shooting_search(family, data, pg, vg)
 
 
