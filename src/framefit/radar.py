@@ -58,6 +58,8 @@ class RadarGeometry:
             raise DimensionMismatchError("station coordinates must be finite")
         object.__setattr__(self, "transmitters", tx)
         object.__setattr__(self, "receivers", rx)
+        object.__setattr__(self, "num_pairs", tx.shape[0])
+        object.__setattr__(self, "dim", tx.shape[1])
         pts = np.vstack([tx, rx])  # (2N, M): transmitters, then receivers
         object.__setattr__(self, "stations", pts)
         # the largest distance between two stations; 1.0 for a degenerate scene
@@ -70,14 +72,6 @@ class RadarGeometry:
             )
         object.__setattr__(self, "scene_diameter", diam if diam > 0.0 else 1.0)
         object.__setattr__(self, "singularity_tolerance", SINGULARITY_RTOL * self.scene_diameter)
-
-    @property
-    def num_pairs(self) -> int:
-        return self.transmitters.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.transmitters.shape[1]
 
 
 @record
@@ -131,6 +125,19 @@ def bistatic_distance(geometry: RadarGeometry, n: int, x) -> float:
     return math.hypot(*tx) + math.hypot(*rx)
 
 
+def _distances(d):
+    """The lengths |d| over the last axis of d (..., M), by ``np.hypot`` of
+    the coordinates in turn: no coordinate is squared, so a length overflows
+    only when it passes the float range, and then it is inf with numpy's
+    ``overflow encountered in hypot`` RuntimeWarning.  Both station passes
+    (``_station_pass`` per point, ``_jets`` stacked) take r from here, so
+    their results agree bitwise."""
+    r = np.hypot(d[..., 0], d[..., 1])
+    for m in range(2, d.shape[-1]):
+        r = np.hypot(r, d[..., m])
+    return r
+
+
 def _near_station(r, tol):
     """The singular set: a distance r to a station of at most tol.  Elementwise
     on arrays; tol must be >= 0, so a zero distance is always near."""
@@ -166,7 +173,7 @@ class RadarFrameFamily(FrameFamily):
         """
         N = self.N
         d = X[:, None, :] - self.geometry.stations          # (B, 2N, M)
-        r = np.sqrt(np.einsum("bkm,bkm->bk", d, d))          # (B, 2N)
+        r = _distances(d)                                    # (B, 2N)
         near = _near_station(r, self.geometry.singularity_tolerance).any(axis=1)
         inside = np.isfinite(X).all(axis=1) & ~near
         u = np.divide(d, r[:, :, None], out=np.full_like(d, np.nan),
@@ -193,7 +200,7 @@ class RadarFrameFamily(FrameFamily):
         and their distances r (2N,); NearSingularError if x is ``_near_station``."""
         x = self.check_point(x)
         d = x - self.geometry.stations                 # (2N, M)
-        r = np.sqrt(np.einsum("km,km->k", d, d))        # (2N,)
+        r = _distances(d)                               # (2N,)
         # r holds no NaN when x does not, and the builtin min is cheaper on few rows
         r_min = min(r.tolist())
         tol = self.geometry.singularity_tolerance

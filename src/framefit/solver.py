@@ -61,10 +61,8 @@ class GridSpec:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "counts", counts.astype(int))
-
-    @property
-    def num_points(self) -> int:
-        return math.prod(self.counts.tolist())  # Python ints: no int64 wrap
+        # Python ints: no int64 wrap
+        object.__setattr__(self, "num_points", math.prod(self.counts.tolist()))
 
     def axes(self) -> list[np.ndarray]:
         return [

@@ -38,8 +38,8 @@ UNIFORM_RTOL = 1e-12
 class TimeSeries:
     """Uniformly sampled FDOA data: times (K,) and values (K, N), K >= 3.
 
-    ``dt`` and ``rates``, ``np.gradient(values, dt, axis=0, edge_order=2)``,
-    are computed once.
+    ``num_samples``, ``dt`` and ``rates``, ``np.gradient(values, dt, axis=0,
+    edge_order=2)``, are computed once.
     """
 
     times: np.ndarray
@@ -73,12 +73,9 @@ class TimeSeries:
             )
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "num_samples", len(t))
         object.__setattr__(self, "dt", float(dt[0]))
         object.__setattr__(self, "rates", rates)
-
-    @property
-    def num_samples(self) -> int:
-        return len(self.times)
 
 
 @record

@@ -19,6 +19,7 @@ from framefit.errors import (
     DimensionMismatchError,
     FramefitError,
     NearSingularError,
+    RankDeficientError,
     ScenarioParseError,
     ScenarioValidationError,
 )
@@ -57,6 +58,34 @@ class TestBistaticDistance:
     def test_rejects_non_finite_or_wrong_shape_point(self, x):
         with pytest.raises(DimensionMismatchError):
             bistatic_distance(self.geom, 0, x)
+
+
+class TestFarField:
+    # the 3-pair scene of the CI smoke test's moving target
+    family = radar_family(RadarGeometry([[30.0, 0.0], [0.0, 30.0], [-25.0, -20.0]],
+                                        [[-30.0, 10.0], [10.0, -30.0], [20.0, 25.0]]))
+    w = [1.0, 0.0, 0.0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x", [[1e160, 0.0], [3e200, -1e200]])
+    def test_frame_tends_to_twice_the_direction(self, x):
+        # squared, these distances would overflow and every unit vector be 0
+        x = np.array(x)
+        F = self.family.frame(x)
+        assert np.max(np.abs(F - (2.0 * x / np.hypot(*x))[:, None])) <= 1e-15
+        assert np.array_equal(F, self.family.frames([x])[0])
+        with pytest.raises(RankDeficientError):
+            error_value(self.family, x, self.w)
+
+    def test_distance_past_the_float_range(self):
+        # |x - a_n| is inf: numpy warns of the overflow in hypot, every unit
+        # vector is 0, and the point is outside the domain
+        x = [1.5e308, 1.5e308]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(RankDeficientError):
+                error_value(self.family, x, self.w)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert np.isnan(error_values(self.family, [x], self.w)).all()
 
 
 def monostatic_at_origin(dim):
