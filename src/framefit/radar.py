@@ -128,10 +128,13 @@ def bistatic_distance(geometry: RadarGeometry, n: int, x) -> float:
 def _distances(d):
     """The lengths |d| over the last axis of d (..., M), by ``np.hypot`` of
     the coordinates in turn: no coordinate is squared, so a length overflows
-    only when it passes the float range, and then it is inf with numpy's
-    ``overflow encountered in hypot`` RuntimeWarning.  Both station passes
-    (``_station_pass`` per point, ``_jets`` stacked) take r from here, so
-    their results agree bitwise."""
+    only when it passes the float range, and then it is inf.  A direct
+    ``frame`` or ``error_value`` call then warns with numpy's ``overflow
+    encountered in hypot`` RuntimeWarning; the sweeps (``grid_sweep``,
+    ``error_values`` and the Newton line search) ignore overflow, so they
+    skip such a point silently.  Both station passes (``_station_pass`` per
+    point, ``_jets`` stacked) take r from here, so their results agree
+    bitwise."""
     r = np.hypot(d[..., 0], d[..., 1])
     for m in range(2, d.shape[-1]):
         r = np.hypot(r, d[..., m])
@@ -232,8 +235,8 @@ class RadarFrameFamily(FrameFamily):
         No (2N, M, M) projector and no (M, N) rate matrix is built."""
         F, u, r = self._station_pass(x)
         v = check_vector(v, self.P, "velocity")
-        uv = u @ v                                        # (2N,)
-        c = (v @ v - uv * uv) / r
+        uv = u.dot(v)                                     # (2N,)
+        c = (v.dot(v) - uv * uv) / r
         return F, c[:self.N] + c[self.N:]
 
     def frames(self, X) -> np.ndarray:

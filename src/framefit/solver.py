@@ -149,11 +149,13 @@ def grid_sweep(family: FrameFamily, w, grid: GridSpec):
     w = family.check_measurement(w)
     points = family.check_points(grid.points())
     errors = np.full(len(points), np.nan)
-    for i, x in enumerate(points):
-        try:
-            errors[i] = error_value(family, x, w)
-        except FramefitError:
-            pass
+    # a node whose station distance overflows is outside: skipped, unwarned
+    with np.errstate(over="ignore"):
+        for i, x in enumerate(points):
+            try:
+                errors[i] = error_value(family, x, w)
+            except FramefitError:
+                pass
     in_domain_count(errors)
     return points, errors
 
@@ -213,15 +215,17 @@ def newton_step(family: FrameFamily, w, x_k, E_k, g_k, H_k) -> np.ndarray:
     direction = _shifted_newton_direction(g_k, H_k)
 
     stayed_inside = False
-    for k in range(MAX_BACKTRACKS + 1):
-        candidate = x_k - 0.5**k * direction
-        try:
-            E = error_value(family, candidate, w)
-        except FramefitError:
-            continue
-        stayed_inside = True
-        if E <= E_k:
-            return candidate
+    # a candidate whose station distance overflows is outside, as in grid_sweep
+    with np.errstate(over="ignore"):
+        for k in range(MAX_BACKTRACKS + 1):
+            candidate = x_k - 0.5**k * direction
+            try:
+                E = error_value(family, candidate, w)
+            except FramefitError:
+                continue
+            stayed_inside = True
+            if E <= E_k:
+                return candidate
     if not stayed_inside:
         raise LeftDomainError("no backtracked Newton step stays in the domain")
     return x_k

@@ -99,6 +99,9 @@ class TestDualCoefficients:
             r = rng.normal(size=F.shape[1])
             c = dual_coefficients(F, r)
             assert c.shape == (M,)
+            # bitwise the @ products of the SVD factors
+            U, s, Vt = frame_svd(F)
+            assert np.array_equal(c, U @ ((Vt[:M] @ r) / s))
             assert np.allclose(c, dual_synthesis(F).T @ r, rtol=1e-12, atol=1e-12)
             # F^T c is the projection of r onto the range of F^T
             assert np.allclose(F @ (r - F.T @ c), 0.0, atol=1e-10 * np.linalg.norm(r))

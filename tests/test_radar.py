@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,13 +7,18 @@ from hypothesis import strategies as st
 
 from framefit import (
     FrameFamily,
+    GridSpec,
     NoiseModel,
     RadarGeometry,
+    SolverConfig,
+    SolveStatus,
     TargetState,
     bistatic_distance,
     error_value,
     error_values,
     frame_bounds,
+    grid_search,
+    localize,
     radar_family,
     simulate_fdoa,
 )
@@ -78,14 +85,28 @@ class TestFarField:
             error_value(self.family, x, self.w)
 
     def test_distance_past_the_float_range(self):
-        # |x - a_n| is inf: numpy warns of the overflow in hypot, every unit
-        # vector is 0, and the point is outside the domain
+        # |x - a_n| is inf: every unit vector is 0, and the point is outside
+        # the domain.  One error_value call warns of the overflow in hypot;
+        # the error_values sweep skips the point silently
         x = [1.5e308, 1.5e308]
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(RankDeficientError):
                 error_value(self.family, x, self.w)
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert np.isnan(error_values(self.family, [x], self.w)).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("search", ["grid_search", "localize"])
+    def test_sweep_skips_nodes_past_the_float_range(self, search):
+        # the far nodes' distances overflow in hypot: the grid sweep, alone
+        # and under localize, skips them with no warning
+        grid = GridSpec([0.0, 0.0], [1.5e308, 1.5e308], [3, 3])
+        if search == "grid_search":
+            assert np.array_equal(grid_search(self.family, self.w, grid), [0.0, 0.0])
+        else:
+            result = localize(self.family, self.w, SolverConfig(grid))
+            assert result.status is SolveStatus.GRADIENT_CONVERGED
 
 
 def monostatic_at_origin(dim):
@@ -422,6 +443,14 @@ class TestFrameCurvature:
         F_ref, kappa_ref = FrameFamily.frame_curvature(family, x, v)
         assert np.array_equal(F, jet.F) and np.array_equal(F_ref, jet.F)
         assert kappa.shape == (num_pairs,)
+        # the override's ndarray.dot products equal @'s bitwise, for v and
+        # for a strided v, a column view
+        _, u, r_pass = family._station_pass(x)
+        for v_in in (v, np.column_stack([v, -v])[:, 0]):
+            uv = u @ v_in
+            c = (v_in @ v_in - uv * uv) / r_pass
+            kappa_in = family.frame_curvature(x, v_in)[1]
+            assert np.array_equal(kappa_in, c[:num_pairs] + c[num_pairs:])
         # |v|^2 - (u . v)^2 cancels when v is nearly along u, so the bound is
         # stated against the scale of its terms, |v|^2 / r per station
         r = np.linalg.norm(x - geom.stations, axis=1)
