@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import read_json
+from .core import _lengths, read_json
 from .diagnostics import level_set, residual_bound_check, uniqueness_certificate
 from .errors import FramefitError
 from .radar import load_scenario, radar_family, simulate_fdoa, NoiseModel
@@ -264,7 +264,7 @@ def cmd_diagnose(args) -> int:
     # Residual bound at the scenario truth, against the actual noise realization.
     x0 = scenario.target.position
     clean = simulate_fdoa(scenario.geometry, scenario.target, NoiseModel())
-    eps_norm = float(np.linalg.norm(w - clean))
+    eps_norm = float(_lengths(w - clean))
     E0, holds = residual_bound_check(family, x0, w, eps_norm)
 
     # Certificate sampled at the truth and at those points of a small ring

@@ -74,6 +74,19 @@ def all_finite(x) -> bool:
     return all(map(math.isfinite, x.tolist()))
 
 
+def _lengths(d):
+    """The one length rule: the Euclidean lengths |d| over the last axis of d
+    (..., K), by ``np.hypot`` of the coordinates in turn (``abs`` when K = 1).
+    Nothing is squared, so a length is inf only past the float range, with
+    numpy's ``overflow encountered in hypot`` unless the caller ignores it."""
+    if d.shape[-1] == 1:
+        return np.abs(d[..., 0])
+    r = np.hypot(d[..., 0], d[..., 1])
+    for m in range(2, d.shape[-1]):
+        r = np.hypot(r, d[..., m])
+    return r
+
+
 def check_vector(x, size, what: str) -> np.ndarray:
     """x as a finite float vector, of length ``size`` unless size is None."""
     x = np.asarray(x, dtype=float)

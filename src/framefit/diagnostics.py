@@ -24,7 +24,8 @@ def residual_bound_check(family: FrameFamily, x0, w, eps_norm: float):
     roundoff.
     """
     E = error_value(family, x0, w)
-    return E, E <= eps_norm**2 + 1e-12
+    # a product, not **, which raises OverflowError past the float range
+    return E, E <= eps_norm * eps_norm + 1e-12
 
 
 @record

@@ -22,6 +22,7 @@ from .core import (
     _json_integer,
     _json_number,
     _json_numbers,
+    _lengths,
     check_vector,
     read_json,
     record,
@@ -64,7 +65,7 @@ class RadarGeometry:
         object.__setattr__(self, "stations", pts)
         # the largest distance between two stations; 1.0 for a degenerate scene
         with np.errstate(over="ignore"):
-            d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+            d = _lengths(pts[:, None, :] - pts[None, :, :])
         diam = float(d.max())
         if not np.isfinite(diam):
             raise DimensionMismatchError(
@@ -118,27 +119,12 @@ class NoiseModel:
 
 
 def bistatic_distance(geometry: RadarGeometry, n: int, x) -> float:
-    """Transmitter-to-target plus target-to-receiver path length for pair n;
-    ``math.hypot`` squares nothing, so it overflows only when the length does."""
+    """Transmitter-to-target plus target-to-receiver path length for pair n,
+    from ``_lengths`` as the frame is; inf, with no warning, past the float range."""
     x = check_vector(x, geometry.dim, "parameter point")
-    tx, rx = x - geometry.transmitters[n], x - geometry.receivers[n]
-    return math.hypot(*tx) + math.hypot(*rx)
-
-
-def _distances(d):
-    """The lengths |d| over the last axis of d (..., M), by ``np.hypot`` of
-    the coordinates in turn: no coordinate is squared, so a length overflows
-    only when it passes the float range, and then it is inf.  A direct
-    ``frame`` or ``error_value`` call then warns with numpy's ``overflow
-    encountered in hypot`` RuntimeWarning; the sweeps (``grid_sweep``,
-    ``error_values`` and the Newton line search) ignore overflow, so they
-    skip such a point silently.  Both station passes (``_station_pass`` per
-    point, ``_jets`` stacked) take r from here, so their results agree
-    bitwise."""
-    r = np.hypot(d[..., 0], d[..., 1])
-    for m in range(2, d.shape[-1]):
-        r = np.hypot(r, d[..., m])
-    return r
+    with np.errstate(over="ignore"):
+        tx, rx = x - geometry.transmitters[n], x - geometry.receivers[n]
+        return float(_lengths(tx)) + float(_lengths(rx))
 
 
 def _near_station(r, tol):
@@ -172,11 +158,13 @@ class RadarFrameFamily(FrameFamily):
         pi(d) = I - u u^T, its partial with respect to x_p is pi delta_p / r,
         and its mixed second partial with respect to x_q and x_p is
 
-            -(1/r^3) [ pi (delta_p d_q + delta_q d_p) + pi[p, q] d ].
+            -(1/r) [ (pi delta_p / r) u_q + (pi delta_q / r) u_p + (pi[p, q] / r) u ],
+
+        built from u and the first partials, so no power of r can overflow.
         """
         N = self.N
         d = X[:, None, :] - self.geometry.stations          # (B, 2N, M)
-        r = _distances(d)                                    # (B, 2N)
+        r = _lengths(d)                                      # (B, 2N)
         near = _near_station(r, self.geometry.singularity_tolerance).any(axis=1)
         inside = np.isfinite(X).all(axis=1) & ~near
         u = np.divide(d, r[:, :, None], out=np.full_like(d, np.nan),
@@ -190,10 +178,10 @@ class RadarFrameFamily(FrameFamily):
             jets.append((first[:, :N] + first[:, N:]).transpose(0, 3, 2, 1))
         if order >= 2:
             second = -(
-                d[:, :, :, None, None] * pi[:, :, None, :, :]
-                + d[:, :, None, :, None] * pi[:, :, :, None, :]
-                + pi[:, :, :, :, None] * d[:, :, None, None, :]
-            ) / (r**3)[:, :, None, None, None]
+                u[:, :, :, None, None] * first[:, :, None, :, :]
+                + u[:, :, None, :, None] * first[:, :, :, None, :]
+                + first[:, :, :, :, None] * u[:, :, None, None, :]
+            ) / r[:, :, None, None, None]
             # second[b, n, q, p, m] -> d2F[b, q, p, m, n]
             jets.append((second[:, :N] + second[:, N:]).transpose(0, 2, 3, 4, 1))
         return jets
@@ -203,7 +191,7 @@ class RadarFrameFamily(FrameFamily):
         and their distances r (2N,); NearSingularError if x is ``_near_station``."""
         x = self.check_point(x)
         d = x - self.geometry.stations                 # (2N, M)
-        r = _distances(d)                               # (2N,)
+        r = _lengths(d)                                 # (2N,)
         # r holds no NaN when x does not, and the builtin min is cheaper on few rows
         r_min = min(r.tolist())
         tol = self.geometry.singularity_tolerance
@@ -311,7 +299,7 @@ def parse_scenario(data: dict) -> RadarScenario:
     if target.position.shape != (dim,):
         raise ScenarioValidationError("target position dimension does not match dim")
     with np.errstate(over="ignore"):
-        dists = np.linalg.norm(geometry.stations - target.position[None, :], axis=1)
+        dists = _lengths(geometry.stations - target.position[None, :])
     if not np.isfinite(dists).all():
         raise ScenarioValidationError(
             "target too far from the stations: the distances overflow"

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import FrameFamily, _is_integer, _is_number, error_value, record
+from .core import FrameFamily, _is_integer, _is_number, _lengths, error_value, record
 from .derivatives import error_gradient_hessian
 from .errors import (
     EmptyDomainError,
@@ -166,12 +166,6 @@ def grid_search(family: FrameFamily, w, grid: GridSpec) -> np.ndarray:
     return points[np.nanargmin(errors)].copy()
 
 
-def _norm(v) -> float:
-    """Euclidean norm of v; inf, with no overflow warning, when |v|^2 overflows."""
-    with np.errstate(over="ignore"):
-        return float(np.linalg.norm(v))
-
-
 def _shifted_newton_direction(g, H):
     """Solve (H + lam I) d = g with the smallest shift making d a descent direction.
 
@@ -180,11 +174,12 @@ def _shifted_newton_direction(g, H):
     if not (np.isfinite(g).all() and np.isfinite(H).all()):
         raise SingularHessianError("Newton system has non-finite entries")
     P = len(g)
-    # capped, so the first shift is finite even when |H| overflows
-    scale = min(max(_norm(H), 1.0), np.finfo(float).max)
     lam = 0.0
     # a shift or solve that overflows gives a non-finite d, which is rejected
     with np.errstate(over="ignore", invalid="ignore"):
+        # |H| is the length of H's row lengths; capped, so the first shift is
+        # finite even when |H| overflows
+        scale = min(max(float(_lengths(_lengths(H))), 1.0), np.finfo(float).max)
         for _ in range(SHIFT_DOUBLINGS + 1):
             try:
                 d = np.linalg.solve(H + lam * np.eye(P), g)
@@ -210,7 +205,7 @@ def newton_step(family: FrameFamily, w, x_k, E_k, g_k, H_k) -> np.ndarray:
     """
     x_k = family.check_point(x_k)
     w = family.check_measurement(w)
-    if _norm(g_k) == 0.0:
+    if not g_k.any():
         return x_k
     direction = _shifted_newton_direction(g_k, H_k)
 
@@ -246,7 +241,8 @@ def localize(family: FrameFamily, w, cfg: SolverConfig) -> SolveResult:
     step = np.inf
     for k in range(cfg.max_iters + 1):
         E, g, H = error_gradient_hessian(family, x, w)
-        iterates.append((x.copy(), E, _norm(g)))
+        with np.errstate(over="ignore"):  # a |g| past the float range is inf
+            iterates.append((x.copy(), E, float(_lengths(g))))
         if step < STEP_TOL:
             status = SolveStatus.STEP_CONVERGED
             break
@@ -267,7 +263,7 @@ def localize(family: FrameFamily, w, cfg: SolverConfig) -> SolveResult:
         if not (np.all(low <= x_next) and np.all(x_next <= high)):
             status = SolveStatus.LEFT_REGION
             break
-        step = float(np.linalg.norm(x_next - x))
+        step = float(_lengths(x_next - x))
         x = x_next
     minimizer, value, _ = iterates[-1]
     return SolveResult(minimizer, value, iterates, status)

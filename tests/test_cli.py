@@ -941,6 +941,15 @@ FOUR_PAIRS = {
     "transmitters": [[100.0, 0.0], [-50.0, 86.6], [-50.0, -86.6], [0.0, -90.0]],
     "receivers": [[0.0, 100.0], [-86.6, -50.0], [86.6, -50.0], [70.0, 70.0]],
 }
+
+
+def _far_four_pairs(scale):
+    """FOUR_PAIRS and the CI smoke test's near.json truth, 1% of the scene
+    diameter from the transmitter (100, 0), with every position times scale."""
+    return {key: (scale * np.array(FOUR_PAIRS[key])).tolist() for key in FOUR_PAIRS} | {
+        "target": {"position": [scale * 98.02709452836686, 0.0], "velocity": [3.0, 1.0]}}
+
+
 # The moving-target 3-pair scene of the CI smoke test.
 MOVING_SCENE = {
     "transmitters": [[30.0, 0.0], [0.0, 30.0], [-25.0, -20.0]],
@@ -1193,13 +1202,46 @@ class TestOverflow:
         assert len(rows) == 7
         assert "100.0,0.0" not in {row.rsplit(",", 1)[0] for row in rows}
 
+    @pytest.mark.parametrize("command, scale", [("simulate", 1e155), ("localize", 1e103)])
+    def test_scene_past_1e102_runs(self, tmp_path, command, scale):
+        # squared, the scene diameter at 1e155 overflows, and cubed, the station
+        # distances of the Newton Hessian at 1e103
+        out = tmp_path / "out"
+        code, err = _run_cli([command, "--scenario", str(_scene_file(tmp_path,
+                              **_far_four_pairs(scale))), "--out-dir", str(out)])
+        assert (code, err) == (0, "")
+        assert out.is_dir()
+
+    def test_diagnose_noise_norm_past_1e154(self, tmp_path):
+        # w = -clean, so the noise norm is 2 |clean| = 1.47e154: squared, it
+        # overflows, and the parsers' strict JSON has no Infinity
+        scene = _scene_file(tmp_path, target={"position": [1.0, -2.0],
+                                              "velocity": [3e153, 3e153]})
+        scenario = load_scenario(scene)
+        clean = simulate_fdoa(scenario.geometry, scenario.target, NoiseModel())
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({"w": (-clean).tolist()}))
+        out = tmp_path / "out"
+        code, err = _run_cli(["diagnose", "--scenario", str(scene), "--measurement",
+                              str(mpath), "--grid-counts=5,5", "--out-dir", str(out)])
+        assert (code, err) == (0, "")
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        diag = json.loads((out / "diagnostics.json").read_text(), parse_constant=reject)
+        expected = 2e154 * np.sqrt(np.sum((clean / 1e154) ** 2))
+        assert np.isclose(diag["noise_norm"], expected, rtol=1e-15, atol=0.0)
+        assert diag["residual_bound_holds"]
+
     @pytest.mark.parametrize(
         "command, changes, series, message",
         [
             ("simulate",
-             {"transmitters": [[1.4e154, 0.0], [-50.0, 86.6], [-50.0, -86.6]]},
+             {"transmitters": [[1.7e308, 0.0], [-1.7e308, 0.0], [-50.0, -86.6]]},
              None, "scene diameter overflows"),
-            ("simulate", {"target": {"position": [1e200, 0.0], "velocity": [3.0, 1.0]}},
+            ("simulate",
+             {"target": {"position": [1.7e308, 1.7e308], "velocity": [3.0, 1.0]}},
              None, "distances overflow"),
             ("simulate", {"target": {"position": [1.0, -2.0], "velocity": [1e308, 1e308]}},
              None, "simulated measurement overflows"),

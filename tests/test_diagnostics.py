@@ -55,6 +55,12 @@ class TestResidualBound:
         assert holds
         assert np.isclose(E, np.linalg.norm(eps) ** 2, rtol=1e-10)
 
+    def test_noise_norm_past_1e154(self):
+        # its square is inf, and 1e155**2 raises OverflowError
+        _, family, truth, w = noiseless_scene(0)
+        _, holds = residual_bound_check(family, truth.position, w, 1e155)
+        assert holds is True
+
     def test_bound_holds_for_random_noise(self):
         for seed in range(100):
             rng = np.random.default_rng(seed)

@@ -66,6 +66,26 @@ class TestBistaticDistance:
         with pytest.raises(DimensionMismatchError):
             bistatic_distance(self.geom, 0, x)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 3]),
+        num_pairs=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_frame_station_distances_bitwise(self, dim, num_pairs, seed):
+        # one length rule: the path length is the sum of the two station
+        # distances the frame is built from, to the last bit
+        rng = np.random.default_rng(seed)
+        geom = RadarGeometry(rng.uniform(-100.0, 100.0, size=(num_pairs, dim)),
+                             rng.uniform(-100.0, 100.0, size=(num_pairs, dim)))
+        x = rng.uniform(-100.0, 100.0, size=dim)
+        try:
+            _, _, r = radar_family(geom)._station_pass(x)
+        except NearSingularError:
+            assume(False)
+        for n in range(num_pairs):
+            assert bistatic_distance(geom, n, x) == r[n] + r[num_pairs + n]
+
 
 class TestFarField:
     # the 3-pair scene of the CI smoke test's moving target
@@ -83,6 +103,18 @@ class TestFarField:
         assert np.array_equal(F, self.family.frames([x])[0])
         with pytest.raises(RankDeficientError):
             error_value(self.family, x, self.w)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_second_partials_of_a_scene_past_1e102(self):
+        # CI's 4-pair near scene scaled by 1e103: a cube of the station
+        # distances would overflow.  F is scale-free, d2F scales as 1/s^2
+        tx = np.array([[100.0, 0.0], [-50.0, 86.6], [-50.0, -86.6], [0.0, -90.0]])
+        rx = np.array([[0.0, 100.0], [-86.6, -50.0], [86.6, -50.0], [70.0, 70.0]])
+        x, s = np.array([98.02709452836686, 0.0]), 1e103
+        jet = radar_family(RadarGeometry(s * tx, s * rx)).jet(s * x, 2)
+        ref = radar_family(RadarGeometry(tx, rx)).jet(x, 2)
+        assert np.array_equal(jet.d2F, jet.d2F.transpose(1, 0, 2, 3))
+        assert np.max(np.abs(s * s * jet.d2F - ref.d2F)) <= 1e-14 * np.max(np.abs(ref.d2F))
 
     def test_distance_past_the_float_range(self):
         # |x - a_n| is inf: every unit vector is 0, and the point is outside
@@ -240,6 +272,12 @@ class TestRadarGeometry:
         assert geom.singularity_tolerance == SINGULARITY_RTOL * geom.scene_diameter
         # every station at one point: the diameter falls back to 1.0
         assert RadarGeometry([[2.0, 2.0]], [[2.0, 2.0]]).scene_diameter == 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scene_diameter_past_1e154(self):
+        # squared, the distance 1e155 would overflow
+        geom = RadarGeometry([[1e155, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]])
+        assert geom.scene_diameter == 1e155
 
     def test_rejects_coordinates_of_more_than_two_axes(self):
         # (N, 2, 1) arrays have a second axis of length 2 but are no point lists
@@ -554,6 +592,17 @@ class TestScenarioIO:
         path.write_bytes(text)
         with pytest.raises(ScenarioParseError, match="^cannot read scenario "):
             load_scenario(path)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_target_past_1e154_accepted(self):
+        # CI's moving 3-pair scene with the target at 1e155: squared, its
+        # station distances would overflow.  Every frame element is 2 (1, 0)
+        data = {"dim": 2, "transmitters": [[30.0, 0.0], [0.0, 30.0], [-25.0, -20.0]],
+                "receivers": [[-30.0, 10.0], [10.0, -30.0], [20.0, 25.0]],
+                "target": {"position": [1e155, 0.0], "velocity": [2.0, -1.0]}}
+        scenario = parse_scenario(data)
+        w = simulate_fdoa(scenario.geometry, scenario.target, scenario.noise)
+        assert np.array_equal(w, [4.0, 4.0, 4.0])
 
     def test_target_at_station_rejected(self):
         data = self.scenario_dict()
