@@ -161,21 +161,50 @@ def _spans(s, M: int):
     return s[-1] > RANK_RTOL * s[0]
 
 
+# The LAPACK gufunc behind np.linalg.svd(F), full_matrices=True, on numpy >= 2
+# (numpy 1.x names its kernels svd_m_f and svd_n_f, so this is None there).
+# _umath_linalg is private to numpy: test_core checks _svd against
+# np.linalg.svd bit for bit, on both branches.
+_SVD_FULL = getattr(getattr(np.linalg, "_umath_linalg", None), "svd_f", None)
+
+
+def _raise_svd_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def _svd(F):
+    """``np.linalg.svd(F)``, bitwise, for the one F (M, N) or stack (B, M, N):
+    the one SVD call behind ``frame_svd`` and ``_null_energies``.
+
+    A float64 F goes to numpy's own gufunc under numpy's own errstate,
+    so a NaN entry raises LinAlgError("SVD did not converge") and an inf
+    entry gives NaN singular values, as through numpy; only the wrapper's
+    type checks and result casts are skipped.  Any other F (another dtype,
+    or fewer than two axes, which numpy rejects with LinAlgError), and any F
+    on numpy 1.x, goes through ``np.linalg.svd``.
+    """
+    if _SVD_FULL is None or F.dtype != np.float64 or F.ndim < 2:
+        return np.linalg.svd(F)
+    with np.errstate(call=_raise_svd_nonconvergence, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        return _SVD_FULL(F, signature="d->ddd")
+
+
 def frame_svd(F):
     """The full SVD ``(U, s, Vt)`` of the synthesis matrix F, shape (M, N):
     s holds M values and Vt has shape (N, N).
 
-    The domain test for one F: raises RankDeficientError when numpy finds
-    no SVD or the singular values fail the rank rule (``_spans``), which
-    happens when the columns of F do not span R^M or F has a NaN or inf
-    entry.  ``_null_energies`` applies the same rule to a stack of F.  Rows
+    The domain test for one F: raises RankDeficientError when ``_svd``
+    finds no SVD or the singular values fail the rank rule (``_spans``),
+    which happens when the columns of F do not span R^M or F has a NaN or
+    inf entry.  ``_null_energies`` applies the same rule to a stack of F.  Rows
     ``:M`` of Vt are an orthonormal basis of the range of F^T, used by the
     dual (``dual_coefficients``, ``dual_synthesis``), and rows ``M:`` one
     of the null space of F, used by the projector (``error_value``,
     ``projector_pieces``).
     """
     try:
-        U, s, Vt = np.linalg.svd(F)
+        U, s, Vt = _svd(F)
     except np.linalg.LinAlgError as exc:
         raise RankDeficientError(f"synthesis matrix has no SVD ({exc})") from exc
     if not _spans(s, F.shape[0]):
@@ -416,7 +445,7 @@ def _null_energies(F, w, M: int) -> np.ndarray:
     order), so each value equals error_value's bitwise.
     """
     try:
-        _, s, Vt = np.linalg.svd(F)
+        _, s, Vt = _svd(F)
     except np.linalg.LinAlgError:
         # one failed SVD fails the whole stack; alone, it has no frame
         if len(F) == 1:

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from framefit import (
     simulate_fdoa,
     uniqueness_certificate,
 )
-from framefit.core import ERROR_BLOCK, dual_coefficients, frame_svd
+from framefit import core
+from framefit.core import ERROR_BLOCK, _svd, dual_coefficients, frame_svd
 from framefit.errors import (
     DimensionMismatchError,
     FramefitError,
@@ -112,6 +114,76 @@ class TestDualCoefficients:
                 frame_svd(F)
             with pytest.raises(RankDeficientError):
                 dual_coefficients(F, np.ones(F.shape[1]))
+
+
+@pytest.fixture(params=["gufunc", "numpy.linalg.svd"])
+def svd_branch(request, monkeypatch):
+    """Runs a test on both branches of core._svd: numpy's gufunc called
+    directly (numpy >= 2) and the np.linalg.svd fallback (numpy 1.x)."""
+    if request.param == "numpy.linalg.svd":
+        monkeypatch.setattr(core, "_SVD_FULL", None)
+
+
+def _transposed(rng, shape):
+    """A random float array of ``shape`` as a transposed view of its last two
+    axes, laid out as the radar ``frame`` returns F."""
+    return np.swapaxes(rng.normal(size=shape[:-2] + shape[:-3:-1]), -1, -2)
+
+
+@pytest.mark.usefixtures("svd_branch")
+class TestSvdKernel:
+    """core._svd is np.linalg.svd bit for bit: numpy-private names back its
+    direct branch, so a change to them must fail here."""
+
+    @pytest.mark.parametrize("stack", [(), (5,)], ids=["matrix", "stack"])
+    @pytest.mark.parametrize("layout", ["C", "transposed"])
+    def test_equals_numpy_bitwise(self, stack, layout):
+        rng = np.random.default_rng(7)
+        for M in range(1, 4):
+            for N in range(M, 7):
+                shape = stack + (M, N)
+                F = rng.normal(size=shape) if layout == "C" else _transposed(rng, shape)
+                # a one-row F is C-contiguous in either layout
+                assert F.flags.c_contiguous == (layout == "C" or M == 1)
+                got, want = _svd(F), np.linalg.svd(F)
+                for a, b in zip(got, want, strict=True):
+                    assert a.dtype == b.dtype
+                    assert np.array_equal(a, b)
+
+    def test_radar_frame(self):
+        _, family, truth, _ = noiseless_scene(3)
+        F = family.frame(truth.position)
+        assert F.flags.f_contiguous and not F.flags.c_contiguous
+        for a, b in zip(_svd(F), np.linalg.svd(F), strict=True):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("stack", [(), (3,)], ids=["matrix", "stack"])
+    def test_nan_entry_raises(self, stack):
+        F = np.ones(stack + (2, 4))
+        F[(0,) * len(stack) + (1, 2)] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+                _svd(F)
+
+    @pytest.mark.parametrize("stack", [(), (3,)], ids=["matrix", "stack"])
+    def test_inf_entry_gives_nan_singular_values(self, stack):
+        F = np.random.default_rng(2).normal(size=stack + (2, 4))
+        F[(0,) * len(stack) + (0, 3)] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _svd(F)
+        assert np.isnan(got[1][(0,) * len(stack)]).all()
+        for a, b in zip(got, np.linalg.svd(F), strict=True):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_other_input_keeps_numpy_results(self):
+        for F in (np.eye(2, 3, dtype=np.float32), np.eye(2, 3, dtype=int)):
+            for a, b in zip(_svd(F), np.linalg.svd(F), strict=True):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+        with pytest.raises(np.linalg.LinAlgError, match="1-dimensional"):
+            _svd(np.ones(3))
 
 
 class TestProjectNull:
@@ -466,7 +538,7 @@ class TestErrorValues:
         # numpy fails a whole stack when one SVD does not converge; that point
         # alone must read NaN, as error_value raises there
         family = ConstantFrameFamily(np.array([[1.0, 0.0, 0.5]]), P=1)
-        svd = np.linalg.svd
+        svd = core._svd
 
         def failing(F, *args, **kwargs):
             if np.any(np.asarray(F)[..., 0, 0] == 7.0):
@@ -476,7 +548,8 @@ class TestErrorValues:
         family.jet = lambda x, order=2, jet=family.jet: (
             FrameJet(np.array([[7.0, 0.0, 0.5]])) if x[0] == 2.0 else jet(x, order)
         )
-        monkeypatch.setattr(np.linalg, "svd", failing)
+        # the one SVD kernel behind both the per-point and the stacked path
+        monkeypatch.setattr(core, "_svd", failing)
         X = np.arange(6.0)[:, None]
         values = assert_stacked_matches_per_point(family, X, np.array([1.0, 2.0, 3.0]))
         assert np.array_equal(np.isnan(values), X[:, 0] == 2.0)
