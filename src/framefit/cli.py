@@ -193,7 +193,7 @@ def cmd_localize(args) -> int:
     scenario = load_scenario(args.scenario)
     family = radar_family(scenario.geometry)
     grid = _from_flags(_grid, args, "grid", family.P, GRID_POINTS_PER_AXIS)
-    cfg = _from_flags(SolverConfig, grid=grid, **_given(args, "max_iters", "grad_tol"))
+    cfg = _from_flags(SolverConfig, grid=grid, **_given(args, "max_iters"))
     w = _measurement(args, scenario, family)
 
     # E vanishes where w lies in the M-dimensional range of F(x)^T.  Over
@@ -244,8 +244,7 @@ def cmd_localize(args) -> int:
         "trace.csv": (["k", *_names("x", family.P), "E", "grad_norm"],
                       [np.arange(len(xs)), *np.transpose(xs), Es, grad_norms]),
     }
-    overrides = {"max_iters": cfg.max_iters, "grad_tol": cfg.grad_tol,
-                 **_grid_record("grid", grid)}
+    overrides = {"max_iters": cfg.max_iters, **_grid_record("grid", grid)}
     return _publish(args, outputs, overrides, scenario.noise.seed)
 
 
@@ -348,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--measurement")
     _add_grid_flags(loc, "grid")
     loc.add_argument("--max-iters", type=int)
-    loc.add_argument("--grad-tol", type=float)
 
     diag = subs.add_parser("diagnose", help="level sets, residual bound, uniqueness")
     diag.add_argument("--scenario", required=True)

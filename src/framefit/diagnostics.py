@@ -20,12 +20,13 @@ def residual_bound_check(family: FrameFamily, x0, w, eps_norm: float):
     """Error at the presumed truth and whether it obeys E(x0) <= |eps|^2.
 
     The bound always holds for w = F(x0)^T v + eps, with equality exactly
-    when eps lies in the null space of F(x0); a small absolute slack absorbs
-    roundoff.
+    when eps lies in the null space of F(x0); a slack of 1e-15 |w|^2, which
+    scales as E does, absorbs roundoff.
     """
+    w = family.check_measurement(w)
     E = error_value(family, x0, w)
     # a product, not **, which raises OverflowError past the float range
-    return E, E <= eps_norm * eps_norm + 1e-12
+    return E, E <= eps_norm * eps_norm + 1e-15 * float(w @ w)
 
 
 @record

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import FrameFamily, _is_integer, _is_number, _lengths, error_value, record
+from .core import FrameFamily, _is_integer, _lengths, error_value, record
 from .derivatives import error_gradient_hessian
 from .errors import (
     EmptyDomainError,
@@ -26,7 +26,8 @@ MAX_BACKTRACKS = 20
 MAX_SHIFT_FACTOR = 1e12
 # shifts 1e-12 |H| * 2^k that stay within MAX_SHIFT_FACTOR |H|: k < 80
 SHIFT_DOUBLINGS = int(np.log2(MAX_SHIFT_FACTOR / 1e-12)) + 1
-STEP_TOL = 1e-12  # a Newton step shorter than this ends the iteration
+STEP_TOL = 1e-12  # a Newton step shorter than STEP_TOL |x| ends the iteration
+GRAD_RTOL = 1e-11  # so does |grad E| <= GRAD_RTOL |w| sqrt(|H|): neither has units
 
 
 @record
@@ -87,22 +88,16 @@ class GridSpec:
 
 @record
 class SolverConfig:
-    """The starting grid and the Newton iteration controls; the defaults suit
-    unit-scale scenes."""
+    """The starting grid and the Newton iteration budget."""
 
     grid: GridSpec
     max_iters: int = 100
-    grad_tol: float = 1e-10
 
     def __post_init__(self):
         if not _is_integer(self.max_iters):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if not _is_number(self.grad_tol):
-            raise ValueError(f"grad_tol must be a number, got {self.grad_tol!r}")
-        if not 0.0 < self.grad_tol < np.inf:
-            raise ValueError("grad_tol must be finite and strictly positive")
 
 
 class SolveStatus(Enum):
@@ -177,9 +172,9 @@ def _shifted_newton_direction(g, H):
     lam = 0.0
     # a shift or solve that overflows gives a non-finite d, which is rejected
     with np.errstate(over="ignore", invalid="ignore"):
-        # |H| is the length of H's row lengths; capped, so the first shift is
-        # finite even when |H| overflows
-        scale = min(max(float(_lengths(_lengths(H))), 1.0), np.finfo(float).max)
+        # |H| is the length of H's row lengths, clamped to the positive floats:
+        # it sets no scale, and the first shift is finite even when |H| overflows
+        scale = min(max(float(_lengths(_lengths(H))), np.finfo(float).tiny), np.finfo(float).max)
         for _ in range(SHIFT_DOUBLINGS + 1):
             try:
                 d = np.linalg.solve(H + lam * np.eye(P), g)
@@ -237,16 +232,19 @@ def localize(family: FrameFamily, w, cfg: SolverConfig) -> SolveResult:
     w = family.check_measurement(w)
     low, high = cfg.grid.region()
     x = grid_search(family, w, cfg.grid)
+    grad_scale = GRAD_RTOL * float(_lengths(w))
     iterates = []
     step = np.inf
     for k in range(cfg.max_iters + 1):
         E, g, H = error_gradient_hessian(family, x, w)
-        with np.errstate(over="ignore"):  # a |g| past the float range is inf
+        with np.errstate(over="ignore"):  # a |g| or |H| past the float range is inf
             iterates.append((x.copy(), E, float(_lengths(g))))
-        if step < STEP_TOL:
+            # |w| sqrt(|H|), not sqrt(|w|^2 |H|), which overflows first
+            grad_tol = grad_scale * math.sqrt(float(_lengths(_lengths(H))))
+        if step < STEP_TOL * float(_lengths(x)):
             status = SolveStatus.STEP_CONVERGED
             break
-        if iterates[-1][2] < cfg.grad_tol:
+        if iterates[-1][2] <= grad_tol:
             status = SolveStatus.GRADIENT_CONVERGED
             break
         if k == cfg.max_iters:

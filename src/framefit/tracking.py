@@ -61,8 +61,8 @@ class TimeSeries:
         dt = np.diff(t)
         if np.any(dt <= 0.0):
             raise ScenarioValidationError("times must be strictly increasing")
-        # plus a few ulps of the largest time, the rounding of t itself
-        slack = UNIFORM_RTOL * max(abs(dt[0]), 1.0) + 4 * np.spacing(np.abs(t).max())
+        # relative to the step, plus a few ulps of the largest time (the rounding of t)
+        slack = UNIFORM_RTOL * dt[0] + 4 * np.spacing(np.abs(t).max())
         if np.max(np.abs(dt - dt[0])) > slack:
             raise ScenarioValidationError("time grid must be uniform")
         with np.errstate(over="ignore", invalid="ignore"):

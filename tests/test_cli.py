@@ -336,28 +336,20 @@ class TestLocalize:
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize(
-        "flags",
-        [["--max-iters", "0"], ["--grad-tol", "0"]],
+        "flags, message",
+        [(["--max-iters", "0"], "max_iters must be positive"),
+         # Newton's stopping rules are relative to |w| and |H|: no tolerance flag
+         (["--grad-tol", "1e-10"], "unrecognized arguments: --grad-tol 1e-10")],
         ids=["max_iters", "grad_tol"],
     )
-    def test_bad_solver_flag_exits_two(self, scene, tmp_path, flags):
+    def test_bad_solver_flag_exits_two(self, scene, tmp_path, capsys, flags, message):
         _, _, _, _, path = scene
-        argv = ["localize", "--scenario", str(path), "--out-dir", str(tmp_path / "o")]
+        out = tmp_path / "o"
+        argv = ["localize", "--scenario", str(path), "--out-dir", str(out)]
         with pytest.raises(SystemExit) as excinfo:
             main(argv + flags)
         assert excinfo.value.code == 2
-
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
-    def test_non_finite_grad_tol_exits_two(self, scene, tmp_path, capsys, value):
-        # an infinite tolerance used to accept the unrefined grid point as
-        # "GradientConverged" after 0 iterations
-        _, _, _, _, path = scene
-        out = tmp_path / "o"
-        with pytest.raises(SystemExit) as excinfo:
-            main(["localize", "--scenario", str(path), f"--grad-tol={value}",
-                  "--out-dir", str(out)])
-        assert excinfo.value.code == 2
-        assert "error: grad_tol must be finite" in capsys.readouterr().err
+        assert f"framefit localize: error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_grid_dimension_mismatch_exits_two(self, scene, tmp_path, capsys):
@@ -875,7 +867,7 @@ class TestOutputFiles:
                          {"sigma": 0.5, "seed": 7}, 7),
             "localize": (["--measurement", measurement, "--grid-counts=3,4"],
                          {"scenario": scene, "measurement": measurement},
-                         {"max_iters": 100, "grad_tol": 1e-10,
+                         {"max_iters": 100,
                           "grid_lower": [-10.0, -10.0], "grid_upper": [10.0, 10.0],
                           "grid_counts": [3, 4]}, 3),
             "diagnose": (["--grid-lower=-1,-2", "--grid-counts=3,3", "--tau=0.25"],
@@ -1114,7 +1106,7 @@ class TestFlagErrors:
         ("localize", [f"--grid-counts={2**64},1"],
          "grid counts too large: each must be below 2^63"),
         ("localize", ["--max-iters=0"], "max_iters must be positive"),
-        ("localize", ["--grad-tol=0"], "grad_tol must be finite and strictly positive"),
+        ("localize", ["--grad-tol=0"], "unrecognized arguments: --grad-tol=0"),
         ("diagnose", ["--tau=-1"], "--tau must be finite and nonnegative, got -1.0"),
         ("diagnose", ["--grid-counts=0,5"], "grid counts must be positive integers"),
         ("track", ["--grid-counts=0,5"], "grid counts must be positive integers"),
@@ -1205,12 +1197,36 @@ class TestOverflow:
     @pytest.mark.parametrize("command, scale", [("simulate", 1e155), ("localize", 1e103)])
     def test_scene_past_1e102_runs(self, tmp_path, command, scale):
         # squared, the scene diameter at 1e155 overflows, and cubed, the station
-        # distances of the Newton Hessian at 1e103
+        # distances of the Newton Hessian at 1e103; as on the unscaled scene,
+        # Newton's first step from the default grid leaves the search region
         out = tmp_path / "out"
         code, err = _run_cli([command, "--scenario", str(_scene_file(tmp_path,
                               **_far_four_pairs(scale))), "--out-dir", str(out)])
-        assert (code, err) == (0, "")
+        assert code == 0
+        if command == "localize":
+            assert err.startswith("warning: Newton left the search region ")
+            assert err.count("\n") == 1
+        else:
+            assert err == ""
         assert out.is_dir()
+
+    def test_newton_converges_on_a_scene_past_1e102(self, tmp_path):
+        # the noiseless near scene at 1e103 with a grid around the truth scaled
+        # too: the Newton Hessian runs at 1e103 and ends at the scaled truth
+        scale = 1e103
+        scene = _scene_file(tmp_path, **_far_four_pairs(scale),
+                            noise={"sigma": 0.0, "seed": 3})
+        out = tmp_path / "out"
+        code, err = _run_cli(["localize", "--scenario", str(scene),
+                              f"--grid-lower={90 * scale},{-10 * scale}",
+                              f"--grid-upper={110 * scale},{10 * scale}",
+                              "--out-dir", str(out)])
+        assert (code, err) == (0, "")
+        result = json.loads((out / "result.json").read_text())
+        assert result["status"] == "GradientConverged"
+        assert result["iterations"] == 3
+        truth = np.array([98.02709452836686, 0.0])
+        assert np.linalg.norm(np.array(result["minimizer"]) / scale - truth) <= 1e-13
 
     def test_diagnose_noise_norm_past_1e154(self, tmp_path):
         # w = -clean, so the noise norm is 2 |clean| = 1.47e154: squared, it

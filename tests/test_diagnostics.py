@@ -61,6 +61,26 @@ class TestResidualBound:
         _, holds = residual_bound_check(family, truth.position, w, 1e155)
         assert holds is True
 
+    @pytest.mark.parametrize("k", [-30, 30])
+    def test_scale_of_w_changes_no_verdict(self, k):
+        # E scales as |w|^2 and so does the slack: w and the noise norm times
+        # 2^k give E times 4^k, bitwise, and the same verdict
+        rng = np.random.default_rng(1)
+        _, family, truth, w_clean = noiseless_scene(1)
+        F = family.jet(truth.position, order=0).F
+        eps = project_null(F, dual_synthesis(F), rng.normal(size=4))
+        eps *= 0.05 / np.linalg.norm(eps)
+        eps_norm = np.linalg.norm(eps)
+        # noiseless, at the bound, and below the bound: null-space noise
+        # attains it, so nine tenths of its norm is too little
+        cases = [(w_clean, 0.0, True), (w_clean + eps, eps_norm, True),
+                 (w_clean + eps, 0.9 * eps_norm, False)]
+        for w, bound, verdict in cases:
+            E, holds = residual_bound_check(family, truth.position, w, bound)
+            assert holds == verdict
+            assert residual_bound_check(family, truth.position, 2.0**k * w,
+                                        2.0**k * bound) == (4.0**k * E, verdict)
+
     def test_bound_holds_for_random_noise(self):
         for seed in range(100):
             rng = np.random.default_rng(seed)

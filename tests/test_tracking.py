@@ -92,6 +92,18 @@ class TestTimeSeries:
             with pytest.raises(ScenarioValidationError, match="time grid must be uniform"):
                 TimeSeries(times, np.ones((5, 3)))
 
+    @pytest.mark.parametrize("error, uniform", [(2e-13, False), (2e-15, True)])
+    def test_uniformity_verdict_is_the_same_in_every_time_unit(self, error, uniform):
+        # the slack is relative to the step: a step 0.1 s long that is off by
+        # 2e-13 s is off by 2e-12 of itself in s, ms and us alike
+        times = np.array([0.0, 0.1, 0.2 + error])
+        for unit in (1.0, 1e3, 1e6):
+            if uniform:
+                assert TimeSeries(unit * times, np.ones((3, 2))).dt == unit * 0.1
+            else:
+                with pytest.raises(ScenarioValidationError, match="time grid must be uniform"):
+                    TimeSeries(unit * times, np.ones((3, 2)))
+
     def test_accepts_uniform_grid_at_epoch_times(self):
         # np.diff of 1.7e9 + 0.1 k is off from 0.1 by up to 1.4e-7: rounding of t
         times = 1.7e9 + 0.1 * np.arange(201)
