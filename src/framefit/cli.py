@@ -285,7 +285,7 @@ def cmd_diagnose(args) -> int:
         "diagnostics.json": {
             "error_at_truth": E0,
             "noise_norm": eps_norm,
-            "residual_bound_holds": bool(holds),
+            "residual_bound_holds": holds,
             "level_set_threshold": tau,
             "level_set_fraction": report.fraction,
         },

@@ -79,10 +79,13 @@ def _lengths(d):
     (..., K), by ``np.hypot`` of the coordinates in turn (``abs`` when K = 1).
     Nothing is squared, so a length is inf only past the float range, with
     numpy's ``overflow encountered in hypot`` unless the caller ignores it."""
-    if d.shape[-1] == 1:
+    K = d.shape[-1]
+    if K == 1:
         return np.abs(d[..., 0])
     r = np.hypot(d[..., 0], d[..., 1])
-    for m in range(2, d.shape[-1]):
+    if K == 2:
+        return r
+    for m in range(2, K):
         r = np.hypot(r, d[..., m])
     return r
 
@@ -172,6 +175,16 @@ def _raise_svd_nonconvergence(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge")
 
 
+if _SVD_FULL is not None:
+    # numpy's own errstate for its SVD, built once: on numpy >= 2 the
+    # decorator sets it for each call under a token of that call, as a
+    # ``with`` block would, so threads do not share it
+    @np.errstate(call=_raise_svd_nonconvergence, invalid="call",
+                 over="ignore", divide="ignore", under="ignore")
+    def _svd_full_guarded(F):
+        return _SVD_FULL(F, signature="d->ddd")
+
+
 def _svd(F):
     """``np.linalg.svd(F)``, bitwise, for the one F (M, N) or stack (B, M, N):
     the one SVD call behind ``frame_svd`` and ``_null_energies``.
@@ -185,9 +198,7 @@ def _svd(F):
     """
     if _SVD_FULL is None or F.dtype != np.float64 or F.ndim < 2:
         return np.linalg.svd(F)
-    with np.errstate(call=_raise_svd_nonconvergence, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        return _SVD_FULL(F, signature="d->ddd")
+    return _svd_full_guarded(F)
 
 
 def frame_svd(F):

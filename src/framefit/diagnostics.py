@@ -25,8 +25,9 @@ def residual_bound_check(family: FrameFamily, x0, w, eps_norm: float):
     """
     w = family.check_measurement(w)
     E = error_value(family, x0, w)
-    # a product, not **, which raises OverflowError past the float range
-    return E, E <= eps_norm * eps_norm + 1e-15 * float(w @ w)
+    # a product, not **, which raises OverflowError past the float range; a
+    # Python bool whether eps_norm is a Python or a numpy float
+    return E, bool(E <= eps_norm * eps_norm + 1e-15 * float(w @ w))
 
 
 @record

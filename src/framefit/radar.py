@@ -145,6 +145,9 @@ class RadarFrameFamily(FrameFamily):
         self.M = geometry.dim
         self.N = geometry.num_pairs
         self.P = geometry.dim
+        # read by every station pass; the geometry is frozen
+        self._stations = geometry.stations
+        self._singularity_tolerance = geometry.singularity_tolerance
 
     def _jets(self, X, order: int):
         """F (B, M, N) at every row of X (B, P) and, from order 1, dF
@@ -163,9 +166,9 @@ class RadarFrameFamily(FrameFamily):
         built from u and the first partials, so no power of r can overflow.
         """
         N = self.N
-        d = X[:, None, :] - self.geometry.stations          # (B, 2N, M)
+        d = X[:, None, :] - self._stations                  # (B, 2N, M)
         r = _lengths(d)                                      # (B, 2N)
-        near = _near_station(r, self.geometry.singularity_tolerance).any(axis=1)
+        near = _near_station(r, self._singularity_tolerance).any(axis=1)
         inside = np.isfinite(X).all(axis=1) & ~near
         u = np.divide(d, r[:, :, None], out=np.full_like(d, np.nan),
                       where=inside[:, None, None])
@@ -190,15 +193,16 @@ class RadarFrameFamily(FrameFamily):
         """F(x), the unit vectors u (2N, M) from the stations to the checked x
         and their distances r (2N,); NearSingularError if x is ``_near_station``."""
         x = self.check_point(x)
-        d = x - self.geometry.stations                 # (2N, M)
+        d = x - self._stations                          # (2N, M)
         r = _lengths(d)                                 # (2N,)
         # r holds no NaN when x does not, and the builtin min is cheaper on few rows
         r_min = min(r.tolist())
-        tol = self.geometry.singularity_tolerance
-        if _near_station(r_min, tol):
-            raise NearSingularError(f"point at distance {r_min} from a station (tol {tol})")
+        if _near_station(r_min, self._singularity_tolerance):
+            raise NearSingularError(
+                f"point at distance {r_min} from a station (tol {self._singularity_tolerance})")
         u = d / r[:, None]
-        return (u[:self.N] + u[self.N:]).T, u, r
+        N = self.N
+        return (u[:N] + u[N:]).T, u, r
 
     def jet(self, x, order: int = 2) -> FrameJet:
         """Row 0 of ``_jets``; near a station, raises what ``frame(x)`` raises."""

@@ -186,13 +186,17 @@ def integrate_trajectory(
     v = check_vector(v0, family.M, "initial velocity")
     _check_width(family, data)
     K, dt, M = data.num_samples, data.dt, family.M
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     wdot = data.rates
-    wd_half = 0.5 * (wdot[:-1] + wdot[1:])
+    # rows as lists of views, so no step indexes an array
+    wd_half = list(0.5 * (wdot[:-1] + wdot[1:]))
+    wdot = list(wdot)
     states = np.empty((K, 2 * M))
-    states[0] = np.concatenate((x, v))
+    states[0] = y = np.concatenate((x, v))
 
     def rhs(y_s, wd):
-        return np.concatenate((y_s[M:], el_acceleration(family, y_s[:M], y_s[M:], wd)))
+        v_s = y_s[M:]
+        return np.concatenate((v_s, el_acceleration(family, y_s[:M], v_s, wd)))
 
     def prefix(n):  # the trajectory of the first n states
         return Trajectory(data.times[:n], states[:n, :M], states[:n, M:])
@@ -201,16 +205,15 @@ def integrate_trajectory(
     # raise for it, so numpy's overflow warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K - 1):
-            y = states[k]
             try:
                 k1 = rhs(y, wdot[k])
-                k2 = rhs(y + 0.5 * dt * k1, wd_half[k])
-                k3 = rhs(y + 0.5 * dt * k2, wd_half[k])
+                k2 = rhs(y + half_dt * k1, wd_half[k])
+                k3 = rhs(y + half_dt * k2, wd_half[k])
                 k4 = rhs(y + dt * k3, wdot[k + 1])
-                states[k + 1] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                states[k + 1] = y = y + sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 if k == K - 2:  # no next stage checks the last state
-                    check_vector(states[k + 1, :M], M, "position")
-                    check_vector(states[k + 1, M:], M, "velocity")
+                    check_vector(y[:M], M, "position")
+                    check_vector(y[M:], M, "velocity")
             except FramefitError as exc:
                 raise LeftDomainError(
                     f"integration left the domain at step {k}: {exc}", partial=prefix(k + 1)

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -176,6 +177,48 @@ class TestSvdKernel:
         assert np.isnan(got[1][(0,) * len(stack)]).all()
         for a, b in zip(got, np.linalg.svd(F), strict=True):
             assert np.array_equal(a, b, equal_nan=True)
+
+    @pytest.mark.parametrize("caller", ["raise", "ignore"])
+    def test_leaves_error_state_as_it_was(self, caller):
+        # the guard holds for the call only, after a result and after a failure
+        F = np.random.default_rng(4).normal(size=(2, 4))
+        bad = F.copy()
+        bad[1, 2] = np.nan
+        with np.errstate(all=caller):
+            before = np.geterr(), np.geterrcall()
+            _svd(F)
+            assert (np.geterr(), np.geterrcall()) == before
+            with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+                _svd(bad)
+            assert (np.geterr(), np.geterrcall()) == before
+
+    def test_threads_keep_their_own_outcomes(self):
+        # one thread's SVDs all succeed and the other's all fail, side by
+        # side: each call sets and resets the guard for itself alone
+        good = np.random.default_rng(5).normal(size=(3, 2, 4))
+        bad = good.copy()
+        bad[1, 0, 2] = np.nan
+        want = np.linalg.svd(good)
+        start = threading.Barrier(2)
+        outcomes = {}
+
+        def run(name, F):
+            start.wait()
+            seen = []
+            for _ in range(500):
+                try:
+                    seen.append(all(map(np.array_equal, _svd(F), want)))
+                except np.linalg.LinAlgError as exc:
+                    seen.append(str(exc))
+            outcomes[name] = seen
+
+        threads = [threading.Thread(target=run, args=case)
+                   for case in (("good", good), ("bad", bad))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert outcomes == {"good": [True] * 500, "bad": ["SVD did not converge"] * 500}
 
     def test_other_input_keeps_numpy_results(self):
         for F in (np.eye(2, 3, dtype=np.float32), np.eye(2, 3, dtype=int)):

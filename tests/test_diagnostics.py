@@ -61,6 +61,13 @@ class TestResidualBound:
         _, holds = residual_bound_check(family, truth.position, w, 1e155)
         assert holds is True
 
+    @pytest.mark.parametrize("eps_norm", [0.0, np.float64(0.0)], ids=["float", "numpy"])
+    def test_verdict_is_a_python_bool(self, eps_norm):
+        # np.linalg.norm returns a numpy float; the verdict is a bool either way
+        _, family, truth, w = noiseless_scene(0)
+        _, holds = residual_bound_check(family, truth.position, w, eps_norm)
+        assert holds is True
+
     @pytest.mark.parametrize("k", [-30, 30])
     def test_scale_of_w_changes_no_verdict(self, k):
         # E scales as |w|^2 and so does the slack: w and the noise norm times
