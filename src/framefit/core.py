@@ -28,7 +28,7 @@ from .errors import (
 # columns are not considered a frame.
 RANK_RTOL = 1e-8
 
-# Points per stacked SVD in error_values.  Blocks bound the stacked
+# Points per stacked block in error_values.  Blocks bound the stacked
 # temporaries, so a large grid costs no more memory than a small one.
 ERROR_BLOCK = 256
 
@@ -187,7 +187,7 @@ if _SVD_FULL is not None:
 
 def _svd(F):
     """``np.linalg.svd(F)``, bitwise, for the one F (M, N) or stack (B, M, N):
-    the one SVD call behind ``frame_svd`` and ``_null_energies``.
+    the one SVD call behind ``frame_svd`` and ``_svd_null_energies``.
 
     A float64 F goes to numpy's own gufunc under numpy's own errstate,
     so a NaN entry raises LinAlgError("SVD did not converge") and an inf
@@ -448,7 +448,7 @@ def error_value(family: FrameFamily, x, w) -> float:
     return float(Vn_w.dot(Vn_w))
 
 
-def _null_energies(F, w, M: int) -> np.ndarray:
+def _svd_null_energies(F, w, M: int) -> np.ndarray:
     """|Pi w|^2 for each finite matrix of the stack F (B, M, N); NaN where it
     is not a frame by the rank rule (``_spans``, as in ``frame_svd``).  One
     stacked full SVD, then error_value's null-row energy |Vt[M:] w|^2 as
@@ -461,7 +461,7 @@ def _null_energies(F, w, M: int) -> np.ndarray:
         # one failed SVD fails the whole stack; alone, it has no frame
         if len(F) == 1:
             return np.full(1, np.nan)
-        return np.concatenate([_null_energies(F[i:i + 1], w, M) for i in range(len(F))])
+        return np.concatenate([_svd_null_energies(F[i:i + 1], w, M) for i in range(len(F))])
     energies = np.full(len(F), np.nan)
     keep = _spans(s, M)
     Vn_w = Vt[keep, M:] @ w
@@ -469,13 +469,82 @@ def _null_energies(F, w, M: int) -> np.ndarray:
     return energies
 
 
+def _row_dots(a, b) -> np.ndarray:
+    """The dot product of each row of a (B, N) with the same row of b."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _cgs2_energies(F, w):
+    """For a stack F (B, 2, N): the energy E = |r|^2 of the part r of w
+    outside the span of each F's two rows, and the ratio s_min / s_max of
+    F's singular values.  Classical Gram-Schmidt with one
+    re-orthogonalization (CGS2) factors F = R Q, with R = [[r11, 0], [r12,
+    r22]] and orthonormal rows Q, and takes w's projection on Q out twice.
+    R has F's singular values: s_max^2 + s_min^2 = |R|_F^2 and s_max s_min
+    = r11 r22, so with t = r11 r22 / |R|_F^2, taken from the normalized
+    entries so that nothing overflows or underflows, s_min / s_max = 2 t /
+    (1 + sqrt(1 - 4 t^2)).  A zero row (q = 0 / 0), a second row exactly
+    parallel to the first, as always when N = 1, and an overflow give NaN or
+    inf in E or the ratio, and no warning."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a, b = F[:, 0], F[:, 1]
+        r11 = _lengths(a)
+        q1 = a / r11[:, None]
+        r12 = _row_dots(q1, b)
+        b = b - r12[:, None] * q1
+        c = _row_dots(q1, b)
+        b -= c[:, None] * q1
+        r12 += c
+        r22 = _lengths(b)
+        q2 = b / r22[:, None]
+        r = w - (q1.dot(w)[:, None] * q1 + q2.dot(w)[:, None] * q2)
+        r -= _row_dots(q1, r)[:, None] * q1 + _row_dots(q2, r)[:, None] * q2
+        norm_R = np.hypot(np.hypot(r11, r12), r22)
+        t = (r11 / norm_R) * (r22 / norm_R)
+        # roundoff can put t past 1/2 when s_min = s_max
+        ratio = 2.0 * t / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * t * t, 0.0)))
+        return _row_dots(r, r), ratio
+
+
+def _null_energies(F, w, M: int) -> np.ndarray:
+    """|Pi w|^2 for each finite matrix of the stack F (B, M, N), NaN where it
+    is not a frame by the rank rule (``_spans``): within 1e-12 relative of
+    ``error_value``, with the same NaN mask.
+
+    For M = 2, the CGS2 kernel ``_cgs2_energies`` decides each node.  Its
+    ratio s_min / s_max and the SVD's each carry an error of about eps /
+    RANK_RTOL (2e-8 relative) near the threshold, so outside a band of 1e-4
+    RANK_RTOL around it the two verdicts agree.  Its energy meets the 1e-12
+    rule when E >= 1e-5 cond^2 |w|^2, with cond = s_max / s_min.  A node
+    that fails any of these tests (a non-finite kernel value, a ratio in the
+    band, or an inside node below the energy cutoff) goes through
+    ``_svd_null_energies``, the stacked SVD that every other M takes, whose
+    values equal error_value's bitwise.  So do the nodes of a square frame
+    (N = 2), whose E is roundoff under the cutoff, and they read exactly
+    0.0; those of N = 1 read NaN.
+    """
+    if M != 2:
+        return _svd_null_energies(F, w, M)
+    energies, ratio = _cgs2_energies(F, w)
+    inside = ratio > RANK_RTOL
+    undecided = ~(np.isfinite(energies) & np.isfinite(ratio))
+    undecided |= np.abs(ratio - RANK_RTOL) <= 1e-4 * RANK_RTOL
+    undecided |= inside & (energies * ratio**2 < 1e-5 * w.dot(w))
+    energies[~inside] = np.nan
+    if undecided.any():
+        energies[undecided] = _svd_null_energies(F[undecided], w, M)
+    return energies
+
+
 def error_values(family: FrameFamily, X, w) -> np.ndarray:
     """``error_value`` at every row of X, shape (B, P); NaN exactly where it raises.
 
-    Evaluates ``family.frames`` and one stacked SVD per ERROR_BLOCK rows.  The
-    values equal error_value's bitwise when ``frames`` lays out each F as
-    ``frame`` does, as every family in this package does; a subclass whose
-    ``frame`` returns a non-C-ordered F may differ in the last bit.
+    Evaluates ``family.frames`` and ``_null_energies`` per ERROR_BLOCK rows.
+    For M = 2 the values are within 1e-12 relative of error_value's.  For
+    any other M they come from one stacked SVD and equal error_value's
+    bitwise when ``frames`` lays out each F as ``frame`` does, as every
+    family in this package does; a subclass whose ``frame`` returns a
+    non-C-ordered F may differ in the last bit.
     """
     w = family.check_measurement(w)
     X = family.check_points(X)

