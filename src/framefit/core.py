@@ -28,6 +28,19 @@ from .errors import (
 # columns are not considered a frame.
 RANK_RTOL = 1e-8
 
+# The two tests of the M = 2 energy kernel (``_planar_energy`` per point,
+# ``_null_energies`` stacked), on the Gram entries of F's rows: a node is
+# decided without the SVD only when det > _PLANAR_DET_RTOL trace^2, so cond(F)
+# is under about 100 and F spans R^2 by ``_spans`` beyond doubt, and when
+# (E / |w|^2) (det / trace^2) >= _PLANAR_ENERGY_RTOL, that is E >= about
+# 1e-5 cond^2 |w|^2, where E's roundoff is under 1e-12 relative.
+_PLANAR_DET_RTOL = 1e-4
+_PLANAR_ENERGY_RTOL = 1e-5
+
+# Floor on trace^2 and |w|^2 for that kernel: above it det and E are normal
+# floats far from the subnormals, so no underflowed product moves them.
+_PLANAR_FLOOR = 1e-290
+
 # Points per stacked block in error_values.  Blocks bound the stacked
 # temporaries, so a large grid costs no more memory than a small one.
 ERROR_BLOCK = 256
@@ -426,19 +439,67 @@ class FrameFamily(abc.ABC):
         return True
 
 
+def _planar_energy(F, w):
+    """The M = 2 energy kernel for one F (2, N), in Python floats: E = |r|^2
+    with r = w - c1 a - c2 b formed explicitly, where a and b are F's rows
+    and c solves the 2x2 normal equations [[g11, g12], [g12, g22]] c = (a.w,
+    b.w) of their Gram entries.  None unless its two tests decide the node
+    (``_PLANAR_DET_RTOL``, ``_PLANAR_ENERGY_RTOL``), with trace^2 and |w|^2
+    above ``_PLANAR_FLOOR``.
+
+    An error in c changes E only at second order, since r is formed, so E
+    carries about 4 eps |w| / |r| relative roundoff, under 1e-12 where the
+    energy test holds.  A NaN fails every comparison, an overflow leaves E
+    or det non-finite, and the floors keep both divisors normal, so nothing
+    raises or warns; the SVD then decides the node, as it does a
+    rank-deficient F, N = 1 (det is roundoff) and a square F (E is).
+    """
+    a, b = F.tolist()
+    w = w.tolist()
+    # one loop for the six sums costs half of six sum(map(...)) calls
+    g11 = g12 = g22 = p = q = ww = 0.0
+    for an, bn, wn in zip(a, b, w):
+        g11 += an * an
+        g12 += an * bn
+        g22 += bn * bn
+        p += an * wn
+        q += bn * wn
+        ww += wn * wn
+    trace2 = (g11 + g22) * (g11 + g22)
+    det = g11 * g22 - g12 * g12
+    if not (det > _PLANAR_DET_RTOL * trace2 and trace2 > _PLANAR_FLOOR
+            and ww > _PLANAR_FLOOR):
+        return None
+    c1 = (g22 * p - g12 * q) / det
+    c2 = (g11 * q - g12 * p) / det
+    E = 0.0
+    for an, bn, wn in zip(a, b, w):
+        rn = wn - c1 * an - c2 * bn
+        E += rn * rn
+    if math.isfinite(E) and (E / ww) * (det / trace2) >= _PLANAR_ENERGY_RTOL:
+        return E
+    return None
+
+
 def error_value(family: FrameFamily, x, w) -> float:
     """Squared distance from w to the coefficient space of the frame at x.
 
     Evaluates ||Pi(x) w||^2 where Pi(x) projects onto the null space of F(x).
-    The null rows ``Vt[M:]`` of ``frame_svd`` are an orthonormal basis of
-    that space, so the energy is |Vt[M:] w|^2: one product and one dot, and
-    exactly 0.0 for a square frame (N = M), whose null space is {0}.
-    Always in [0, ||w||^2]; zero exactly when w lies in the range of F(x)^T.
-    Raises RankDeficientError where ``frame_svd``, the domain test for one
-    F, rejects F(x).
+    For M = 2 the kernel ``_planar_energy`` gives it on most points, within
+    1e-12 relative of the SVD formula below.  Every other point, and every M
+    != 2, takes the null rows ``Vt[M:]`` of ``frame_svd``, an orthonormal
+    basis of that space: the energy is |Vt[M:] w|^2, one product and one
+    dot, and exactly 0.0 for a square frame (N = M), whose null space is {0}.
+    Always in [0, ||w||^2] up to roundoff; zero exactly when w lies in the
+    range of F(x)^T.  Raises RankDeficientError where ``frame_svd``, the
+    domain test for one F, rejects F(x).
     """
     w = family.check_measurement(w)
     F = family.frame(x)
+    if len(F) == 2:
+        E = _planar_energy(F, w)
+        if E is not None:
+            return E
     _, _, Vt = frame_svd(F)
     # ndarray.dot, not @: on 1-D and 2-D operands it makes the same BLAS call,
     # so the same bits, without the matmul gufunc's dispatch, which costs
@@ -453,7 +514,7 @@ def _svd_null_energies(F, w, M: int) -> np.ndarray:
     is not a frame by the rank rule (``_spans``, as in ``frame_svd``).  One
     stacked full SVD, then error_value's null-row energy |Vt[M:] w|^2 as
     stacked ``@`` with the per-point shapes (einsum would sum in another
-    order), so each value equals error_value's bitwise.
+    order), so each value equals error_value's SVD formula bitwise.
     """
     try:
         _, s, Vt = _svd(F)
@@ -474,65 +535,36 @@ def _row_dots(a, b) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def _cgs2_energies(F, w):
-    """For a stack F (B, 2, N): the energy E = |r|^2 of the part r of w
-    outside the span of each F's two rows, and the ratio s_min / s_max of
-    F's singular values.  Classical Gram-Schmidt with one
-    re-orthogonalization (CGS2) factors F = R Q, with R = [[r11, 0], [r12,
-    r22]] and orthonormal rows Q, and takes w's projection on Q out twice.
-    R has F's singular values: s_max^2 + s_min^2 = |R|_F^2 and s_max s_min
-    = r11 r22, so with t = r11 r22 / |R|_F^2, taken from the normalized
-    entries so that nothing overflows or underflows, s_min / s_max = 2 t /
-    (1 + sqrt(1 - 4 t^2)).  A zero row (q = 0 / 0), a second row exactly
-    parallel to the first, as always when N = 1, and an overflow give NaN or
-    inf in E or the ratio, and no warning."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a, b = F[:, 0], F[:, 1]
-        r11 = _lengths(a)
-        q1 = a / r11[:, None]
-        r12 = _row_dots(q1, b)
-        b = b - r12[:, None] * q1
-        c = _row_dots(q1, b)
-        b -= c[:, None] * q1
-        r12 += c
-        r22 = _lengths(b)
-        q2 = b / r22[:, None]
-        r = w - (q1.dot(w)[:, None] * q1 + q2.dot(w)[:, None] * q2)
-        r -= _row_dots(q1, r)[:, None] * q1 + _row_dots(q2, r)[:, None] * q2
-        norm_R = np.hypot(np.hypot(r11, r12), r22)
-        t = (r11 / norm_R) * (r22 / norm_R)
-        # roundoff can put t past 1/2 when s_min = s_max
-        ratio = 2.0 * t / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * t * t, 0.0)))
-        return _row_dots(r, r), ratio
-
-
 def _null_energies(F, w, M: int) -> np.ndarray:
     """|Pi w|^2 for each finite matrix of the stack F (B, M, N), NaN where it
-    is not a frame by the rank rule (``_spans``): within 1e-12 relative of
-    ``error_value``, with the same NaN mask.
+    is not a frame by the rank rule (``_spans``), as ``error_value`` gives
+    it or raises.
 
-    For M = 2, the CGS2 kernel ``_cgs2_energies`` decides each node.  Its
-    ratio s_min / s_max and the SVD's each carry an error of about eps /
-    RANK_RTOL (2e-8 relative) near the threshold, so outside a band of 1e-4
-    RANK_RTOL around it the two verdicts agree.  Its energy meets the 1e-12
-    rule when E >= 1e-5 cond^2 |w|^2, with cond = s_max / s_min.  A node
-    that fails any of these tests (a non-finite kernel value, a ratio in the
-    band, or an inside node below the energy cutoff) goes through
-    ``_svd_null_energies``, the stacked SVD that every other M takes, whose
-    values equal error_value's bitwise.  So do the nodes of a square frame
-    (N = 2), whose E is roundoff under the cutoff, and they read exactly
-    0.0; those of N = 1 read NaN.
+    For M = 2, ``_planar_energy``'s formula and its two tests, vectorized
+    over the stack, decide most nodes, within 1e-12 relative of the SVD
+    formula.  Every node they leave, and every stack of another M, goes
+    through ``_svd_null_energies``, whose values equal the SVD formula
+    bitwise: so a rank-deficient F reads NaN, as does N = 1, and a square
+    F (N = 2) exactly 0.0.
     """
-    if M != 2:
+    ww = w.dot(w)
+    if M != 2 or not ww > _PLANAR_FLOOR:
         return _svd_null_energies(F, w, M)
-    energies, ratio = _cgs2_energies(F, w)
-    inside = ratio > RANK_RTOL
-    undecided = ~(np.isfinite(energies) & np.isfinite(ratio))
-    undecided |= np.abs(ratio - RANK_RTOL) <= 1e-4 * RANK_RTOL
-    undecided |= inside & (energies * ratio**2 < 1e-5 * w.dot(w))
-    energies[~inside] = np.nan
-    if undecided.any():
-        energies[undecided] = _svd_null_energies(F[undecided], w, M)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        a, b = F[:, 0], F[:, 1]
+        g11, g12, g22 = _row_dots(a, a), _row_dots(a, b), _row_dots(b, b)
+        trace2 = (g11 + g22) * (g11 + g22)
+        det = g11 * g22 - g12 * g12
+        p, q = a.dot(w), b.dot(w)
+        c1 = (g22 * p - g12 * q) / det
+        c2 = (g11 * q - g12 * p) / det
+        r = w - c1[:, None] * a - c2[:, None] * b
+        energies = _row_dots(r, r)
+        decided = (det > _PLANAR_DET_RTOL * trace2) & (trace2 > _PLANAR_FLOOR)
+        decided &= np.isfinite(energies)
+        decided &= energies / ww * (det / trace2) >= _PLANAR_ENERGY_RTOL
+    if not decided.all():
+        energies[~decided] = _svd_null_energies(F[~decided], w, M)
     return energies
 
 
@@ -540,11 +572,12 @@ def error_values(family: FrameFamily, X, w) -> np.ndarray:
     """``error_value`` at every row of X, shape (B, P); NaN exactly where it raises.
 
     Evaluates ``family.frames`` and ``_null_energies`` per ERROR_BLOCK rows.
-    For M = 2 the values are within 1e-12 relative of error_value's.  For
-    any other M they come from one stacked SVD and equal error_value's
-    bitwise when ``frames`` lays out each F as ``frame`` does, as every
-    family in this package does; a subclass whose ``frame`` returns a
-    non-C-ordered F may differ in the last bit.
+    For M = 2 the values, like error_value's, are within 1e-12 relative of
+    the SVD formula |Vt[M:] w|^2, and equal it bitwise on the nodes the M = 2
+    kernel leaves.  For any other M they come from one stacked SVD and equal
+    error_value's bitwise when ``frames`` lays out each F as ``frame`` does,
+    as every family in this package does; a subclass whose ``frame`` returns
+    a non-C-ordered F may differ in the last bit.
     """
     w = family.check_measurement(w)
     X = family.check_points(X)

@@ -17,7 +17,8 @@ small set of cached vectors:
 
 The vectors come from the factors of one full SVD F = U diag(s) Vt[:M]
 (``core.frame_svd``).  The null rows Vn = Vt[M:] give Pi v = Vn^T (Vn v),
-and E = |Vn w|^2 exactly as ``error_value`` computes it; the range rows
+and E = |Vn w|^2, the SVD formula of ``error_value`` (bitwise its value
+unless M = 2, where its kernel is within 1e-12 relative); the range rows
 give G^T = U diag(1/s) Vt[:M].  Each vector is one matrix product over all
 p, or over all pairs (q, p), and no N x N operator is ever materialized.
 """
@@ -40,8 +41,8 @@ class ProjectorPieces:
     All arrays have trailing dimension N.  ``w`` is the measurement they were
     built from, so ``gradient`` and ``hessian`` cannot be handed another.
     ``E`` is |Vn w|^2 with Vn = Vt[M:] the null basis, ``error_value``'s E
-    bitwise.  ``Pqp_Pw`` is exactly symmetric in its first two axes, as the
-    mixed partials of F are.
+    bitwise unless M = 2 (then within 1e-12 relative).  ``Pqp_Pw`` is
+    exactly symmetric in its first two axes, as the mixed partials of F are.
     """
 
     w: np.ndarray         # (N,)     the measurement

@@ -136,7 +136,8 @@ def grid_sweep(family: FrameFamily, w, grid: GridSpec):
     lies inside.
 
     ``core.error_values`` gives the same NaN mask in stacked blocks, with
-    errors within 1e-12 relative (bitwise unless M = 2).  This sweep stays
+    errors bitwise unless M = 2, where each path's M = 2 kernel is within
+    1e-12 relative of the SVD formula.  This sweep stays
     per point because the benchmark checks count one ``error_value`` span per
     grid point under ``grid_search`` and the CLI degeneracy check; it
     switches to ``error_values`` once those checks read a counter the library

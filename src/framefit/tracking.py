@@ -16,6 +16,8 @@ so the family must have P = M.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import (
@@ -131,9 +133,16 @@ def functional_value(family: FrameFamily, traj: Trajectory, data: TimeSeries) ->
     numpy's ``trapezoid`` forms.  A value past the float range is inf, with
     no overflow warning."""
     _, residuals = _residual_pass(family, traj, data)
+    return _trapezoid_energy(residuals, data.dt)
+
+
+def _trapezoid_energy(r, dt: float) -> float:
+    """The composite trapezoid of |r_k|^2 over the rows of r (K, N) at step
+    dt, the sum numpy's ``trapezoid`` forms; inf past the float range, with
+    no overflow warning."""
     with np.errstate(over="ignore"):
-        squares = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
-        return float((data.dt * (squares[1:] + squares[:-1]) / 2.0).sum())
+        squares = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+        return float((dt * (squares[1:] + squares[:-1]) / 2.0).sum())
 
 
 def el_acceleration(family: FrameFamily, x, v, wdot) -> np.ndarray:
@@ -266,5 +275,18 @@ def shooting_search(
 
 
 def load_time_series(path) -> TimeSeries:
-    """Read a JSON file with a ``times`` array and a ``w`` array of arrays."""
-    return TimeSeries(*read_json(path, "time series", "times", "w"))
+    """Read a JSON file with a ``times`` array and a ``w`` array of arrays.
+
+    After ``TimeSeries``' own checks, raises ScenarioValidationError when the
+    data's functional, the trapezoid sum of |w_k|^2 (that of F^T v = 0) as
+    ``functional_value`` forms it, overflows: the scale every candidate is
+    judged on is then past the float range, so ``track`` stops before it
+    integrates any.  A series built in code keeps such values, and
+    ``shooting_search`` reports their overflow after integrating.
+    """
+    data = TimeSeries(*read_json(path, "time series", "times", "w"))
+    if not math.isfinite(_trapezoid_energy(data.values, data.dt)):
+        raise ScenarioValidationError(
+            "time series values too large: the trapezoid sum of |w_k|^2 overflows"
+        )
+    return data

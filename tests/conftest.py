@@ -1,5 +1,6 @@
 import contextlib
 import signal
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,19 @@ from framefit import (
 )
 from framefit.core import check_vector
 from framefit.errors import FramefitError, LeftDomainError
+
+# hypothesis prints a failing example's patch through hypothesis.extra._patching,
+# whose libcst import raises DeprecationWarnings (libcst 1.0 with a recent
+# mypy_extensions).  Under -W error::DeprecationWarning that import ended the
+# session with INTERNALERROR instead of reporting the example, and a
+# command-line -W overrides any ini filter, so the module is imported once
+# here with those warnings ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst or black absent: hypothesis prints no patch
+        pass
 
 
 class TimeLimitExceeded(Exception):

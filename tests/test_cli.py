@@ -568,8 +568,9 @@ class TestTrack:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("size", [2.0**511, 1e160], ids=["sum", "squares"])
     def test_overflowing_functional_exits_one(self, tmp_path, size):
-        # the one candidate integrates, but its functional overflows: for
-        # 2**511 in the trapezoid sum, for 1e160 in the squares
+        # the series' own functional bound overflows, for 2**511 in the
+        # trapezoid sum and for 1e160 in the squares: track rejects the file
+        # as it reads it, before any candidate is integrated
         series = tmp_path / "series.json"
         series.write_text(json.dumps({"times": [0.0, 0.1, 0.2, 0.3],
                                       "w": [[size, -size, size]] * 4}))
@@ -580,7 +581,8 @@ class TestTrack:
                               "--vel-lower=2,-1", "--vel-upper=3,0", "--vel-counts=1,1",
                               "--out-dir", str(out)])
         assert code == 1
-        assert err.startswith("error: every shooting candidate failed: 0 of 1 left the domain")
+        assert err.startswith("error: time series values too large: the trapezoid sum "
+                              "of |w_k|^2 overflows")
         assert "Warning" not in err
         assert not out.exists()
 
