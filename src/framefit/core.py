@@ -28,17 +28,21 @@ from .errors import (
 # columns are not considered a frame.
 RANK_RTOL = 1e-8
 
-# The two tests of the M = 2 energy kernel (``_planar_energy`` per point,
-# ``_null_energies`` stacked), on the Gram entries of F's rows: a node is
-# decided without the SVD only when det > _PLANAR_DET_RTOL trace^2, so cond(F)
-# is under about 100 and F spans R^2 by ``_spans`` beyond doubt, and when
-# (E / |w|^2) (det / trace^2) >= _PLANAR_ENERGY_RTOL, that is E >= about
-# 1e-5 cond^2 |w|^2, where E's roundoff is under 1e-12 relative.
+# The two tests of the M = 2 Gram kernel (``_planar_energy`` per point, for
+# E and for the dual coefficients, ``_null_energies`` stacked, for E), on the
+# Gram entries of F's rows: a point is decided without the SVD only when
+# det > _PLANAR_DET_RTOL trace^2, so cond(F) is under about 100 and F spans
+# R^2 by ``_spans`` beyond doubt, and, for E alone, when (E / |w|^2) (det /
+# trace^2) >= _PLANAR_ENERGY_RTOL, that is E >= about 1e-5 cond^2 |w|^2,
+# where E's roundoff is under 1e-12 relative.  The dual coefficients lose no
+# digits to cancellation, so they need no second test.
 _PLANAR_DET_RTOL = 1e-4
 _PLANAR_ENERGY_RTOL = 1e-5
 
 # Floor on trace^2 and |w|^2 for that kernel: above it det and E are normal
-# floats far from the subnormals, so no underflowed product moves them.
+# floats far from the subnormals, so no underflowed product moves them.  The
+# dual also needs det^2 |w|^2 above it, so that the products of its 2x2
+# solve (about |F|^3 |w|) are normal too.
 _PLANAR_FLOOR = 1e-290
 
 # Points per stacked block in error_values.  Blocks bound the stacked
@@ -439,20 +443,25 @@ class FrameFamily(abc.ABC):
         return True
 
 
-def _planar_energy(F, w):
-    """The M = 2 energy kernel for one F (2, N), in Python floats: E = |r|^2
-    with r = w - c1 a - c2 b formed explicitly, where a and b are F's rows
-    and c solves the 2x2 normal equations [[g11, g12], [g12, g22]] c = (a.w,
-    b.w) of their Gram entries.  None unless its two tests decide the node
-    (``_PLANAR_DET_RTOL``, ``_PLANAR_ENERGY_RTOL``), with trace^2 and |w|^2
-    above ``_PLANAR_FLOOR``.
+def _planar_energy(F, w, dual=False):
+    """The M = 2 Gram kernel for one F (2, N), in Python floats: c solves the
+    2x2 normal equations [[g11, g12], [g12, g22]] c = (a.w, b.w) of the Gram
+    entries of F's rows a and b, and r = w - c1 a - c2 b is formed
+    explicitly.  Returns E = |r|^2 or, with ``dual``, the dual coefficients
+    (F F^T)^{-1} F w as a pair (c1, c2), after one seminormal correction c
+    += (F F^T)^{-1} F r (Björck 1996, §2.9).  None unless the kernel's tests
+    decide the point (``_PLANAR_DET_RTOL``, for E also ``_PLANAR_ENERGY_RTOL``),
+    with trace^2 and |w|^2 (for the dual also det^2 |w|^2) above
+    ``_PLANAR_FLOOR``.
 
     An error in c changes E only at second order, since r is formed, so E
     carries about 4 eps |w| / |r| relative roundoff, under 1e-12 where the
-    energy test holds.  A NaN fails every comparison, an overflow leaves E
-    or det non-finite, and the floors keep both divisors normal, so nothing
-    raises or warns; the SVD then decides the node, as it does a
-    rank-deficient F, N = 1 (det is roundoff) and a square F (E is).
+    energy test holds; the corrected c is within about eps cond(F) |w| /
+    s_min(F) of the exact dual.  A NaN fails every comparison, an overflow
+    leaves E, det or c non-finite, and the floors keep the divisors and
+    products normal, so nothing raises or warns; the SVD then decides the
+    point, as it does a rank-deficient F, N = 1 (det is roundoff) and, for E,
+    a square F (E is roundoff).
     """
     a, b = F.tolist()
     w = w.tolist()
@@ -472,10 +481,19 @@ def _planar_energy(F, w):
         return None
     c1 = (g22 * p - g12 * q) / det
     c2 = (g11 * q - g12 * p) / det
-    E = 0.0
+    # one pass for |r|^2 and F r, so E and the dual share the residual loop
+    E = s1 = s2 = 0.0
     for an, bn, wn in zip(a, b, w):
         rn = wn - c1 * an - c2 * bn
         E += rn * rn
+        s1 += an * rn
+        s2 += bn * rn
+    if dual:
+        c1 += (g22 * s1 - g12 * s2) / det
+        c2 += (g11 * s2 - g12 * s1) / det
+        if math.isfinite(c1 + c2) and det * det * ww > _PLANAR_FLOOR:
+            return c1, c2
+        return None
     if math.isfinite(E) and (E / ww) * (det / trace2) >= _PLANAR_ENERGY_RTOL:
         return E
     return None

@@ -21,8 +21,8 @@ import math
 import numpy as np
 
 from .core import (
-    FrameFamily, _check_positions, all_finite, check_vector, dual_coefficients, frame_svd,
-    read_json, record,
+    FrameFamily, _check_positions, _planar_energy, all_finite, check_vector,
+    dual_coefficients, frame_svd, read_json, record,
 )
 from .errors import (
     AllCandidatesFailedError,
@@ -148,9 +148,13 @@ def _trapezoid_energy(r, dt: float) -> float:
 def el_acceleration(family: FrameFamily, x, v, wdot) -> np.ndarray:
     """Acceleration solving the stationarity equation at one state.
 
-    Returns ``dual_coefficients(F, wdot - kappa)``, (F F^T)^{-1} F [ wdot -
-    kappa ], with F and kappa = Fdot^T v from ``family.frame_curvature``, so
-    neither the dual nor Fdot is formed.
+    Returns the dual coefficients (F F^T)^{-1} F [ wdot - kappa ], with F
+    and kappa = Fdot^T v from ``family.frame_curvature``, so neither the dual
+    nor Fdot is formed.  For M = 2 the Gram kernel ``_planar_energy`` solves
+    the 2x2 normal equations with one seminormal correction, within 1e-12
+    of the SVD dual relative to |wdot - kappa| / s_min(F); where its tests
+    do not decide, and for every other M, ``dual_coefficients`` takes the
+    full SVD of F.
     Raises DimensionMismatchError unless P = M, x and v are finite vectors of
     length M and wdot one of length N, RankDeficientError where F is not a
     frame, and LeftDomainError when the acceleration overflows (a huge v or
@@ -159,7 +163,12 @@ def el_acceleration(family: FrameFamily, x, v, wdot) -> np.ndarray:
     """
     F, kappa = family.frame_curvature(x, v)  # checks P = M, x and v
     wdot = check_vector(wdot, family.N, "data rate")
-    a = dual_coefficients(F, wdot - kappa)
+    z = wdot - kappa
+    if len(F) == 2:
+        c = _planar_energy(F, z, dual=True)
+        if c is not None:
+            return np.array(c)
+    a = dual_coefficients(F, z)
     if not all_finite(a):
         raise LeftDomainError(f"acceleration is not finite: {a}")
     return a

@@ -23,6 +23,7 @@ from framefit import (
     Trajectory,
     augmented_vectors,
     dual_synthesis,
+    el_acceleration,
     error_gradient_hessian,
     error_value,
     error_values,
@@ -843,6 +844,71 @@ class TestPlanarKernel:
                 assert E == 0.0  # the null space is {0}
             for k in (20, -20):
                 assert error_value(fixed, [0.0], 2.0**k * w) == 4.0**k * E
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["radar", "collinear", "quadratic", "callable"]),
+        num_pairs=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        change=st.sampled_from([None, None, None, "nan", "inf", "huge", "tiny"]),
+    )
+    def test_per_point_dual_matches_dual_coefficients(self, kind, num_pairs, seed, change):
+        """The kernel's dual coefficients of z = wdot - kappa against
+        ``dual_coefficients(F, z)``, and ``el_acceleration`` on a P = 2 family
+        with that F: where the kernel decides, its c, within 1e-12 of the SVD
+        dual relative to |z| / s_min(F), the scale of the dual's roundoff;
+        where it does not, the SVD's bits, and the SVD's error class where
+        that raises (a NaN or inf entry, N = 1, a rank-deficient F).  F
+        scaled to about 1e+-160 is left to the SVD; z scaled by 2^+-20
+        scales c exactly."""
+        rng = np.random.default_rng(seed)
+        family, X = random_planar_family(kind, num_pairs, rng)
+        N = family.N
+        for x in X[:20]:
+            try:
+                F = family.frame(x).copy()
+            except FramefitError:
+                continue  # a point at a station
+            if change in ("nan", "inf"):
+                F[rng.integers(2), rng.integers(N)] = getattr(np, change)
+            elif change is not None:
+                F *= 10.0 ** ((160.0 if change == "huge" else -160.0) + rng.uniform(-5.0, 5.0))
+            dF = rng.normal(size=(2, 2, N))
+            fixed = CallableFrameFamily((2, N, 2), lambda y, F=F: F, lambda y, dF=dF: dF)
+            v, wdot = rng.normal(size=2), rng.normal(size=N)
+            z = wdot - np.einsum("p,pmn,m->n", v, dF, v)
+            kernel = core._planar_energy(F, z, dual=True)
+            try:
+                reference = dual_coefficients(F, z)
+            except FramefitError as exc:
+                assert kernel is None
+                with pytest.raises(type(exc)):
+                    el_acceleration(fixed, np.zeros(2), v, wdot)
+                continue
+            a = el_acceleration(fixed, np.zeros(2), v, wdot)
+            if change is not None:
+                assert kernel is None
+            if kernel is None:
+                assert np.array_equal(a, reference)
+                continue
+            assert np.array_equal(a, kernel)
+            s_min = np.linalg.svd(F, compute_uv=False)[-1]
+            assert np.linalg.norm(a - reference) <= 1e-12 * np.linalg.norm(z) / s_min
+            for k in (20, -20):
+                scaled = core._planar_energy(F, 2.0**k * z, dual=True)
+                assert scaled == (2.0**k * a[0], 2.0**k * a[1])
+
+    def test_dual_leaves_an_underflowing_solve_to_the_svd(self):
+        # trace^2 and |z|^2 pass the floor, but the solve's products g22 p
+        # (about 1e-354) underflow, which would make c exactly 0
+        F = 1e-70 * np.array([[1.0, 0.3, 0.2], [0.1, 1.0, -0.5]])
+        z = 1e-144 * np.array([1.0, 2.0, 3.0])
+        assert core._planar_energy(F, z, dual=True) is None
+        a = el_acceleration(ConstantFrameFamily(F, P=2), np.zeros(2), np.zeros(2), z)
+        assert np.array_equal(a, dual_coefficients(F, z))
+        assert np.all(a > 1e-77)
+        # the same frame at unit scale is decided
+        assert core._planar_energy(1e70 * F, z, dual=True) is not None
 
     def test_failed_svd_in_the_fallback_is_outside_the_domain(self, monkeypatch):
         kinds = ["exact", "clear", "exact", "band", "exact"]

@@ -17,7 +17,7 @@ from framefit import (
     integrate_trajectory,
     shooting_search,
 )
-from framefit import tracking
+from framefit import core, tracking
 from framefit.errors import (
     AllCandidatesFailedError,
     DimensionMismatchError,
@@ -222,6 +222,33 @@ class TestElAcceleration:
 
         G = dual_synthesis(family.jet(x, order=0).F)
         assert np.allclose(a, G.T @ wdot)
+
+    def test_svd_calls(self, monkeypatch):
+        """``core._svd`` calls per call: none where the M = 2 Gram kernel
+        decides (a well-conditioned 2-D radar point), one where it does not
+        (stations within 2e-3 of a line) and at every 3-D point."""
+        calls = []
+        svd = core._svd
+
+        def counting(F):
+            calls.append(F.shape)
+            return svd(F)
+
+        monkeypatch.setattr(core, "_svd", counting)
+        rng = np.random.default_rng(5)
+        collinear = radar_family(RadarGeometry(
+            [[100.0, 0.001], [-50.0, -0.002], [30.0, 0.0015]],
+            [[-80.0, 0.002], [60.0, -0.001], [-20.0, 0.0005]],
+        ))
+        spatial = radar_family(RadarGeometry(rng.uniform(-100.0, 100.0, size=(4, 3)),
+                                             rng.uniform(-100.0, 100.0, size=(4, 3))))
+        for family, x, expected in ((radar_scene(3), [1.0, 2.0], []),
+                                    (collinear, [1.0, -2.0], [(2, 3)]),
+                                    (spatial, [1.0, -2.0, 3.0], [(3, 4)])):
+            calls.clear()
+            a = el_acceleration(family, x, rng.normal(size=family.M), rng.normal(size=family.N))
+            assert calls == expected
+            assert np.isfinite(a).all()
 
     def test_recovers_true_acceleration(self):
         family = radar_scene(4)
