@@ -181,58 +181,22 @@ def _spans(s, M: int):
     return s[-1] > RANK_RTOL * s[0]
 
 
-# The LAPACK gufunc behind np.linalg.svd(F), full_matrices=True, on numpy >= 2
-# (numpy 1.x names its kernels svd_m_f and svd_n_f, so this is None there).
-# _umath_linalg is private to numpy: test_core checks _svd against
-# np.linalg.svd bit for bit, on both branches.
-_SVD_FULL = getattr(getattr(np.linalg, "_umath_linalg", None), "svd_f", None)
-
-
-def _raise_svd_nonconvergence(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge")
-
-
-if _SVD_FULL is not None:
-    # numpy's own errstate for its SVD, built once: on numpy >= 2 the
-    # decorator sets it for each call under a token of that call, as a
-    # ``with`` block would, so threads do not share it
-    @np.errstate(call=_raise_svd_nonconvergence, invalid="call",
-                 over="ignore", divide="ignore", under="ignore")
-    def _svd_full_guarded(F):
-        return _SVD_FULL(F, signature="d->ddd")
-
-
-def _svd(F):
-    """``np.linalg.svd(F)``, bitwise, for the one F (M, N) or stack (B, M, N):
-    the one SVD call behind ``frame_svd`` and ``_svd_null_energies``.
-
-    A float64 F goes to numpy's own gufunc under numpy's own errstate,
-    so a NaN entry raises LinAlgError("SVD did not converge") and an inf
-    entry gives NaN singular values, as through numpy; only the wrapper's
-    type checks and result casts are skipped.  Any other F (another dtype,
-    or fewer than two axes, which numpy rejects with LinAlgError), and any F
-    on numpy 1.x, goes through ``np.linalg.svd``.
-    """
-    if _SVD_FULL is None or F.dtype != np.float64 or F.ndim < 2:
-        return np.linalg.svd(F)
-    return _svd_full_guarded(F)
-
-
 def frame_svd(F):
     """The full SVD ``(U, s, Vt)`` of the synthesis matrix F, shape (M, N):
     s holds M values and Vt has shape (N, N).
 
-    The domain test for one F: raises RankDeficientError when ``_svd``
-    finds no SVD or the singular values fail the rank rule (``_spans``),
-    which happens when the columns of F do not span R^M or F has a NaN or
-    inf entry.  ``_null_energies`` applies the same rule to a stack of F.  Rows
-    ``:M`` of Vt are an orthonormal basis of the range of F^T, used by the
-    dual (``dual_coefficients``, ``dual_synthesis``), and rows ``M:`` one
-    of the null space of F, used by the projector (``error_value``,
+    The domain test for one F: raises RankDeficientError when
+    ``np.linalg.svd`` finds no SVD (a NaN entry) or the singular values fail
+    the rank rule (``_spans``), which happens when the columns of F do not
+    span R^M or F has an inf entry, whose singular values are NaN.
+    ``_null_energies`` applies the same rule to a stack of F.  Rows ``:M``
+    of Vt are an orthonormal basis of the range of F^T, used by the dual
+    (``dual_coefficients``, ``dual_synthesis``), and rows ``M:`` one of the
+    null space of F, used by the projector (``error_value``,
     ``projector_pieces``).
     """
     try:
-        U, s, Vt = _svd(F)
+        U, s, Vt = np.linalg.svd(F)
     except np.linalg.LinAlgError as exc:
         raise RankDeficientError(f"synthesis matrix has no SVD ({exc})") from exc
     if not _spans(s, F.shape[0]):
@@ -357,8 +321,9 @@ class FrameFamily(abc.ABC):
 
     Subclasses fix the dimensions (M, N, P) and evaluate jets.  The domain is
     the points x where ``frame(x)`` is defined (the radar ``frame`` raises
-    NearSingularError next to a station) and passes the rank rule ``_spans``,
-    applied by ``frame_svd`` to one F and by ``error_values`` to a stack.
+    NearSingularError next to a station) and passes the rank rule ``_spans``
+    on the singular values of ``np.linalg.svd``, applied by ``frame_svd`` to
+    one F and by ``error_values`` to a stack.
     ``error_value`` takes F from ``frame`` and the derivative routines take
     their jets from ``jet``, both unchecked: a subclass whose ``jet`` (or
     ``frame`` override) skips ``check_point`` gets no validation of x.
@@ -530,12 +495,13 @@ def error_value(family: FrameFamily, x, w) -> float:
 def _svd_null_energies(F, w, M: int) -> np.ndarray:
     """|Pi w|^2 for each finite matrix of the stack F (B, M, N); NaN where it
     is not a frame by the rank rule (``_spans``, as in ``frame_svd``).  One
-    stacked full SVD, then error_value's null-row energy |Vt[M:] w|^2 as
-    stacked ``@`` with the per-point shapes (einsum would sum in another
-    order), so each value equals error_value's SVD formula bitwise.
+    stacked ``np.linalg.svd``, then error_value's null-row energy
+    |Vt[M:] w|^2 as stacked ``@`` with the per-point shapes (einsum would
+    sum in another order), so each value equals error_value's SVD formula
+    bitwise.
     """
     try:
-        _, s, Vt = _svd(F)
+        _, s, Vt = np.linalg.svd(F)
     except np.linalg.LinAlgError:
         # one failed SVD fails the whole stack; alone, it has no frame
         if len(F) == 1:

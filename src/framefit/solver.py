@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import FrameFamily, _is_integer, _lengths, error_value, record
+from .core import FrameFamily, _is_integer, _is_number, _lengths, error_value, record
 from .derivatives import error_gradient_hessian
 from .errors import (
     EmptyDomainError,
@@ -39,6 +39,11 @@ class GridSpec:
     counts: np.ndarray
 
     def __post_init__(self):
+        # float() would read True as 1.0, so a bool count makes a 1-point axis
+        for name in ("lower", "upper", "counts"):
+            value = getattr(self, name)
+            if not all(map(_is_number, np.asarray(value, dtype=object).flat)):
+                raise ValueError(f"grid {name} entries must be numbers, got {value!r}")
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         # read counts as floats first, so 2.5 is rejected rather than truncated

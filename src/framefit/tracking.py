@@ -16,8 +16,6 @@ so the family must have P = M.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import (
@@ -41,7 +39,9 @@ class TimeSeries:
     """Uniformly sampled FDOA data: times (K,) and values (K, N), K >= 3.
 
     ``num_samples``, ``dt`` and ``rates``, ``np.gradient(values, dt, axis=0,
-    edge_order=2)``, are computed once.
+    edge_order=2)``, are computed once.  Raises ScenarioValidationError when
+    the rates or the trapezoid sum of |w_k|^2 overflow, so ``shooting_search``
+    integrates no candidate on data whose functional is past the float range.
     """
 
     times: np.ndarray
@@ -72,6 +72,11 @@ class TimeSeries:
         if not np.isfinite(rates).all():
             raise ScenarioValidationError(
                 "time series values too large: their time derivative overflows"
+            )
+        # the functional of F^T v = 0, the scale every candidate is judged on
+        if not np.isfinite(_trapezoid_energy(v, dt[0])):
+            raise ScenarioValidationError(
+                "time series values too large: the trapezoid sum of |w_k|^2 overflows"
             )
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
@@ -284,18 +289,5 @@ def shooting_search(
 
 
 def load_time_series(path) -> TimeSeries:
-    """Read a JSON file with a ``times`` array and a ``w`` array of arrays.
-
-    After ``TimeSeries``' own checks, raises ScenarioValidationError when the
-    data's functional, the trapezoid sum of |w_k|^2 (that of F^T v = 0) as
-    ``functional_value`` forms it, overflows: the scale every candidate is
-    judged on is then past the float range, so ``track`` stops before it
-    integrates any.  A series built in code keeps such values, and
-    ``shooting_search`` reports their overflow after integrating.
-    """
-    data = TimeSeries(*read_json(path, "time series", "times", "w"))
-    if not math.isfinite(_trapezoid_energy(data.values, data.dt)):
-        raise ScenarioValidationError(
-            "time series values too large: the trapezoid sum of |w_k|^2 overflows"
-        )
-    return data
+    """Read a JSON file with a ``times`` array and a ``w`` array of arrays."""
+    return TimeSeries(*read_json(path, "time series", "times", "w"))

@@ -89,6 +89,21 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(lower, upper, counts)
 
+    @pytest.mark.parametrize(
+        "name, lower, upper, counts",
+        [
+            ("counts", [0, 0], [1, 1], [True, 2]),   # was a 1x2 grid
+            ("lower", [False], [1.0], [3]),
+            ("upper", np.zeros(2), np.array([True, True]), [2, 2]),
+            ("counts", [0.0], [1.0], np.array([True])),
+            ("lower", ["0"], [1.0], [3]),
+        ],
+        ids=["bool_count", "bool_lower", "bool_upper_array", "bool_count_array", "string"],
+    )
+    def test_rejects_non_number_entries(self, name, lower, upper, counts):
+        with pytest.raises(ValueError, match=f"grid {name} entries must be numbers"):
+            GridSpec(lower, upper, counts)
+
     @pytest.mark.parametrize("count", [2**63, 2**64], ids=["2^63", "2^64"])
     def test_oversized_count_reported_too_large(self, count):
         with pytest.raises(ValueError, match="grid counts too large: each must be below 2"):

@@ -17,7 +17,7 @@ from framefit import (
     integrate_trajectory,
     shooting_search,
 )
-from framefit import core, tracking
+from framefit import tracking
 from framefit.errors import (
     AllCandidatesFailedError,
     DimensionMismatchError,
@@ -224,17 +224,17 @@ class TestElAcceleration:
         assert np.allclose(a, G.T @ wdot)
 
     def test_svd_calls(self, monkeypatch):
-        """``core._svd`` calls per call: none where the M = 2 Gram kernel
+        """``np.linalg.svd`` calls per call: none where the M = 2 Gram kernel
         decides (a well-conditioned 2-D radar point), one where it does not
         (stations within 2e-3 of a line) and at every 3-D point."""
         calls = []
-        svd = core._svd
+        svd = np.linalg.svd
 
         def counting(F):
             calls.append(F.shape)
             return svd(F)
 
-        monkeypatch.setattr(core, "_svd", counting)
+        monkeypatch.setattr(np.linalg, "svd", counting)
         rng = np.random.default_rng(5)
         collinear = radar_family(RadarGeometry(
             [[100.0, 0.001], [-50.0, -0.002], [30.0, 0.0015]],
@@ -368,10 +368,14 @@ class TestStateValidation:
     def test_overflow_in_the_last_update_leaves_the_domain(self):
         # F = I everywhere, so the acceleration is wdot, which grows only
         # near the end: the stages stay finite and only the last update
-        # overflows, which no later stage would see
+        # overflows, which no later stage would see.  The step 2^-512 makes
+        # wdot (about w / dt) near 1e308 while the trapezoid sum of |w_k|^2,
+        # which TimeSeries bounds, stays finite
         family = CallableFrameFamily((2, 2, 2), lambda x: np.eye(2),
                                      lambda x: np.zeros((2, 2, 2)))
-        data = TimeSeries(np.linspace(0.0, 1.0, 5), [[0.0, 0.0]] * 4 + [[1.5e307, 0.0]])
+        dt = 2.0**-512
+        data = TimeSeries(np.linspace(0.0, 4 * dt, 5),
+                          [[0.0, 0.0]] * 4 + [[1.5e307 * 4 * dt, 0.0]])
         with pytest.raises(LeftDomainError, match="step 3") as excinfo:
             integrate_trajectory(family, [0.0, 0.0], [0.0, 0.0], data)
         assert np.isfinite(excinfo.value.partial.velocities).all()
@@ -653,17 +657,21 @@ class TestShootingSearch:
     @pytest.mark.parametrize("size", [2.0**511, 1e160], ids=["sum", "squares"])
     def test_overflowing_functional_fails_cleanly(self, size):
         # every |w_k|^2 is finite for 2**511, but the trapezoid sum of two
-        # overflows; for 1e160 the squares themselves do
+        # overflows; for 1e160 the squares themselves do.  The series is
+        # rejected before any candidate is integrated on it
+        with pytest.raises(ScenarioValidationError,
+                           match=r"the trapezoid sum of \|w_k\|\^2 overflows"):
+            TimeSeries([0.0, 0.1, 0.2, 0.3], [[size, -size, size]] * 4)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_residuals_give_an_infinite_functional(self):
+        # velocities of about 1e160 make residuals whose squares overflow:
+        # the functional reads inf, with no warning
         family = radar_family(RadarGeometry([[30.0, 0.0], [0.0, 30.0], [-25.0, -20.0]],
                                             [[-30.0, 10.0], [10.0, -30.0], [20.0, 25.0]]))
-        data = TimeSeries([0.0, 0.1, 0.2, 0.3], [[size, -size, size]] * 4)
-        pg = GridSpec([1.0, 0.5], [2.0, 1.5], [1, 1])
-        vg = GridSpec([2.0, -1.0], [3.0, 0.0], [1, 1])
-        traj = integrate_trajectory(family, [1.0, 0.5], [2.0, -1.0], data)
+        data = TimeSeries([0.0, 0.1, 0.2, 0.3], [[1.0, -1.0, 1.0]] * 4)
+        traj = Trajectory(data.times, np.tile([1.0, 0.5], (4, 1)), np.full((4, 2), 1e160))
         assert functional_value(family, traj, data) == np.inf
-        with pytest.raises(AllCandidatesFailedError,
-                           match="0 of 1 left the domain, and the functional of 1 is not"):
-            shooting_search(family, data, pg, vg)
 
 
 class TestTimeSeriesIO:
