@@ -288,6 +288,8 @@ def cmd_diagnose(args) -> int:
             "residual_bound_holds": holds,
             "level_set_threshold": tau,
             "level_set_fraction": report.fraction,
+            "level_set_points_evaluated": grid.num_points,
+            "level_set_points_in_domain": report.in_domain,
         },
     }
     return _publish(args, outputs, {"tau": tau}, scenario.noise.seed)

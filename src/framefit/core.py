@@ -45,9 +45,20 @@ _PLANAR_ENERGY_RTOL = 1e-5
 # solve (about |F|^3 |w|) are normal too.
 _PLANAR_FLOOR = 1e-290
 
-# Points per stacked block in error_values.  Blocks bound the stacked
-# temporaries, so a large grid costs no more memory than a small one.
+# Points per stacked block in error_values (``_block_rows``).  Blocks bound
+# the stacked temporaries, so a large grid costs no more memory than a small
+# one, and each block pays a fixed cost, so a small frame takes more rows: as
+# many as keep its (rows, N, N) SVD temporaries within ERROR_BLOCK_ENTRIES,
+# from ERROR_BLOCK rows (every N >= 8) up to 4 ERROR_BLOCK (every N <= 4).
+# Larger blocks leave the cache: the 3721-point 61x61 radar sweep ran
+# slower as one block than as four of 1024 rows.
 ERROR_BLOCK = 256
+ERROR_BLOCK_ENTRIES = 16384
+
+
+def _block_rows(N: int) -> int:
+    """Rows per error_values block for frames of N columns."""
+    return min(max(ERROR_BLOCK_ENTRIES // (N * N), ERROR_BLOCK), 4 * ERROR_BLOCK)
 
 
 def _values_equal(a, b) -> bool:
@@ -91,11 +102,14 @@ def all_finite(x) -> bool:
     return all(map(math.isfinite, x.tolist()))
 
 
-def _lengths(d):
+def _lengths(d, axis=-1):
     """The one length rule: the Euclidean lengths |d| over the last axis of d
-    (..., K), by ``np.hypot`` of the coordinates in turn (``abs`` when K = 1).
-    Nothing is squared, so a length is inf only past the float range, with
-    numpy's ``overflow encountered in hypot`` unless the caller ignores it."""
+    (..., K), or with ``axis=0`` over the first axis of d (K, ...), by
+    ``np.hypot`` of the coordinates in turn (``abs`` when K = 1).  Nothing is
+    squared, so a length is inf only past the float range, with numpy's
+    ``overflow encountered in hypot`` unless the caller ignores it."""
+    if axis == 0:
+        return _lengths(d.T).T
     K = d.shape[-1]
     if K == 1:
         return np.abs(d[..., 0])
@@ -529,20 +543,32 @@ def _null_energies(F, w, M: int) -> np.ndarray:
     formula.  Every node they leave, and every stack of another M, goes
     through ``_svd_null_energies``, whose values equal the SVD formula
     bitwise: so a rank-deficient F reads NaN, as does N = 1, and a square
-    F (N = 2) exactly 0.0.
+    F (N = 2) exactly 0.0.  Each value depends on its own F alone, not on
+    the rest of the stack, so error_values' blocking moves no bit.
     """
     ww = w.dot(w)
     if M != 2 or not ww > _PLANAR_FLOOR:
         return _svd_null_energies(F, w, M)
+    # _planar_energy's operations in its order; a temporary that is not read
+    # again is reused in place, which leaves every value as it is
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         a, b = F[:, 0], F[:, 1]
         g11, g12, g22 = _row_dots(a, a), _row_dots(a, b), _row_dots(b, b)
-        trace2 = (g11 + g22) * (g11 + g22)
+        trace2 = g11 + g22
+        trace2 *= trace2
         det = g11 * g22 - g12 * g12
-        p, q = a.dot(w), b.dot(w)
-        c1 = (g22 * p - g12 * q) / det
-        c2 = (g11 * q - g12 * p) / det
-        r = w - c1[:, None] * a - c2[:, None] * b
+        # p and q by einsum over C-ordered rows, one sum for every row: a
+        # BLAS product picks its kernel by the number of rows and their
+        # layout, so a row's last bit would depend on its block
+        pq = np.einsum("imn,n->im", np.ascontiguousarray(F), w)
+        p, q = pq[:, 0], pq[:, 1]
+        c1 = g22 * p - g12 * q
+        c1 /= det
+        c2 = g11 * q - g12 * p
+        c2 /= det
+        r = c1[:, None] * a
+        np.subtract(w, r, out=r)
+        r -= c2[:, None] * b
         energies = _row_dots(r, r)
         decided = (det > _PLANAR_DET_RTOL * trace2) & (trace2 > _PLANAR_FLOOR)
         decided &= np.isfinite(energies)
@@ -555,23 +581,32 @@ def _null_energies(F, w, M: int) -> np.ndarray:
 def error_values(family: FrameFamily, X, w) -> np.ndarray:
     """``error_value`` at every row of X, shape (B, P); NaN exactly where it raises.
 
-    Evaluates ``family.frames`` and ``_null_energies`` per ERROR_BLOCK rows.
-    For M = 2 the values, like error_value's, are within 1e-12 relative of
-    the SVD formula |Vt[M:] w|^2, and equal it bitwise on the nodes the M = 2
-    kernel leaves.  For any other M they come from one stacked SVD and equal
-    error_value's bitwise when ``frames`` lays out each F as ``frame`` does,
-    as every family in this package does; a subclass whose ``frame`` returns
-    a non-C-ordered F may differ in the last bit.
+    Evaluates ``family.frames`` and ``_null_energies`` per block of
+    ``_block_rows(N)`` rows (1024 for N <= 4, ERROR_BLOCK from N = 8), and
+    passes a block whose frames are all finite on as it is, with no copy;
+    every value is the same whatever the blocking.  For M = 2 the values,
+    like error_value's, are within 1e-12 relative of the SVD formula
+    |Vt[M:] w|^2, and equal it bitwise on the nodes the M = 2 kernel leaves.
+    For any other M they come from one stacked SVD and equal error_value's
+    bitwise when ``frames`` lays out each F as ``frame`` does, as every
+    family in this package does; a subclass whose ``frame`` returns a
+    non-C-ordered F may differ in the last bit.
     """
     w = family.check_measurement(w)
     X = family.check_points(X)
     values = np.full(len(X), np.nan)
+    block = _block_rows(family.N)
     # a row whose frame overflows (a radar station distance past the float
     # range) is outside: NaN, with no warning
     with np.errstate(over="ignore"):
-        for start in range(0, len(X), ERROR_BLOCK):
-            F = family.frames(X[start:start + ERROR_BLOCK])
-            rows = np.flatnonzero(np.isfinite(F).all(axis=(1, 2)))
+        for start in range(0, len(X), block):
+            F = family.frames(X[start:start + block])
+            finite = np.isfinite(F)
+            if finite.all():
+                values[start:start + len(F)] = _null_energies(F, w, family.M)
+                continue
+            rows = np.flatnonzero(finite.all(axis=(1, 2)))
             if len(rows):
+                # F[rows] keeps F's layout, so each row's value is the same
                 values[start + rows] = _null_energies(F[rows], w, family.M)
     return values

@@ -38,6 +38,7 @@ class LevelSetReport:
     points: np.ndarray  # (K, P) kept grid points in lexicographic grid order
     errors: np.ndarray  # (K,) their errors
     fraction: float  # covered fraction of in-domain grid points
+    in_domain: int  # grid points inside the domain, of the grid's num_points
 
 
 def level_set(family: FrameFamily, w, grid: GridSpec, tau: float) -> LevelSetReport:
@@ -53,7 +54,7 @@ def level_set(family: FrameFamily, w, grid: GridSpec, tau: float) -> LevelSetRep
     in_domain = in_domain_count(errors)
     kept = errors <= tau
     return LevelSetReport(tau, points[kept], errors[kept],
-                          int(np.count_nonzero(kept)) / in_domain)
+                          int(np.count_nonzero(kept)) / in_domain, in_domain)
 
 
 def augmented_vectors(family: FrameFamily, x, w) -> np.ndarray:

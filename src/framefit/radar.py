@@ -147,14 +147,25 @@ class RadarFrameFamily(FrameFamily):
         self.P = geometry.dim
         # read by every station pass; the geometry is frozen
         self._stations = geometry.stations
+        self._station_coords = np.ascontiguousarray(geometry.stations.T)[:, :, None]
         self._singularity_tolerance = geometry.singularity_tolerance
 
     def _jets(self, X, order: int):
         """F (B, M, N) at every row of X (B, P) and, from order 1, dF
         (B, P, M, N), from order 2 also d2F (B, P, P, M, N), in one pass over
         all points and stations.  A row that is not finite or is
-        ``_near_station`` comes out NaN throughout: no 0/0 at a station node,
-        no inf/inf.
+        ``_near_station`` comes out NaN throughout: its distances are masked
+        to NaN before the one divide, so there is no 0/0 at a station node
+        and no inf/inf.  Each F row has frame's values and layout, the
+        transpose of a C-ordered (N, M).
+
+        Order 0 on more than one point, ``frames``' pass, runs
+        coordinate-major: the differences are (M, 2N, B), so each step runs
+        over contiguous rows of B points rather than M-long rows, and the two
+        halves of u add straight into F's layout.  Orders 1 and 2, and one
+        point, run point-major, (B, 2N, M): the derivative products are laid
+        out from it, and one point gains nothing from the other layout.  Both
+        give the same F bits, as every step is elementwise.
 
         Each frame element is the sum of two values of the normalization map
         u(d) = d / |d| at d = x - a_n and d = x - b_n.  With r = |d| and
@@ -165,14 +176,22 @@ class RadarFrameFamily(FrameFamily):
 
         built from u and the first partials, so no power of r can overflow.
         """
-        N = self.N
+        N, tol = self.N, self._singularity_tolerance
+        if order == 0 and len(X) > 1:
+            XT = np.ascontiguousarray(X.T)                   # (M, B)
+            d = XT[:, None, :] - self._station_coords       # (M, 2N, B)
+            r = _lengths(d, axis=0)                          # (2N, B)
+            outside = ~np.isfinite(XT).all(axis=0) | _near_station(r, tol).any(axis=0)
+            u = d / np.where(outside, np.nan, r)
+            # transmitters :N, receivers N:; u[m, n, b] -> F[b, m, n]
+            F = np.empty((len(X), N, self.M))
+            np.add(u[:, :N], u[:, N:], out=F.transpose(2, 1, 0))
+            return [F.transpose(0, 2, 1)]
         d = X[:, None, :] - self._stations                  # (B, 2N, M)
         r = _lengths(d)                                      # (B, 2N)
-        near = _near_station(r, self._singularity_tolerance).any(axis=1)
-        inside = np.isfinite(X).all(axis=1) & ~near
-        u = np.divide(d, r[:, :, None], out=np.full_like(d, np.nan),
-                      where=inside[:, None, None])
-        # transmitters :N, receivers N:; u[b, n, m] -> F[b, m, n]
+        outside = ~np.isfinite(X).all(axis=1) | _near_station(r, tol).any(axis=1)
+        u = d / np.where(outside[:, None], np.nan, r)[:, :, None]
+        # u[b, n, m] -> F[b, m, n]
         jets = [(u[:, :N] + u[:, N:]).transpose(0, 2, 1)]
         if order >= 1:
             pi = np.eye(self.M) - u[:, :, :, None] * u[:, :, None, :]   # (B, 2N, M, M)
@@ -232,8 +251,8 @@ class RadarFrameFamily(FrameFamily):
         return F, c[:self.N] + c[self.N:]
 
     def frames(self, X) -> np.ndarray:
-        """``frame(x)`` at every row of X, each F in frame's (transposed)
-        layout, from ``_jets``; see FrameFamily.frames."""
+        """``frame(x)`` at every row of X, each F with frame's values and
+        (transposed) layout, from ``_jets``; see FrameFamily.frames."""
         return self._jets(self.check_points(X), 0)[0]
 
 

@@ -27,11 +27,17 @@ from framefit import (
     simulate_fdoa,
 )
 from framefit.cli import CSV_BLOCK_ROWS, _write_csv, _write_json, build_parser, main
-from framefit.core import error_value
+from framefit.core import error_value, error_values
 from framefit.errors import RankDeficientError
 from framefit.radar import NoiseModel, load_scenario
 
-from conftest import UNREADABLE_FILES, circular_geometry, noiseless_scene, time_limit
+from conftest import (
+    UNREADABLE_FILES,
+    circular_geometry,
+    noiseless_scene,
+    station_node_scene,
+    time_limit,
+)
 
 
 def write_scenario(path, geometry, position, velocity, sigma=0.0, seed=0):
@@ -433,6 +439,25 @@ class TestDiagnose:
         grid = GridSpec([-10.0, -10.0], [10.0, 10.0], [11, 11])
         report = level_set(family, w, grid, float(w @ w))
         assert len(lines) == len(report.points) + 1
+
+    def test_reports_the_grid_counts(self, tmp_path):
+        # a 41x41 grid with a transmitter on four nodes: 1681 nodes in two
+        # error_values blocks, 1677 of them in the domain, and a rerun
+        # writes the same bytes
+        family, w, _ = station_node_scene()
+        path = write_scenario(tmp_path / "s.json", family.geometry, [1.3, -2.1], [2.0, 1.0])
+        out = tmp_path / "out"
+        argv = ["diagnose", "--scenario", str(path), "--grid-counts=41,41", "--out-dir", str(out)]
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert runs[0] == runs[1]
+        diag = json.loads(runs[0]["diagnostics.json"])
+        errors = error_values(family, GridSpec([-10.0, -10.0], [10.0, 10.0], [41, 41]).points(), w)
+        assert diag["level_set_points_evaluated"] == len(errors) == 41 * 41
+        assert diag["level_set_points_in_domain"] == np.count_nonzero(~np.isnan(errors))
+        assert diag["level_set_points_in_domain"] == 41 * 41 - 4
 
     def test_tau_zero_empties_level_set(self, tmp_path):
         geometry, family, truth, _ = noiseless_scene(3)

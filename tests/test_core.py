@@ -35,7 +35,7 @@ from framefit import (
     uniqueness_certificate,
 )
 from framefit import core
-from framefit.core import ERROR_BLOCK, dual_coefficients, frame_svd
+from framefit.core import dual_coefficients, frame_svd
 from framefit.errors import (
     DimensionMismatchError,
     FramefitError,
@@ -457,14 +457,18 @@ class TestErrorValues:
     @given(
         dim=st.sampled_from([2, 3]),
         num_pairs=st.integers(1, 6),
-        num_points=st.sampled_from([1, 5, ERROR_BLOCK, 2 * ERROR_BLOCK + 3]),
+        # (blocks, extra rows): 1 and 5 points, one full block, and two
+        # blocks and 3 rows, in error_values' own block size for N pairs
+        size=st.sampled_from([(0, 1), (0, 5), (1, 0), (2, 3)]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_radar_matches_per_point(self, dim, num_pairs, num_points, seed):
+    def test_radar_matches_per_point(self, dim, num_pairs, size, seed):
         rng = np.random.default_rng(seed)
         geometry = RadarGeometry(rng.normal(size=(num_pairs, dim)) * 50.0,
                                  rng.normal(size=(num_pairs, dim)) * 50.0)
         family = radar_family(geometry)
+        blocks, extra = size
+        num_points = blocks * core._block_rows(num_pairs) + extra
         X = rng.uniform(-80.0, 80.0, size=(num_points, dim))
         # stations, a point just off one, and non-finite points among the rows
         extras = [geometry.transmitters[0], geometry.receivers[-1],
@@ -484,7 +488,7 @@ class TestErrorValues:
     def test_quadratic_matches_per_point(self, M, extra, P, seed):
         rng = np.random.default_rng(seed)
         family = random_quadratic_family(rng, M, M + extra, P)
-        X = rng.normal(size=(ERROR_BLOCK + 17, P)) * 3.0
+        X = rng.normal(size=(core._block_rows(family.N) + 17, P)) * 3.0
         # a row where frame() raises, which the base frames() leaves NaN
         X[5, -1] = np.nan
         assert_stacked_matches_per_point(family, X, rng.normal(size=M + extra))
@@ -521,7 +525,7 @@ class TestErrorValues:
         # N - M = 3 null rows: the stacked full SVD and the per-point one
         # must give the same rows, summed alike
         rng = np.random.default_rng(35)
-        X = rng.normal(size=(ERROR_BLOCK + 40, family.P)) * scale
+        X = rng.normal(size=(core._block_rows(family.N) + 40, family.P)) * scale
         values = assert_stacked_matches_per_point(family, X, rng.normal(size=family.N))
         assert np.isfinite(values).all()
 
@@ -557,6 +561,61 @@ class TestErrorValues:
                 error_values(family, X, w)
             with pytest.raises(DimensionMismatchError):
                 family.frames(X)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["radar2", "radar3", "quadratic3", "callable"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_values_do_not_depend_on_the_blocking(self, kind, seed):
+        # blocks of 1 row, of 7 rows and one block for all: every value and
+        # every NaN byte for byte, including radar's station, non-finite and
+        # overflowing rows, and N up to 9 pairs
+        rng = np.random.default_rng(seed)
+        if kind.startswith("radar"):
+            dim, num_pairs = int(kind[-1]), int(rng.integers(1, 10))
+            geometry = RadarGeometry(rng.normal(size=(num_pairs, dim)) * 50.0,
+                                     rng.normal(size=(num_pairs, dim)) * 50.0)
+            family = radar_family(geometry)
+            X = rng.uniform(-80.0, 80.0, size=(300, dim))
+            extras = [geometry.transmitters[0], geometry.receivers[-1],
+                      geometry.transmitters[-1] + 0.5 * geometry.singularity_tolerance,
+                      np.full(dim, np.nan), np.r_[np.inf, np.zeros(dim - 1)],
+                      np.full(dim, 1.5e308)]
+            X[rng.choice(len(X), size=len(extras), replace=False)] = extras
+        else:
+            M = 3 if kind == "quadratic3" else 2
+            family = random_quadratic_family(rng, M, M + int(rng.integers(0, 5)), 2)
+            if kind == "callable":
+                quadratic = family
+                family = CallableFrameFamily((M, quadratic.N, 2),
+                                             lambda x: quadratic.jet(x, 0).F)
+            X = rng.normal(size=(300, 2)) * 3.0
+            X[rng.integers(len(X)), 0] = np.nan
+        w = rng.normal(size=family.N)
+        values = error_values(family, X, w)
+        for rows in (1, 7, len(X)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(core, "_block_rows", lambda N: rows)
+                blocked = error_values(family, X, w)
+            assert np.array_equal(np.isnan(blocked), np.isnan(values))
+            assert blocked.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stacked_frames_have_the_frame_layout(self, dim):
+        # the two stacks error_values makes of block + 1 points: a full block
+        # and a single row, each row with frame's bytes, shape and strides
+        rng = np.random.default_rng(40 + dim)
+        family = radar_family(RadarGeometry(rng.normal(size=(4, dim)) * 50.0,
+                                            rng.normal(size=(4, dim)) * 50.0))
+        block = core._block_rows(family.N)
+        X = rng.uniform(-80.0, 80.0, size=(block + 1, dim))
+        for start, stop, rows in ((0, block, [0, block - 1]), (block, block + 1, [0])):
+            F = family.frames(X[start:stop])
+            for i in rows:
+                ref = family.frame(X[start + i])
+                assert F[i].tobytes() == ref.tobytes()
+                assert (F[i].shape, F[i].strides) == (ref.shape, ref.strides)
 
 
 def random_planar_family(kind, num_pairs, rng):

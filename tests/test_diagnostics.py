@@ -157,8 +157,9 @@ class TestLevelSet:
     def test_keeps_exactly_points_at_or_below_threshold(self):
         family, w, grid = station_node_scene()
         noisy = w + np.random.default_rng(11).normal(size=w.shape) * 0.05
-        # 23x23 = 529 points: three error_values blocks
-        for w, grid in ((w, grid), (noisy, GridSpec([-10.0, -10.0], [10.0, 10.0], [23, 23]))):
+        # both grids put a transmitter on four nodes; 33x33 = 1089 points
+        # make two error_values blocks of 4 pairs
+        for w, grid in ((w, grid), (noisy, GridSpec([-10.0, -10.0], [10.0, 10.0], [33, 33]))):
             in_domain = []
             for x in grid.points():
                 try:
@@ -176,6 +177,7 @@ class TestLevelSet:
             assert np.array_equal(report.errors, errors[kept])
             assert report.points.shape == (np.count_nonzero(kept), family.P)
             assert report.fraction == np.count_nonzero(kept) / len(in_domain)
+            assert report.in_domain == len(in_domain) == grid.num_points - 4
 
     def test_scaling_leaves_argmin_invariant(self):
         _, family, _, w = noiseless_scene(7)
