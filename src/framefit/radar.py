@@ -8,7 +8,6 @@ measurements are inner products of these elements with the target velocity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +119,10 @@ class NoiseModel:
 
 def bistatic_distance(geometry: RadarGeometry, n: int, x) -> float:
     """Transmitter-to-target plus target-to-receiver path length for pair n,
-    from ``_lengths`` as the frame is; inf, with no warning, past the float range."""
+    from ``_lengths`` as the frame is; inf, with no warning, past the float range.
+    Raises ValueError unless n is an integer in [0, N): -1 would read pair N-1."""
+    if not (_is_integer(n) and 0 <= n < geometry.num_pairs):
+        raise ValueError(f"pair n must be an integer in [0, {geometry.num_pairs}), got {n!r}")
     x = check_vector(x, geometry.dim, "parameter point")
     with np.errstate(over="ignore"):
         tx, rx = x - geometry.transmitters[n], x - geometry.receivers[n]
@@ -150,64 +152,6 @@ class RadarFrameFamily(FrameFamily):
         self._station_coords = np.ascontiguousarray(geometry.stations.T)[:, :, None]
         self._singularity_tolerance = geometry.singularity_tolerance
 
-    def _jets(self, X, order: int):
-        """F (B, M, N) at every row of X (B, P) and, from order 1, dF
-        (B, P, M, N), from order 2 also d2F (B, P, P, M, N), in one pass over
-        all points and stations.  A row that is not finite or is
-        ``_near_station`` comes out NaN throughout: its distances are masked
-        to NaN before the one divide, so there is no 0/0 at a station node
-        and no inf/inf.  Each F row has frame's values and layout, the
-        transpose of a C-ordered (N, M).
-
-        Order 0 on more than one point, ``frames``' pass, runs
-        coordinate-major: the differences are (M, 2N, B), so each step runs
-        over contiguous rows of B points rather than M-long rows, and the two
-        halves of u add straight into F's layout.  Orders 1 and 2, and one
-        point, run point-major, (B, 2N, M): the derivative products are laid
-        out from it, and one point gains nothing from the other layout.  Both
-        give the same F bits, as every step is elementwise.
-
-        Each frame element is the sum of two values of the normalization map
-        u(d) = d / |d| at d = x - a_n and d = x - b_n.  With r = |d| and
-        pi(d) = I - u u^T, its partial with respect to x_p is pi delta_p / r,
-        and its mixed second partial with respect to x_q and x_p is
-
-            -(1/r) [ (pi delta_p / r) u_q + (pi delta_q / r) u_p + (pi[p, q] / r) u ],
-
-        built from u and the first partials, so no power of r can overflow.
-        """
-        N, tol = self.N, self._singularity_tolerance
-        if order == 0 and len(X) > 1:
-            XT = np.ascontiguousarray(X.T)                   # (M, B)
-            d = XT[:, None, :] - self._station_coords       # (M, 2N, B)
-            r = _lengths(d, axis=0)                          # (2N, B)
-            outside = ~np.isfinite(XT).all(axis=0) | _near_station(r, tol).any(axis=0)
-            u = d / np.where(outside, np.nan, r)
-            # transmitters :N, receivers N:; u[m, n, b] -> F[b, m, n]
-            F = np.empty((len(X), N, self.M))
-            np.add(u[:, :N], u[:, N:], out=F.transpose(2, 1, 0))
-            return [F.transpose(0, 2, 1)]
-        d = X[:, None, :] - self._stations                  # (B, 2N, M)
-        r = _lengths(d)                                      # (B, 2N)
-        outside = ~np.isfinite(X).all(axis=1) | _near_station(r, tol).any(axis=1)
-        u = d / np.where(outside[:, None], np.nan, r)[:, :, None]
-        # u[b, n, m] -> F[b, m, n]
-        jets = [(u[:, :N] + u[:, N:]).transpose(0, 2, 1)]
-        if order >= 1:
-            pi = np.eye(self.M) - u[:, :, :, None] * u[:, :, None, :]   # (B, 2N, M, M)
-            first = pi / r[:, :, None, None]
-            # first[b, n, m, p] -> dF[b, p, m, n]
-            jets.append((first[:, :N] + first[:, N:]).transpose(0, 3, 2, 1))
-        if order >= 2:
-            second = -(
-                u[:, :, :, None, None] * first[:, :, None, :, :]
-                + u[:, :, None, :, None] * first[:, :, :, None, :]
-                + first[:, :, :, :, None] * u[:, :, None, None, :]
-            ) / r[:, :, None, None, None]
-            # second[b, n, q, p, m] -> d2F[b, q, p, m, n]
-            jets.append((second[:, :N] + second[:, N:]).transpose(0, 2, 3, 4, 1))
-        return jets
-
     def _station_pass(self, x):
         """F(x), the unit vectors u (2N, M) from the stations to the checked x
         and their distances r (2N,); NearSingularError if x is ``_near_station``."""
@@ -224,13 +168,34 @@ class RadarFrameFamily(FrameFamily):
         return (u[:N] + u[N:]).T, u, r
 
     def jet(self, x, order: int = 2) -> FrameJet:
-        """Row 0 of ``_jets``; near a station, raises what ``frame(x)`` raises."""
+        """F, dF and d2F from one ``_station_pass``; raises what ``frame(x)`` raises.
+
+        Each frame element is the sum of two values of the normalization map
+        u(d) = d / |d| at d = x - a_n and d = x - b_n.  With r = |d| and
+        pi(d) = I - u u^T, its partial with respect to x_p is pi delta_p / r,
+        and its mixed second partial with respect to x_q and x_p is
+
+            -(1/r) [ (pi delta_p / r) u_q + (pi delta_q / r) u_p + (pi[p, q] / r) u ],
+
+        built from u and the first partials, so no power of r can overflow.
+        """
         _check_order(order)
-        x = self.check_point(x)
-        jets = self._jets(x[None], order)
-        if math.isnan(jets[0][0, 0, 0]):
-            self._station_pass(x)  # a row outside is NaN throughout: raise frame's error
-        return FrameJet(*(part[0] for part in jets))
+        F, u, r = self._station_pass(x)
+        if order == 0:
+            return FrameJet(F)
+        N = self.N
+        first = (np.eye(self.M) - u[:, :, None] * u[:, None, :]) / r[:, None, None]  # pi / r
+        # first[n, m, p] -> dF[p, m, n]
+        dF = (first[:N] + first[N:]).transpose(2, 1, 0)
+        if order == 1:
+            return FrameJet(F, dF)
+        second = -(
+            u[:, :, None, None] * first[:, None, :, :]
+            + u[:, None, :, None] * first[:, :, None, :]
+            + first[:, :, :, None] * u[:, None, None, :]
+        ) / r[:, None, None, None]
+        # second[n, q, p, m] -> d2F[q, p, m, n]
+        return FrameJet(F, dF, (second[:N] + second[N:]).transpose(1, 2, 3, 0))
 
     def frame(self, x) -> np.ndarray:
         """F(x) from ``_station_pass``, with no jet built: the per-point hot
@@ -251,9 +216,24 @@ class RadarFrameFamily(FrameFamily):
         return F, c[:self.N] + c[self.N:]
 
     def frames(self, X) -> np.ndarray:
-        """``frame(x)`` at every row of X, each F with frame's values and
-        (transposed) layout, from ``_jets``; see FrameFamily.frames."""
-        return self._jets(self.check_points(X), 0)[0]
+        """``frame(x)`` at every row of X (B, P), in one coordinate-major pass:
+        the differences are (M, 2N, B), so each step runs over contiguous rows
+        of B points, and the two halves of u add straight into F's layout.
+        Every step is elementwise, so each row has frame's bits and layout.  A
+        row that is not finite or is ``_near_station`` is NaN throughout: its
+        distances are masked before the one divide, so there is no 0/0 at a
+        station node and no inf/inf.  See FrameFamily.frames."""
+        X = self.check_points(X)
+        N, tol = self.N, self._singularity_tolerance
+        XT = np.ascontiguousarray(X.T)                       # (M, B)
+        d = XT[:, None, :] - self._station_coords           # (M, 2N, B)
+        r = _lengths(d, axis=0)                              # (2N, B)
+        outside = ~np.isfinite(XT).all(axis=0) | _near_station(r, tol).any(axis=0)
+        u = d / np.where(outside, np.nan, r)
+        # transmitters :N, receivers N:; u[m, n, b] -> F[b, m, n]
+        F = np.empty((len(X), N, self.M))
+        np.add(u[:, :N], u[:, N:], out=F.transpose(2, 1, 0))
+        return F.transpose(0, 2, 1)
 
 
 def radar_family(geometry: RadarGeometry) -> RadarFrameFamily:
