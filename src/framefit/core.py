@@ -374,19 +374,21 @@ class FrameFamily(abc.ABC):
         return F
 
     def frame_curvature(self, x, v):
-        """F(x), shape (M, N), and the N-vector kappa = Fdot^T v, where Fdot
-        = sum_p v_p dF[p] is the rate of F along a velocity v: kappa_n =
+        """``(rows, kappa)`` in Python floats: the M rows of F(x) as lists of
+        N floats, and the N-vector kappa = Fdot^T v as a list, where Fdot =
+        sum_p v_p dF[p] is the rate of F along a velocity v: kappa_n =
         sum_{p,m} v_p v_m dF[p, m, n], all that the tracking dynamics need of
         the first derivatives.  Needs P = M, since v is both the parameter
         velocity and the vector Fdot^T is applied to; ``_check_positions``
         raises first otherwise.  Then raises where ``jet(x, 1)`` raises, then
         DimensionMismatchError unless v is a finite vector of length P.  This
-        base version contracts ``jet(x, 1).dF`` with v twice; a family with a
-        cheaper second directional derivative overrides it."""
+        base version contracts ``jet(x, 1).dF`` with v twice and returns
+        both arrays through ``tolist``; a family with a cheaper second
+        directional derivative overrides it."""
         _check_positions(self)
         jet = self.jet(x, order=1)
         v = check_vector(v, self.P, "velocity")
-        return jet.F, np.einsum("p,pmn,m->n", v, jet.dF, v)
+        return jet.F.tolist(), np.einsum("p,pmn,m->n", v, jet.dF, v).tolist()
 
     def check_point(self, x) -> np.ndarray:
         return check_vector(x, self.P, "parameter point")
@@ -422,13 +424,14 @@ class FrameFamily(abc.ABC):
         return True
 
 
-def _planar_energy(F, w, dual=False):
-    """The M = 2 Gram kernel for one F (2, N), in Python floats: c solves the
-    2x2 normal equations [[g11, g12], [g12, g22]] c = (a.w, b.w) of the Gram
-    entries of F's rows a and b, and r = w - c1 a - c2 b is formed
-    explicitly.  Returns E = |r|^2 or, with ``dual``, the dual coefficients
-    (F F^T)^{-1} F w as a pair (c1, c2), after one seminormal correction c
-    += (F F^T)^{-1} F r (Björck 1996, §2.9).  None unless the kernel's tests
+def _planar_energy(a, b, w, dual=False):
+    """The M = 2 Gram kernel for one F (2, N) given as its rows a and b,
+    lists of N Python floats, and w, a list of N floats: c solves the 2x2
+    normal equations [[g11, g12], [g12, g22]] c = (a.w, b.w) of the Gram
+    entries of a and b, and r = w - c1 a - c2 b is formed explicitly.
+    Returns E = |r|^2 or, with ``dual``, the dual coefficients (F F^T)^{-1}
+    F w as a pair (c1, c2), after one seminormal correction c += (F
+    F^T)^{-1} F r (Björck 1996, §2.9).  None unless the kernel's tests
     decide the point (``_PLANAR_DET_RTOL``, for E also ``_PLANAR_ENERGY_RTOL``),
     with trace^2 and |w|^2 (for the dual also det^2 |w|^2) above
     ``_PLANAR_FLOOR``.
@@ -440,10 +443,9 @@ def _planar_energy(F, w, dual=False):
     leaves E, det or c non-finite, and the floors keep the divisors and
     products normal, so nothing raises or warns; the SVD then decides the
     point, as it does a rank-deficient F, N = 1 (det is roundoff) and, for E,
-    a square F (E is roundoff).
+    a square F (E is roundoff).  So a w with a NaN or inf entry is never
+    decided.
     """
-    a, b = F.tolist()
-    w = w.tolist()
     # one loop for the six sums costs half of six sum(map(...)) calls
     g11 = g12 = g22 = p = q = ww = 0.0
     for an, bn, wn in zip(a, b, w):
@@ -494,14 +496,15 @@ def error_value(family: FrameFamily, x, w) -> float:
     w = family.check_measurement(w)
     F = family.frame(x)
     if len(F) == 2:
-        E = _planar_energy(F, w)
+        a, b = F.tolist()
+        E = _planar_energy(a, b, w.tolist())
         if E is not None:
             return E
     _, _, Vt = frame_svd(F)
     # ndarray.dot, not @: on 1-D and 2-D operands it makes the same BLAS call,
     # so the same bits, without the matmul gufunc's dispatch, which costs
     # 0.3 us a product on the per-point paths (as in dual_coefficients and
-    # the radar frame_curvature); stacked products need @'s broadcasting
+    # the radar frame_curvature at M = 3); stacked products need @'s broadcasting
     Vn_w = Vt[F.shape[0]:].dot(w)
     return float(Vn_w.dot(Vn_w))
 

@@ -152,17 +152,26 @@ class RadarFrameFamily(FrameFamily):
         self._station_coords = np.ascontiguousarray(geometry.stations.T)[:, :, None]
         self._singularity_tolerance = geometry.singularity_tolerance
 
-    def _station_pass(self, x):
-        """F(x), the unit vectors u (2N, M) from the stations to the checked x
-        and their distances r (2N,); NearSingularError if x is ``_near_station``."""
+    def _station_distances(self, x):
+        """The differences d = x - stations (2N, M) at the checked x, their
+        lengths r (2N,) and r as a list; NearSingularError if x is
+        ``_near_station``.  Every r then exceeds the tolerance, which is >= 0,
+        so no r is 0."""
         x = self.check_point(x)
         d = x - self._stations                          # (2N, M)
         r = _lengths(d)                                 # (2N,)
         # r holds no NaN when x does not, and the builtin min is cheaper on few rows
-        r_min = min(r.tolist())
+        r_list = r.tolist()
+        r_min = min(r_list)
         if _near_station(r_min, self._singularity_tolerance):
             raise NearSingularError(
                 f"point at distance {r_min} from a station (tol {self._singularity_tolerance})")
+        return d, r, r_list
+
+    def _station_pass(self, x):
+        """F(x), the unit vectors u (2N, M) from the stations to the checked x
+        and their distances r (2N,), from ``_station_distances``."""
+        d, r, _ = self._station_distances(x)
         u = d / r[:, None]
         N = self.N
         return (u[:N] + u[N:]).T, u, r
@@ -203,17 +212,47 @@ class RadarFrameFamily(FrameFamily):
         return self._station_pass(x)[0]
 
     def frame_curvature(self, x, v):
-        """``frame(x)``, bitwise, and kappa from the same ``_station_pass``; see
-        FrameFamily.frame_curvature.  The unit vector u to a station at
-        distance r moves at (v - u (u . v)) / r, so its rate applied to v is
-        (|v|^2 - (u . v)^2) / r, the second derivative of the distance to
-        that station along v; kappa_n sums it over pair n's two stations.
-        No (2N, M, M) projector and no (M, N) rate matrix is built."""
-        F, u, r = self._station_pass(x)
+        """The rows of ``frame(x)``, bitwise, and kappa from one station
+        pass, as lists; see FrameFamily.frame_curvature.
+        The unit vector u to a station at distance r moves at (v - u (u . v))
+        / r, so its rate applied to v is (|v|^2 - (u . v)^2) / r, the second
+        derivative of the distance to that station along v; kappa_n sums it
+        over pair n's two stations.  No (2N, M, M) projector and no (M, N)
+        rate matrix is built.
+
+        For M = 2 one loop over the pairs forms u, F's entries, u . v and
+        kappa in Python floats on ``_station_distances``, which on a few
+        pairs costs less than numpy's dispatch on (2N, 2) arrays; M = 3
+        takes the same formulas in numpy on ``_station_pass``, with
+        ``ndarray.dot`` for u . v.  Neither warns: a Python float overflows
+        to inf silently, and the numpy kappa runs under ``np.errstate``, so
+        kappa is inf or NaN for a v whose |v|^2 / r passes the float range."""
+        N = self.N
+        if self.M == 3:
+            F, u, r = self._station_pass(x)
+            v = check_vector(v, self.P, "velocity")
+            with np.errstate(over="ignore", invalid="ignore"):
+                uv = u.dot(v)                               # (2N,)
+                c = (v.dot(v) - uv * uv) / r
+            return F.tolist(), (c[:N] + c[N:]).tolist()
+        d, _, r_list = self._station_distances(x)
         v = check_vector(v, self.P, "velocity")
-        uv = u.dot(v)                                     # (2N,)
-        c = (v.dot(v) - uv * uv) / r
-        return F, c[:self.N] + c[self.N:]
+        v0, v1 = v.tolist()
+        vv = v0 * v0 + v1 * v1
+        d = d.tolist()
+        a, b, kappa = [], [], []
+        # pair n: u to its transmitter (row n of d), s to its receiver (row N + n)
+        for (d0, d1), (e0, e1), r0, r1 in zip(d[:N], d[N:], r_list[:N], r_list[N:]):
+            u0 = d0 / r0
+            u1 = d1 / r0
+            s0 = e0 / r1
+            s1 = e1 / r1
+            uv = u0 * v0 + u1 * v1
+            sv = s0 * v0 + s1 * v1
+            a.append(u0 + s0)
+            b.append(u1 + s1)
+            kappa.append((vv - uv * uv) / r0 + (vv - sv * sv) / r1)
+        return [a, b], kappa
 
     def frames(self, X) -> np.ndarray:
         """``frame(x)`` at every row of X (B, P), in one coordinate-major pass:

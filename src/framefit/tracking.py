@@ -16,6 +16,9 @@ so the family must have P = M.
 
 from __future__ import annotations
 
+import math
+import operator
+
 import numpy as np
 
 from .core import (
@@ -153,30 +156,36 @@ def _trapezoid_energy(r, dt: float) -> float:
 def el_acceleration(family: FrameFamily, x, v, wdot) -> np.ndarray:
     """Acceleration solving the stationarity equation at one state.
 
-    Returns the dual coefficients (F F^T)^{-1} F [ wdot - kappa ], with F
-    and kappa = Fdot^T v from ``family.frame_curvature``, so neither the dual
-    nor Fdot is formed.  For M = 2 the Gram kernel ``_planar_energy`` solves
-    the 2x2 normal equations with one seminormal correction, within 1e-12
-    of the SVD dual relative to |wdot - kappa| / s_min(F); where its tests
+    Returns the dual coefficients (F F^T)^{-1} F z of z = wdot - kappa, with
+    the rows of F and kappa = Fdot^T v from ``family.frame_curvature`` as
+    Python floats, so neither the dual nor Fdot is formed and z is formed in
+    Python floats too.  For M = 2 the Gram kernel ``_planar_energy`` solves
+    the 2x2 normal equations on those rows with one seminormal correction,
+    within 1e-12 of the SVD dual relative to |z| / s_min(F); where its tests
     do not decide, and for every other M, ``dual_coefficients`` takes the
     full SVD of F.
     Raises DimensionMismatchError unless P = M, x and v are finite vectors of
-    length M and wdot one of length N, RankDeficientError where F is not a
-    frame, and LeftDomainError when the acceleration overflows (a huge v or
-    wdot).  numpy warns of that overflow first, so where RuntimeWarning is an
-    error the caller gets the warning instead.
+    length M and wdot one of length N, LeftDomainError when z is not finite
+    (a v whose |v|^2 / r overflows, or a wdot at the edge of the float
+    range), before F's rank is tested, RankDeficientError where F is not a
+    frame, and LeftDomainError when the acceleration overflows.  None of
+    these comes with a numpy warning on the radar family.
     """
-    F, kappa = family.frame_curvature(x, v)  # checks P = M, x and v
+    rows, kappa = family.frame_curvature(x, v)  # checks P = M, x and v
     wdot = check_vector(wdot, family.N, "data rate")
-    z = wdot - kappa
-    if len(F) == 2:
-        c = _planar_energy(F, z, dual=True)
+    z = list(map(operator.sub, wdot.tolist(), kappa))
+    if len(rows) == 2:
+        a, b = rows
+        c = _planar_energy(a, b, z, dual=True)  # None for a z that is not finite
         if c is not None:
             return np.array(c)
-    a = dual_coefficients(F, z)
-    if not all_finite(a):
-        raise LeftDomainError(f"acceleration is not finite: {a}")
-    return a
+    if not all(map(math.isfinite, z)):
+        raise LeftDomainError(f"acceleration is not finite: wdot - kappa is {z}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = dual_coefficients(np.array(rows), np.array(z))
+    if not all_finite(acc):
+        raise LeftDomainError(f"acceleration is not finite: {acc}")
+    return acc
 
 
 def el_residual(family: FrameFamily, traj: Trajectory, data: TimeSeries) -> np.ndarray:
@@ -194,10 +203,12 @@ def integrate_trajectory(
 ) -> Trajectory:
     """Propagate the stationarity dynamics with classical RK4 on the data grid.
 
-    RK4 steps one stacked state y = (x, v) of length 2M, whose rate is
-    (v, ``el_acceleration``), so each stage is one array update; every entry
-    is computed as for x and v stepped apart.  Row k of one (K, 2M) array is
-    the state at sample k; positions and velocities are its column halves.
+    RK4 steps one state y = (x, v), a list of 2M Python floats whose rate is
+    (v, ``el_acceleration``), so each stage point and the combination of
+    k1..k4 take the operations, in the order, of x and v stepped apart as
+    arrays, and give their bits.  The halves of y go to ``el_acceleration``
+    as lists, which checks them.  Row k of one (K, 2M) array is the state at
+    sample k; positions and velocities are its column halves.
     ``data.rates`` is linearly interpolated at all half steps at once.  If
     any stage point leaves the frame domain, a LeftDomainError carrying the
     completed rows as ``partial`` is raised.  A start x0 or v0 that is not a
@@ -215,25 +226,29 @@ def integrate_trajectory(
     wd_half = list(0.5 * (wdot[:-1] + wdot[1:]))
     wdot = list(wdot)
     states = np.empty((K, 2 * M))
-    states[0] = y = np.concatenate((x, v))
+    states[0] = y = x.tolist() + v.tolist()
 
     def rhs(y_s, wd):
         v_s = y_s[M:]
-        return np.concatenate((v_s, el_acceleration(family, y_s[:M], v_s, wd)))
+        return v_s + el_acceleration(family, y_s[:M], v_s, wd).tolist()
 
     def prefix(n):  # the trajectory of the first n states
         return Trajectory(data.times[:n], states[:n, :M], states[:n, M:])
 
     # A state that overflows leaves the domain: the checks of the next stage
-    # raise for it, so numpy's overflow warnings are noise.
+    # raise for it, so the overflow warnings of a family's own numpy
+    # frame_curvature are noise (Python floats overflow silently).
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K - 1):
             try:
                 k1 = rhs(y, wdot[k])
-                k2 = rhs(y + half_dt * k1, wd_half[k])
-                k3 = rhs(y + half_dt * k2, wd_half[k])
-                k4 = rhs(y + dt * k3, wdot[k + 1])
-                states[k + 1] = y = y + sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                k2 = rhs([yi + half_dt * ki for yi, ki in zip(y, k1)], wd_half[k])
+                k3 = rhs([yi + half_dt * ki for yi, ki in zip(y, k2)], wd_half[k])
+                k4 = rhs([yi + dt * ki for yi, ki in zip(y, k3)], wdot[k + 1])
+                states[k + 1] = y = [
+                    yi + sixth_dt * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+                    for yi, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)
+                ]
                 if k == K - 2:  # no next stage checks the last state
                     check_vector(y[:M], M, "position")
                     check_vector(y[M:], M, "velocity")

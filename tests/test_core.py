@@ -784,7 +784,7 @@ class TestPlanarKernel:
             elif change is not None:
                 F *= 10.0 ** ((160.0 if change == "huge" else -160.0) + rng.uniform(-5.0, 5.0))
             fixed = CallableFrameFamily((2, family.N, 1), lambda y, F=F: F)
-            kernel = core._planar_energy(F, w)
+            kernel = core._planar_energy(*F.tolist(), w.tolist())
             try:
                 _, _, Vt = frame_svd(F)
             except FramefitError as exc:
@@ -839,7 +839,7 @@ class TestPlanarKernel:
             fixed = CallableFrameFamily((2, N, 2), lambda y, F=F: F, lambda y, dF=dF: dF)
             v, wdot = rng.normal(size=2), rng.normal(size=N)
             z = wdot - np.einsum("p,pmn,m->n", v, dF, v)
-            kernel = core._planar_energy(F, z, dual=True)
+            kernel = core._planar_energy(*F.tolist(), z.tolist(), dual=True)
             try:
                 reference = dual_coefficients(F, z)
             except FramefitError as exc:
@@ -857,7 +857,7 @@ class TestPlanarKernel:
             s_min = np.linalg.svd(F, compute_uv=False)[-1]
             assert np.linalg.norm(a - reference) <= 1e-12 * np.linalg.norm(z) / s_min
             for k in (20, -20):
-                scaled = core._planar_energy(F, 2.0**k * z, dual=True)
+                scaled = core._planar_energy(*F.tolist(), (2.0**k * z).tolist(), dual=True)
                 assert scaled == (2.0**k * a[0], 2.0**k * a[1])
 
     def test_dual_leaves_an_underflowing_solve_to_the_svd(self):
@@ -865,12 +865,12 @@ class TestPlanarKernel:
         # (about 1e-354) underflow, which would make c exactly 0
         F = 1e-70 * np.array([[1.0, 0.3, 0.2], [0.1, 1.0, -0.5]])
         z = 1e-144 * np.array([1.0, 2.0, 3.0])
-        assert core._planar_energy(F, z, dual=True) is None
+        assert core._planar_energy(*F.tolist(), z.tolist(), dual=True) is None
         a = el_acceleration(ConstantFrameFamily(F, P=2), np.zeros(2), np.zeros(2), z)
         assert np.array_equal(a, dual_coefficients(F, z))
         assert np.all(a > 1e-77)
         # the same frame at unit scale is decided
-        assert core._planar_energy(1e70 * F, z, dual=True) is not None
+        assert core._planar_energy(*(1e70 * F).tolist(), z.tolist(), dual=True) is not None
 
     def test_failed_svd_in_the_fallback_is_outside_the_domain(self, monkeypatch):
         kinds = ["exact", "clear", "exact", "band", "exact"]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,13 +200,27 @@ class TestFunctionalValue:
 
 
 class TestElAcceleration:
-    def test_overflowing_acceleration_raises(self):
-        # |v|^2 / r overflows; numpy warns of it before the result is
-        # checked, and the warning is not what this test is about
+    @pytest.mark.parametrize(
+        "x, v, wdot",
+        [([1.0, 0.5], [1e300, 1e300], np.zeros(3)),
+         # kappa is finite, about 2e294, but wdot - kappa rounds to -inf
+         ([1.0, 0.5], [1e148, 0.0], np.full(3, -np.finfo(float).max)),
+         # M = 3: numpy's formulas and the SVD dual
+         ([1.0, 0.5, -2.0], [1e300, -1e300, 1e300], np.zeros(3))],
+        ids=["huge_v", "inf_wdot_minus_kappa", "3d_huge_v"],
+    )
+    def test_overflowing_acceleration_raises(self, x, v, wdot):
+        # |v|^2 / r, or wdot - kappa, overflows: the error, with no numpy
+        # warning first
         family = radar_scene(13, num_pairs=3)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(LeftDomainError, match="not finite"):
-            el_acceleration(family, [1.0, 0.5], [1e300, 1e300], np.zeros(3))
+        if len(x) == 3:
+            rng = np.random.default_rng(13)
+            family = radar_family(RadarGeometry(rng.uniform(-40.0, 40.0, size=(3, 3)),
+                                                rng.uniform(-40.0, 40.0, size=(3, 3))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LeftDomainError, match="not finite"):
+                el_acceleration(family, x, v, wdot)
 
     def test_constant_family_coasting(self):
         rng = np.random.default_rng(2)
@@ -306,6 +322,50 @@ class TestElAcceleration:
         assert np.linalg.norm(a - reference) <= 1e-12 * scale
 
 
+@pytest.mark.filterwarnings("error")
+class TestPythonFloatStage:
+    """The M = 2 stage runs in Python floats, where a division by zero
+    raises ZeroDivisionError: at the edge of the float range and just
+    outside a station's tolerance ``el_acceleration`` gives a finite
+    acceleration or a framefit error, with no numpy warning, and lists give
+    what arrays give, bitwise or with the same error and message."""
+
+    # a transmitter at the origin, so (tol, 0) lies exactly tol from it
+    family = radar_family(RadarGeometry([[0, 0], [0, 60], [-50, 20]],
+                                        [[80, 10], [-30, -40], [40, 70]]))
+    tol = family.geometry.singularity_tolerance
+    POINTS = [[1.0, 0.5], [1e300, -1e300], [-1.5e300, 1e299], [1e300, 1e-300],
+              [np.nextafter(tol, np.inf), 0.0], [0.0, 1.5 * tol], [tol, 0.0]]
+    VELOCITIES = [[1.0, 2.0], [0.0, 0.0], [1e300, 1e300], [-1e300, 5e-324],
+                  [1e154, 1e154], [1e148, 0.0]]
+    RATES = [np.zeros(3), np.array([1.0, -2.0, 0.5]), np.full(3, -np.finfo(float).max),
+             np.array([1e308, -1e308, 1e-320])]
+
+    @staticmethod
+    def outcome(*args):
+        try:
+            a = el_acceleration(*args)
+        except FramefitError as exc:
+            return type(exc), str(exc)
+        assert isinstance(a, np.ndarray) and a.shape == (2,)
+        assert np.isfinite(a).all()
+        return a.tobytes()
+
+    @pytest.mark.parametrize("wdot", RATES, ids=["zero", "unit", "min", "mixed"])
+    @pytest.mark.parametrize("v", VELOCITIES)
+    @pytest.mark.parametrize("x", POINTS)
+    def test_only_framefit_errors(self, x, v, wdot):
+        arrays = self.outcome(self.family, np.array(x), np.array(v), wdot)
+        assert self.outcome(self.family, x, v, wdot.tolist()) == arrays
+
+    def test_covers_both_outcomes(self):
+        outcomes = [self.outcome(self.family, x, v, wdot) for x in self.POINTS
+                    for v in self.VELOCITIES for wdot in self.RATES]
+        kinds = {o if isinstance(o, bytes) else o[0] for o in outcomes}
+        assert {NearSingularError, LeftDomainError, RankDeficientError} < kinds
+        assert sum(isinstance(o, bytes) for o in outcomes) >= 10
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestStateValidation:
     """Velocities, data rates and grids of the wrong length or with NaN or
@@ -323,8 +383,9 @@ class TestStateValidation:
             ([1.0, np.inf], np.zeros(3)),
             ([1.0, 2.0], np.zeros(2)),
             ([1.0, 2.0], [0.0, np.nan, 0.0]),
+            ([1.0, 2.0], [0.0, -np.inf, 0.0]),
         ],
-        ids=["long_v", "nan_v", "inf_v", "short_wdot", "nan_wdot"],
+        ids=["long_v", "nan_v", "inf_v", "short_wdot", "nan_wdot", "inf_wdot"],
     )
     def test_el_acceleration(self, v, wdot):
         with pytest.raises(DimensionMismatchError):
