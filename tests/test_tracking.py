@@ -200,18 +200,25 @@ class TestFunctionalValue:
 
 
 class TestElAcceleration:
+    def test_overflowing_acceleration_raises(self):
+        # |v|^2 / r overflows: the error, with no numpy warning first
+        family = radar_scene(13, num_pairs=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LeftDomainError, match="not finite"):
+                el_acceleration(family, [1.0, 0.5], [1e300, 1e300], np.zeros(3))
+
     @pytest.mark.parametrize(
         "x, v, wdot",
-        [([1.0, 0.5], [1e300, 1e300], np.zeros(3)),
-         # kappa is finite, about 2e294, but wdot - kappa rounds to -inf
+        [# kappa is finite, about 2e294, but wdot - kappa rounds to -inf
          ([1.0, 0.5], [1e148, 0.0], np.full(3, -np.finfo(float).max)),
          # M = 3: numpy's formulas and the SVD dual
          ([1.0, 0.5, -2.0], [1e300, -1e300, 1e300], np.zeros(3))],
-        ids=["huge_v", "inf_wdot_minus_kappa", "3d_huge_v"],
+        ids=["inf_wdot_minus_kappa", "3d_huge_v"],
     )
-    def test_overflowing_acceleration_raises(self, x, v, wdot):
-        # |v|^2 / r, or wdot - kappa, overflows: the error, with no numpy
-        # warning first
+    def test_overflowing_stage_raises(self, x, v, wdot):
+        # wdot - kappa, or a 3-D |v|^2 / r, overflows: the error, with no
+        # numpy warning first
         family = radar_scene(13, num_pairs=3)
         if len(x) == 3:
             rng = np.random.default_rng(13)
