@@ -122,14 +122,50 @@ def _lengths(d, axis=-1):
 
 
 def check_vector(x, size, what: str) -> np.ndarray:
-    """x as a finite float vector, of length ``size`` unless size is None."""
-    x = np.asarray(x, dtype=float)
+    """x as a finite float vector, of length ``size`` unless size is None.
+    Every entry must be a number by ``_is_number``, the rule of the input
+    files: an array by its dtype (int or float), anything else entry by
+    entry.  A bool, string, bytes, None, complex value, array or ragged
+    sequence among the entries raises DimensionMismatchError rather than
+    reading as 1.0, a parsed float or NaN; so does an int past the float
+    range, as a non-finite entry."""
+    # before any conversion, which would parse a string or warn on a complex array
+    if not (x.dtype.kind in "iuf" if isinstance(x, np.ndarray) else _all_numbers(x)):
+        raise DimensionMismatchError(f"{what} has entries that are not numbers")
+    try:
+        x = np.asarray(x, dtype=float)
+    except OverflowError:  # a Python int past the float range
+        raise DimensionMismatchError(f"{what} has non-finite entries") from None
     if x.ndim != 1 or (size is not None and len(x) != size):
         expected = "a vector" if size is None else f"({size},)"
         raise DimensionMismatchError(f"{what} has shape {x.shape}, expected {expected}")
     if not all_finite(x):
         raise DimensionMismatchError(f"{what} has non-finite entries")
     return x
+
+
+def _all_numbers(x) -> bool:
+    """Whether x, a number or nested sequences as numpy reads them, holds
+    only numbers (``_is_number``); sequences numpy cannot stack do not."""
+    try:
+        entries = np.asarray(x, dtype=object)
+    except ValueError:
+        return False
+    return all(map(_is_number, entries.flat))
+
+
+def _finite_list(x, size: int, what: str) -> list:
+    """x itself when it is a list of ``size`` finite Python floats, so a
+    check on such a list builds no array; anything else as
+    ``check_vector(x, size, what).tolist()``, converted or raising as there.
+    The tracking dynamics hand their stage states over as such lists."""
+    if type(x) is list and len(x) == size:
+        for e in x:
+            if type(e) is not float or not math.isfinite(e):
+                break
+        else:
+            return x
+    return check_vector(x, size, what).tolist()
 
 
 def _is_number(value) -> bool:
@@ -381,7 +417,8 @@ class FrameFamily(abc.ABC):
         the first derivatives.  Needs P = M, since v is both the parameter
         velocity and the vector Fdot^T is applied to; ``_check_positions``
         raises first otherwise.  Then raises where ``jet(x, 1)`` raises, then
-        DimensionMismatchError unless v is a finite vector of length P.  This
+        DimensionMismatchError unless v is a finite vector of numbers of
+        length P (``check_vector``).  This
         base version contracts ``jet(x, 1).dF`` with v twice and returns
         both arrays through ``tolist``; a family with a cheaper second
         directional derivative overrides it."""

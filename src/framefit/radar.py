@@ -16,6 +16,7 @@ from .core import (
     FrameFamily,
     FrameJet,
     _check_order,
+    _finite_list,
     _is_integer,
     _is_number,
     _json_integer,
@@ -156,8 +157,10 @@ class RadarFrameFamily(FrameFamily):
         """The differences d = x - stations (2N, M) at the checked x, their
         lengths r (2N,) and r as a list; NearSingularError if x is
         ``_near_station``.  Every r then exceeds the tolerance, which is >= 0,
-        so no r is 0."""
-        x = self.check_point(x)
+        so no r is 0.  A list x, as the tracking stages pass, is checked in
+        place by ``_finite_list``; anything else by ``check_point``."""
+        # the inline test keeps the call off the array path of the grid sweep
+        x = _finite_list(x, self.P, "parameter point") if type(x) is list else self.check_point(x)
         d = x - self._stations                          # (2N, M)
         r = _lengths(d)                                 # (2N,)
         # r holds no NaN when x does not, and the builtin min is cheaper on few rows
@@ -226,18 +229,20 @@ class RadarFrameFamily(FrameFamily):
         takes the same formulas in numpy on ``_station_pass``, with
         ``ndarray.dot`` for u . v.  Neither warns: a Python float overflows
         to inf silently, and the numpy kappa runs under ``np.errstate``, so
-        kappa is inf or NaN for a v whose |v|^2 / r passes the float range."""
+        kappa is inf or NaN for a v whose |v|^2 / r passes the float range.
+        Lists x and v of finite Python floats, as the tracking stages pass,
+        are checked in place by ``_finite_list`` on both paths; anything else
+        is converted and checked by ``check_vector``, with its errors."""
         N = self.N
         if self.M == 3:
             F, u, r = self._station_pass(x)
-            v = check_vector(v, self.P, "velocity")
+            v = np.array(_finite_list(v, self.P, "velocity"))
             with np.errstate(over="ignore", invalid="ignore"):
                 uv = u.dot(v)                               # (2N,)
                 c = (v.dot(v) - uv * uv) / r
             return F.tolist(), (c[:N] + c[N:]).tolist()
         d, _, r_list = self._station_distances(x)
-        v = check_vector(v, self.P, "velocity")
-        v0, v1 = v.tolist()
+        v0, v1 = _finite_list(v, self.P, "velocity")
         vv = v0 * v0 + v1 * v1
         d = d.tolist()
         a, b, kappa = [], [], []

@@ -22,8 +22,8 @@ import operator
 import numpy as np
 
 from .core import (
-    FrameFamily, _check_positions, _planar_energy, all_finite, check_vector,
-    dual_coefficients, frame_svd, read_json, record,
+    FrameFamily, _check_positions, _finite_list, _planar_energy, all_finite,
+    check_vector, dual_coefficients, frame_svd, read_json, record,
 )
 from .errors import (
     AllCandidatesFailedError,
@@ -164,16 +164,20 @@ def el_acceleration(family: FrameFamily, x, v, wdot) -> np.ndarray:
     within 1e-12 of the SVD dual relative to |z| / s_min(F); where its tests
     do not decide, and for every other M, ``dual_coefficients`` takes the
     full SVD of F.
+    x, v and wdot are checked by ``check_vector``'s rule.  wdot, and on the
+    radar family x and v, given as lists of finite Python floats of the
+    right length, as ``integrate_trajectory`` passes them at every stage,
+    are checked in place by ``_finite_list``, with no array built.
     Raises DimensionMismatchError unless P = M, x and v are finite vectors of
-    length M and wdot one of length N, LeftDomainError when z is not finite
-    (a v whose |v|^2 / r overflows, or a wdot at the edge of the float
-    range), before F's rank is tested, RankDeficientError where F is not a
-    frame, and LeftDomainError when the acceleration overflows.  None of
-    these comes with a numpy warning on the radar family.
+    numbers of length M and wdot one of length N, LeftDomainError when z is
+    not finite (a v whose |v|^2 / r overflows, or a wdot at the edge of the
+    float range), before F's rank is tested, RankDeficientError where F is
+    not a frame, and LeftDomainError when the acceleration overflows.  None
+    of these comes with a numpy warning on the radar family.
     """
     rows, kappa = family.frame_curvature(x, v)  # checks P = M, x and v
-    wdot = check_vector(wdot, family.N, "data rate")
-    z = list(map(operator.sub, wdot.tolist(), kappa))
+    wdot = _finite_list(wdot, family.N, "data rate")
+    z = list(map(operator.sub, wdot, kappa))
     if len(rows) == 2:
         a, b = rows
         c = _planar_energy(a, b, z, dual=True)  # None for a z that is not finite
@@ -206,8 +210,9 @@ def integrate_trajectory(
     RK4 steps one state y = (x, v), a list of 2M Python floats whose rate is
     (v, ``el_acceleration``), so each stage point and the combination of
     k1..k4 take the operations, in the order, of x and v stepped apart as
-    arrays, and give their bits.  The halves of y go to ``el_acceleration``
-    as lists, which checks them.  Row k of one (K, 2M) array is the state at
+    arrays, and give their bits.  The halves of y and the rows of the data
+    rates go to ``el_acceleration`` as lists of Python floats, whose checks
+    run on them in place.  Row k of one (K, 2M) array is the state at
     sample k; positions and velocities are its column halves.
     ``data.rates`` is linearly interpolated at all half steps at once.  If
     any stage point leaves the frame domain, a LeftDomainError carrying the
@@ -222,9 +227,10 @@ def integrate_trajectory(
     K, dt, M = data.num_samples, data.dt, family.M
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     wdot = data.rates
-    # rows as lists of views, so no step indexes an array
-    wd_half = list(0.5 * (wdot[:-1] + wdot[1:]))
-    wdot = list(wdot)
+    # rows as lists of Python floats, so no step indexes an array and each
+    # stage's rate check runs on the list in place
+    wd_half = (0.5 * (wdot[:-1] + wdot[1:])).tolist()
+    wdot = wdot.tolist()
     states = np.empty((K, 2 * M))
     states[0] = y = x.tolist() + v.tolist()
 
@@ -250,8 +256,8 @@ def integrate_trajectory(
                     for yi, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)
                 ]
                 if k == K - 2:  # no next stage checks the last state
-                    check_vector(y[:M], M, "position")
-                    check_vector(y[M:], M, "velocity")
+                    _finite_list(y[:M], M, "position")
+                    _finite_list(y[M:], M, "velocity")
             except FramefitError as exc:
                 raise LeftDomainError(
                     f"integration left the domain at step {k}: {exc}", partial=prefix(k + 1)

@@ -1026,6 +1026,49 @@ def test_finiteness_checks_match_numpy(values):
             assert np.array_equal(check(values), x)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "x",
+    [
+        ["1.5", 2.0], [b"2", 1.0], [True, 2.0], [np.False_, 2.0], ["abc", 1.0],
+        [1 + 0j, 2.0], [None, 1.0], [[1.0], [1.0, 2.0]], [np.array(1.0), 2.0],
+        [np.array([1.0]), 2.0], [np.zeros((2, 2)), np.zeros((2, 3))], "ab",
+        np.array([True, False]), np.array(["1", "2"]), np.array([1 + 1j, 2.0]),
+        np.array([1.0, 2.0], dtype=object),
+    ],
+    ids=["string", "bytes", "bool", "numpy_bool", "word", "complex", "none", "ragged",
+         "zero_d_array", "one_element_array", "stacked_arrays", "bare_string",
+         "bool_array", "string_array", "complex_array", "object_array"],
+)
+def test_check_vector_rejects_entries_that_are_not_numbers(x):
+    # the rule of the input files (_is_number): nothing reads as 1.0, a parsed
+    # float or NaN, and no numpy error or warning escapes
+    with pytest.raises(DimensionMismatchError, match="^velocity has entries that are not numbers$"):
+        core.check_vector(x, 2, "velocity")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "x, error",
+    [
+        ([1, 2], None), ((1.0, 2.0), None), ([np.float32(1.0), np.int64(2)], None),
+        (np.array([1, 2]), None), (np.array([1.0, 2.0], dtype=np.float32), None),
+        (np.array([1, 2], dtype=np.uint8), None),
+        ([10**400, 2.0], "velocity has non-finite entries"),
+        ([[1.0, 2.0], [3.0, 4.0]], r"velocity has shape \(2, 2\), expected \(2,\)"),
+        (5.0, r"velocity has shape \(\), expected \(2,\)"),
+    ],
+    ids=["ints", "tuple", "numpy_scalars", "int_array", "float32_array", "uint8_array",
+         "huge_int", "matrix", "scalar"],
+)
+def test_check_vector_reads_numbers(x, error):
+    if error is None:
+        assert core.check_vector(x, 2, "velocity").tobytes() == np.array([1.0, 2.0]).tobytes()
+    else:
+        with pytest.raises(DimensionMismatchError, match=f"^{error}$"):
+            core.check_vector(x, 2, "velocity")
+
+
 def _families_2x4():
     """One family of each kind with M = P = 2 and N = 4."""
     rng = np.random.default_rng(5)

@@ -9,6 +9,7 @@ from framefit import (
     CallableFrameFamily,
     ConstantFrameFamily,
     GridSpec,
+    LinearFrameFamily,
     RadarGeometry,
     TimeSeries,
     Trajectory,
@@ -19,7 +20,8 @@ from framefit import (
     integrate_trajectory,
     shooting_search,
 )
-from framefit import tracking
+from framefit import core, tracking
+from framefit.core import check_vector
 from framefit.errors import (
     AllCandidatesFailedError,
     DimensionMismatchError,
@@ -371,6 +373,101 @@ class TestPythonFloatStage:
         kinds = {o if isinstance(o, bytes) else o[0] for o in outcomes}
         assert {NearSingularError, LeftDomainError, RankDeficientError} < kinds
         assert sum(isinstance(o, bytes) for o in outcomes) >= 10
+
+
+def _linear_callable_family():
+    """A CallableFrameFamily with M = P = 2 and N = 4, F linear in x."""
+    rng = np.random.default_rng(41)
+    linear = LinearFrameFamily(random_full_rank(rng, 2, 4), 0.2 * rng.normal(size=(2, 2, 4)))
+    return CallableFrameFamily((2, 4, 2), lambda x: linear.jet(x, 0).F,
+                               lambda x: linear.jet(x, 1).dF, lambda x: linear.jet(x, 2).d2F)
+
+
+def _entry_cases(base):
+    """(id, list) pairs built from ``base``, a list of Python floats: every
+    kind of entry and length a list handed to el_acceleration can have."""
+    b0, rest = base[0], base[1:]
+    return [
+        ("floats", list(base)),
+        ("ints", [round(e) for e in base]),
+        ("float64_scalars", [np.float64(e) for e in base]),
+        ("float32_scalars", [np.float32(e) for e in base]),
+        ("int64_scalars", [np.int64(round(e)) for e in base]),
+        ("bool", [True] + rest),
+        ("numpy_bool", [np.True_] + rest),
+        ("string", [str(b0)] + rest),
+        ("bytes", [str(b0).encode()] + rest),
+        ("none", [None] + rest),
+        ("complex", [complex(b0)] + rest),
+        ("column", [[e] for e in base]),
+        ("row", [list(base)]),
+        ("ragged", [[b0, b0]] + rest),
+        ("zero_d_array", [np.array(b0)] + rest),
+        ("one_element_array", [np.array([b0])] + rest),
+        ("inf", [np.inf] + rest),
+        ("minus_inf", rest + [-np.inf]),
+        ("nan", [np.nan] + rest),
+        ("huge_int", [10**400] + rest),
+        ("long", base + [1.0]),
+        ("short", base[:-1]),
+        ("empty", []),
+    ]
+
+
+@pytest.mark.filterwarnings("error")
+class TestListChecks:
+    """The per-stage checks of x, v and wdot take a list of finite Python
+    floats as it is, with no array built (``core._finite_list``).  Any list
+    gives what its array gives: the same acceleration, bitwise, where
+    check_vector accepts it, and check_vector's error class and message
+    where it does not; a bool, string or other non-number is such an error,
+    not a number read as 1.0 or parsed."""
+
+    FAMILIES = {
+        "radar2": (TestPythonFloatStage.family, [1.0, 0.5], [1.0, 2.0], [1.0, -2.0, 0.5]),
+        "radar3": (radar_family(RadarGeometry(
+            [[100, 0, 10], [-50, 86.6, -10], [-50, -86.6, 10], [0, 0, 100]],
+            [[0, 100, -10], [-86.6, -50, 10], [86.6, -50, -10], [0, 0, -100]])),
+            [1.0, -2.0, 3.0], [3.0, 1.0, -2.0], [0.5, -0.25, 1.0, 2.0]),
+        "callable": (_linear_callable_family(), [0.5, -0.25], [1.0, -2.0],
+                     [1.0, 0.5, -0.5, 2.0]),
+    }
+    SLOTS = {"x": (0, "parameter point"), "v": (1, "velocity"), "wdot": (2, "data rate")}
+
+    @staticmethod
+    def outcome(family, args):
+        try:
+            a = el_acceleration(family, *args)
+        except FramefitError as exc:
+            return type(exc), str(exc)
+        assert isinstance(a, np.ndarray) and np.isfinite(a).all()
+        return a.tobytes()
+
+    @pytest.mark.parametrize("case", [case for case, _ in _entry_cases([1.0, 2.0])])
+    @pytest.mark.parametrize("slot", list(SLOTS))
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_list_gives_what_its_array_gives(self, name, slot, case):
+        family, *good = self.FAMILIES[name]
+        index, what = self.SLOTS[slot]
+        entries = dict(_entry_cases(good[index]))[case]
+        args = list(good)
+        try:
+            args[index] = check_vector(entries, len(good[index]), what)
+        except DimensionMismatchError as exc:
+            expected = type(exc), str(exc)
+            assert what in str(exc)
+        else:
+            expected = self.outcome(family, args)
+        args[index] = entries
+        assert self.outcome(family, args) == expected
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_good_lists_are_checked_in_place(self, name):
+        family, *good = self.FAMILIES[name]
+        assert isinstance(self.outcome(family, good), bytes)
+        for slot, (index, what) in self.SLOTS.items():
+            entries = list(good[index])
+            assert core._finite_list(entries, len(entries), what) is entries
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
