@@ -121,21 +121,18 @@ def _lengths(d, axis=-1):
     return r
 
 
+# the dtype of the arrays _float_array passes without a conversion
+_FLOAT = np.dtype(float)
+
+
 def check_vector(x, size, what: str) -> np.ndarray:
     """x as a finite float vector, of length ``size`` unless size is None.
-    Every entry must be a number by ``_is_number``, the rule of the input
-    files: an array by its dtype (int or float), anything else entry by
-    entry.  A bool, string, bytes, None, complex value, array or ragged
+    Every entry must be a number by ``_float_array``'s rule, the rule of the
+    input files: a bool, string, bytes, None, complex value, array or ragged
     sequence among the entries raises DimensionMismatchError rather than
     reading as 1.0, a parsed float or NaN; so does an int past the float
     range, as a non-finite entry."""
-    # before any conversion, which would parse a string or warn on a complex array
-    if not (x.dtype.kind in "iuf" if isinstance(x, np.ndarray) else _all_numbers(x)):
-        raise DimensionMismatchError(f"{what} has entries that are not numbers")
-    try:
-        x = np.asarray(x, dtype=float)
-    except OverflowError:  # a Python int past the float range
-        raise DimensionMismatchError(f"{what} has non-finite entries") from None
+    x = _float_array(x, what)
     if x.ndim != 1 or (size is not None and len(x) != size):
         expected = "a vector" if size is None else f"({size},)"
         raise DimensionMismatchError(f"{what} has shape {x.shape}, expected {expected}")
@@ -144,14 +141,31 @@ def check_vector(x, size, what: str) -> np.ndarray:
     return x
 
 
-def _all_numbers(x) -> bool:
-    """Whether x, a number or nested sequences as numpy reads them, holds
-    only numbers (``_is_number``); sequences numpy cannot stack do not."""
+def _float_array(x, what: str) -> np.ndarray:
+    """x as a float array, converted once, if every entry is a number by
+    ``_is_number``: an ndarray by its dtype (int or float), anything else (a
+    number or nested sequences as numpy reads them) entry by entry, before
+    any conversion, which would parse a string or warn on a complex array.
+    Raises DimensionMismatchError naming ``what`` when an entry is not a
+    number or the sequences cannot be stacked, and for an int past the float
+    range, as a non-finite entry.  A float64 ndarray, the per-point hot
+    path, is returned as it is after one type test."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT:
+        return x
+    if isinstance(x, np.ndarray):
+        if x.dtype.kind not in "iuf":
+            raise DimensionMismatchError(f"{what} has entries that are not numbers")
+        return np.asarray(x, dtype=float)
     try:
         entries = np.asarray(x, dtype=object)
-    except ValueError:
-        return False
-    return all(map(_is_number, entries.flat))
+    except ValueError:  # sequences numpy cannot stack
+        entries = None
+    if entries is None or not all(map(_is_number, entries.flat)):
+        raise DimensionMismatchError(f"{what} has entries that are not numbers")
+    try:
+        return entries.astype(float)
+    except OverflowError:  # a Python int past the float range
+        raise DimensionMismatchError(f"{what} has non-finite entries") from None
 
 
 def _finite_list(x, size: int, what: str) -> list:
@@ -431,8 +445,9 @@ class FrameFamily(abc.ABC):
         return check_vector(x, self.P, "parameter point")
 
     def check_points(self, X) -> np.ndarray:
-        """X as a float (B, P) array; rows with NaN or inf lie outside the domain."""
-        X = np.asarray(X, dtype=float)
+        """X as a float (B, P) array; rows with NaN or inf lie outside the domain.
+        Its entries must be numbers, by ``check_vector``'s rule."""
+        X = _float_array(X, "parameter point array")
         if X.ndim != 2 or X.shape[1] != self.P:
             raise DimensionMismatchError(
                 f"parameter points have shape {X.shape}, expected (B, {self.P})"
@@ -441,8 +456,9 @@ class FrameFamily(abc.ABC):
 
     def check_measurement(self, w) -> np.ndarray:
         """w as a finite vector of length N whose squared norm is finite too:
-        every error lies in [0, |w|^2], so that bound must not overflow."""
-        w = np.asarray(w, dtype=float)
+        every error lies in [0, |w|^2], so that bound must not overflow.
+        Its entries must be numbers, by ``check_vector``'s rule."""
+        w = _float_array(w, "measurement")
         if w.ndim == 1 and len(w) == self.N:
             # a finite |w|^2 has finite terms; Python floats overflow to inf
             # silently, with no numpy warning

@@ -154,13 +154,11 @@ class RadarFrameFamily(FrameFamily):
         self._singularity_tolerance = geometry.singularity_tolerance
 
     def _station_distances(self, x):
-        """The differences d = x - stations (2N, M) at the checked x, their
-        lengths r (2N,) and r as a list; NearSingularError if x is
-        ``_near_station``.  Every r then exceeds the tolerance, which is >= 0,
-        so no r is 0.  A list x, as the tracking stages pass, is checked in
-        place by ``_finite_list``; anything else by ``check_point``."""
-        # the inline test keeps the call off the array path of the grid sweep
-        x = _finite_list(x, self.P, "parameter point") if type(x) is list else self.check_point(x)
+        """The differences d = x - stations (2N, M) at x, their lengths r
+        (2N,) and r as a list; NearSingularError if x is ``_near_station``.
+        Every r then exceeds the tolerance, which is >= 0, so no r is 0.  The
+        caller has checked x: ``check_point``'s array, or ``_finite_list``'s
+        list in ``frame_curvature``, so neither path tests for the other."""
         d = x - self._stations                          # (2N, M)
         r = _lengths(d)                                 # (2N,)
         # r holds no NaN when x does not, and the builtin min is cheaper on few rows
@@ -172,8 +170,8 @@ class RadarFrameFamily(FrameFamily):
         return d, r, r_list
 
     def _station_pass(self, x):
-        """F(x), the unit vectors u (2N, M) from the stations to the checked x
-        and their distances r (2N,), from ``_station_distances``."""
+        """F(x), the unit vectors u (2N, M) from the stations to x and their
+        distances r (2N,), from ``_station_distances`` at the checked x."""
         d, r, _ = self._station_distances(x)
         u = d / r[:, None]
         N = self.N
@@ -192,7 +190,7 @@ class RadarFrameFamily(FrameFamily):
         built from u and the first partials, so no power of r can overflow.
         """
         _check_order(order)
-        F, u, r = self._station_pass(x)
+        F, u, r = self._station_pass(self.check_point(x))
         if order == 0:
             return FrameJet(F)
         N = self.N
@@ -212,7 +210,7 @@ class RadarFrameFamily(FrameFamily):
     def frame(self, x) -> np.ndarray:
         """F(x) from ``_station_pass``, with no jet built: the per-point hot
         path.  See FrameFamily.frame."""
-        return self._station_pass(x)[0]
+        return self._station_pass(self.check_point(x))[0]
 
     def frame_curvature(self, x, v):
         """The rows of ``frame(x)``, bitwise, and kappa from one station
@@ -231,9 +229,12 @@ class RadarFrameFamily(FrameFamily):
         to inf silently, and the numpy kappa runs under ``np.errstate``, so
         kappa is inf or NaN for a v whose |v|^2 / r passes the float range.
         Lists x and v of finite Python floats, as the tracking stages pass,
-        are checked in place by ``_finite_list`` on both paths; anything else
-        is converted and checked by ``check_vector``, with its errors."""
+        are checked in place by ``_finite_list`` on both paths; an array x
+        by ``check_point``, as in ``frame``; anything else is converted and
+        checked by ``check_vector``, with its errors."""
         N = self.N
+        # an array x takes frame's check, with no round trip through a list
+        x = _finite_list(x, self.P, "parameter point") if type(x) is list else self.check_point(x)
         if self.M == 3:
             F, u, r = self._station_pass(x)
             v = np.array(_finite_list(v, self.P, "velocity"))

@@ -202,18 +202,65 @@ def el_residual(family: FrameFamily, traj: Trajectory, data: TimeSeries) -> np.n
     return (frames @ rdot[:, :, None])[:, :, 0]
 
 
+def _rk4_step(family: FrameFamily, y: list, wd0: list, wd_half: list, wd1: list,
+              dt: float) -> list:
+    """One classical RK4 step of the state y = (x, v), a list of 2M Python
+    floats whose rate is (v, ``el_acceleration``), with the data rates wd0,
+    wd_half and wd1 at its start, middle and end.  Each stage point and the
+    combination of k1..k4 take the operations, in the order, of x and v
+    stepped apart as arrays, and give their bits."""
+    M = family.M
+    half_dt = 0.5 * dt
+
+    def rhs(y_s, wd):
+        v_s = y_s[M:]
+        return v_s + el_acceleration(family, y_s[:M], v_s, wd).tolist()
+
+    k1 = rhs(y, wd0)
+    k2 = rhs([yi + half_dt * ki for yi, ki in zip(y, k1)], wd_half)
+    k3 = rhs([yi + half_dt * ki for yi, ki in zip(y, k2)], wd_half)
+    k4 = rhs([yi + dt * ki for yi, ki in zip(y, k3)], wd1)
+    sixth_dt = dt / 6.0
+    return [yi + sixth_dt * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+            for yi, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)]
+
+
+def _planar_rk4_step(family: FrameFamily, y: list, wd0: list, wd_half: list,
+                     wd1: list, dt: float) -> list:
+    """``_rk4_step`` for M = 2 on named floats, bitwise: every entry takes
+    that step's operations in its order, with no list built per stage beyond
+    the stage point's x and v.  Stage i's rate is (v_i, a_i); stage i + 1 is
+    taken at (x + h v_i, v + h a_i)."""
+    half_dt = 0.5 * dt
+    x0, x1, v0, v1 = y
+    a0, a1 = el_acceleration(family, [x0, x1], [v0, v1], wd0).tolist()
+    q0, q1 = v0 + half_dt * a0, v1 + half_dt * a1
+    b0, b1 = el_acceleration(
+        family, [x0 + half_dt * v0, x1 + half_dt * v1], [q0, q1], wd_half).tolist()
+    s0, s1 = v0 + half_dt * b0, v1 + half_dt * b1
+    c0, c1 = el_acceleration(
+        family, [x0 + half_dt * q0, x1 + half_dt * q1], [s0, s1], wd_half).tolist()
+    u0, u1 = v0 + dt * c0, v1 + dt * c1
+    d0, d1 = el_acceleration(family, [x0 + dt * s0, x1 + dt * s1], [u0, u1], wd1).tolist()
+    sixth_dt = dt / 6.0
+    return [
+        x0 + sixth_dt * (v0 + 2.0 * q0 + 2.0 * s0 + u0),
+        x1 + sixth_dt * (v1 + 2.0 * q1 + 2.0 * s1 + u1),
+        v0 + sixth_dt * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+        v1 + sixth_dt * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+    ]
+
+
 def integrate_trajectory(
     family: FrameFamily, x0, v0, data: TimeSeries
 ) -> Trajectory:
     """Propagate the stationarity dynamics with classical RK4 on the data grid.
 
-    RK4 steps one state y = (x, v), a list of 2M Python floats whose rate is
-    (v, ``el_acceleration``), so each stage point and the combination of
-    k1..k4 take the operations, in the order, of x and v stepped apart as
-    arrays, and give their bits.  The halves of y and the rows of the data
-    rates go to ``el_acceleration`` as lists of Python floats, whose checks
-    run on them in place.  Row k of one (K, 2M) array is the state at
-    sample k; positions and velocities are its column halves.
+    Each step is ``_rk4_step`` (``_planar_rk4_step`` for M = 2) on one state,
+    a list of 2M Python floats.  The halves of the stage states and the rows
+    of the data rates go to ``el_acceleration`` as lists of Python floats,
+    whose checks run on them in place.  Row k of one (K, 2M) array is the
+    state at sample k; positions and velocities are its column halves.
     ``data.rates`` is linearly interpolated at all half steps at once.  If
     any stage point leaves the frame domain, a LeftDomainError carrying the
     completed rows as ``partial`` is raised.  A start x0 or v0 that is not a
@@ -225,7 +272,7 @@ def integrate_trajectory(
     v = check_vector(v0, family.M, "initial velocity")
     _check_width(family, data)
     K, dt, M = data.num_samples, data.dt, family.M
-    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    step = _planar_rk4_step if M == 2 else _rk4_step
     wdot = data.rates
     # rows as lists of Python floats, so no step indexes an array and each
     # stage's rate check runs on the list in place
@@ -233,10 +280,6 @@ def integrate_trajectory(
     wdot = wdot.tolist()
     states = np.empty((K, 2 * M))
     states[0] = y = x.tolist() + v.tolist()
-
-    def rhs(y_s, wd):
-        v_s = y_s[M:]
-        return v_s + el_acceleration(family, y_s[:M], v_s, wd).tolist()
 
     def prefix(n):  # the trajectory of the first n states
         return Trajectory(data.times[:n], states[:n, :M], states[:n, M:])
@@ -247,14 +290,7 @@ def integrate_trajectory(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K - 1):
             try:
-                k1 = rhs(y, wdot[k])
-                k2 = rhs([yi + half_dt * ki for yi, ki in zip(y, k1)], wd_half[k])
-                k3 = rhs([yi + half_dt * ki for yi, ki in zip(y, k2)], wd_half[k])
-                k4 = rhs([yi + dt * ki for yi, ki in zip(y, k3)], wdot[k + 1])
-                states[k + 1] = y = [
-                    yi + sixth_dt * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-                    for yi, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)
-                ]
+                states[k + 1] = y = step(family, y, wdot[k], wd_half[k], wdot[k + 1], dt)
                 if k == K - 2:  # no next stage checks the last state
                     _finite_list(y[:M], M, "position")
                     _finite_list(y[M:], M, "velocity")

@@ -1069,6 +1069,50 @@ def test_check_vector_reads_numbers(x, error):
             core.check_vector(x, 2, "velocity")
 
 
+# one entry each that is not a number by _is_number, and arrays of such entries
+NOT_NUMBERS = {"string": "0.9", "bool": True, "bytes": b"0.9", "none": None,
+               "complex": 1 + 0j, "array_entry": np.array([0.9])}
+NOT_NUMBER_ARRAYS = {"string_array": np.array(["0.3", "-0.2", "0.9"]),
+                     "bool_array": np.array([True, False, True]),
+                     "complex_array": np.array([0.3, -0.2, 0.9 + 0j])}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", [*NOT_NUMBERS, *NOT_NUMBER_ARRAYS])
+def test_measurement_and_points_follow_the_number_rule(case):
+    # w and the stacked points take check_vector's rule, so error_value and
+    # error_values reject what they would read as a number or parse
+    family = ConstantFrameFamily(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), P=2)
+    if case in NOT_NUMBERS:
+        w = [0.3, -0.2, NOT_NUMBERS[case]]
+        X = [[1.0, 0.5], [NOT_NUMBERS[case], 0.5]]
+    else:
+        w = NOT_NUMBER_ARRAYS[case]
+        X = NOT_NUMBER_ARRAYS[case][:2].reshape(1, 2)
+    measurement = "^measurement has entries that are not numbers$"
+    points = "^parameter point array has entries that are not numbers$"
+    for check, args, message in ((family.check_measurement, (w,), measurement),
+                                 (error_value, (family, [1.0, 0.5], w), measurement),
+                                 (family.check_points, (X,), points),
+                                 (error_values, (family, X, [0.3, -0.2, 0.9]), points)):
+        with pytest.raises(DimensionMismatchError, match=message):
+            check(*args)
+
+
+@pytest.mark.filterwarnings("error")
+def test_measurement_and_points_read_numbers_as_before():
+    family = ConstantFrameFamily(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), P=2)
+    w = [np.float32(0.25), 3, np.int64(-2)]
+    assert family.check_measurement(w).tobytes() == np.array([0.25, 3.0, -2.0]).tobytes()
+    X = [[1, np.float32(0.5)], [np.nan, np.inf]]  # rows outside the domain stay
+    assert family.check_points(X).tobytes() == np.array(
+        [[1.0, 0.5], [np.nan, np.inf]]).tobytes()
+    for a in (np.array([1.0, 2.0]), np.array([1, 2])):
+        assert core._float_array(a, "x").tobytes() == np.array([1.0, 2.0]).tobytes()
+    a = np.array([1.0, 2.0])
+    assert core._float_array(a, "x") is a  # a float64 array is not copied
+
+
 def _families_2x4():
     """One family of each kind with M = P = 2 and N = 4."""
     rng = np.random.default_rng(5)

@@ -606,6 +606,63 @@ class TestIntegrateTrajectory:
             assert step == ref_step and traj == ref
 
 
+class TestRk4Steps:
+    """For M = 2 ``integrate_trajectory`` steps with ``_planar_rk4_step``,
+    the general ``_rk4_step`` on named floats: from every state either gives
+    the other's bits or raises the other's error class and message."""
+
+    @staticmethod
+    def outcome(step, *args):
+        try:
+            return np.array(step(*args)).tobytes()
+        except FramefitError as exc:
+            return type(exc), str(exc)
+
+    def walk(self, family, data, y):
+        """Step both ways from y until a step raises or the data ends; the
+        number of steps taken and the last outcome."""
+        wdot = data.rates.tolist()
+        wd_half = (0.5 * (data.rates[:-1] + data.rates[1:])).tolist()
+        for k in range(data.num_samples - 1):
+            args = (family, y, wdot[k], wd_half[k], wdot[k + 1], data.dt)
+            planar = self.outcome(tracking._planar_rk4_step, *args)
+            assert planar == self.outcome(tracking._rk4_step, *args)
+            if not isinstance(planar, bytes):
+                return k, planar
+            y = tracking._planar_rk4_step(*args)
+        return data.num_samples - 1, planar
+
+    def test_planar_step_is_the_general_step(self):
+        family, data, _, candidates = criterion_10_scene(41)
+        ends = [self.walk(family, data, np.concatenate([x0, v0]).tolist())
+                for x0, v0 in candidates]
+        assert any(isinstance(o, bytes) for _, o in ends)
+        assert any(not isinstance(o, bytes) for _, o in ends)
+
+    def test_planar_step_on_families_that_are_not_radar(self):
+        rng = np.random.default_rng(43)
+        times = np.linspace(0.0, 0.5, 21)
+        for family in (random_quadratic_family(rng, 2, 4, 2), _linear_callable_family()):
+            data = TimeSeries(times, rng.normal(size=(21, family.N)))
+            y = np.concatenate([0.1 * rng.normal(size=2), rng.normal(size=2)]).tolist()
+            steps, last = self.walk(family, data, y)
+            assert steps == 20 and isinstance(last, bytes)
+
+    def test_general_step_leaves_the_domain_as_the_reference(self):
+        # a 3-D candidate heading for a transmitter: the general step stops
+        # at the same step as the per-component loop, with the same partial
+        family = TestListChecks.FAMILIES["radar3"][0]
+        station = family.geometry.transmitters[0]
+        times = np.linspace(0.0, 1.0, 11)
+        data = TimeSeries(times, np.zeros((11, family.N)))
+        x0 = station + np.array([-60.0, 0.5, 0.25])
+        v0 = np.array([100.0, 0.0, 0.0])
+        traj, step = run_candidate(integrate_trajectory, family, x0, v0, data)
+        ref, ref_step = run_candidate(reference_integrate, family, x0, v0, data)
+        assert step is not None and step > 0
+        assert step == ref_step and traj == ref
+
+
 class TestElResidual:
     def test_constant_family_linear_trajectory_zero_interior(self):
         rng = np.random.default_rng(8)
