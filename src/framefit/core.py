@@ -105,11 +105,16 @@ def all_finite(x) -> bool:
 def _lengths(d, axis=-1):
     """The one length rule: the Euclidean lengths |d| over the last axis of d
     (..., K), or with ``axis=0`` over the first axis of d (K, ...), by
-    ``np.hypot`` of the coordinates in turn (``abs`` when K = 1).  Nothing is
-    squared, so a length is inf only past the float range, with numpy's
-    ``overflow encountered in hypot`` unless the caller ignores it."""
+    ``np.hypot`` of the coordinates in turn (``abs`` when K = 1).  With
+    ``axis=0`` the first axis is iterated as it is, so d may also be a list
+    or tuple of K coordinate rows.  Nothing is squared, so a length is inf
+    only past the float range, with numpy's ``overflow encountered in
+    hypot`` unless the caller ignores it."""
     if axis == 0:
-        return _lengths(d.T).T
+        r = np.hypot(d[0], d[1]) if len(d) > 1 else np.abs(d[0])
+        for m in range(2, len(d)):
+            r = np.hypot(r, d[m])
+        return r
     K = d.shape[-1]
     if K == 1:
         return np.abs(d[..., 0])

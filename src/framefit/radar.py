@@ -17,6 +17,7 @@ from .core import (
     FrameJet,
     _check_order,
     _finite_list,
+    _float_array,
     _is_integer,
     _is_number,
     _json_integer,
@@ -41,14 +42,16 @@ SINGULARITY_RTOL = 1e-9
 
 @record
 class RadarGeometry:
-    """Fixed transmitter and receiver positions, N of each, in R^M (meters)."""
+    """Fixed transmitter and receiver positions, N of each, in R^M (meters).
+    Every coordinate must be a number by ``check_vector``'s rule
+    (``_float_array``), or DimensionMismatchError is raised."""
 
     transmitters: np.ndarray  # (N, M)
     receivers: np.ndarray     # (N, M)
 
     def __post_init__(self):
-        tx = np.atleast_2d(np.asarray(self.transmitters, dtype=float))
-        rx = np.atleast_2d(np.asarray(self.receivers, dtype=float))
+        tx = np.atleast_2d(_float_array(self.transmitters, "transmitters"))
+        rx = np.atleast_2d(_float_array(self.receivers, "receivers"))
         if tx.shape != rx.shape or tx.ndim != 2 or tx.shape[0] < 1:
             raise DimensionMismatchError(
                 "transmitter and receiver lists must be nonempty and congruent"
@@ -150,29 +153,35 @@ class RadarFrameFamily(FrameFamily):
         self.P = geometry.dim
         # read by every station pass; the geometry is frozen
         self._stations = geometry.stations
-        self._station_coords = np.ascontiguousarray(geometry.stations.T)[:, :, None]
+        # the M station coordinates in turn, each a contiguous (2N,) row
+        rows = np.ascontiguousarray(geometry.stations.T)
+        self._station_rows = tuple(rows)
+        self._station_coords = rows[:, :, None]
         self._singularity_tolerance = geometry.singularity_tolerance
 
-    def _station_distances(self, x):
-        """The differences d = x - stations (2N, M) at x, their lengths r
-        (2N,) and r as a list; NearSingularError if x is ``_near_station``.
-        Every r then exceeds the tolerance, which is >= 0, so no r is 0.  The
-        caller has checked x: ``check_point``'s array, or ``_finite_list``'s
-        list in ``frame_curvature``, so neither path tests for the other."""
-        d = x - self._stations                          # (2N, M)
-        r = _lengths(d)                                 # (2N,)
-        # r holds no NaN when x does not, and the builtin min is cheaper on few rows
+    def _checked_distances(self, r):
+        """The station distances r (2N,) of a checked point as a list, or
+        NearSingularError if the point is ``_near_station``: the one test, and
+        message, of both per-point heads.  Every r then exceeds the tolerance,
+        which is >= 0, so no r is 0."""
+        # r holds no NaN when the point does not, and the builtin min is
+        # cheaper on few rows
         r_list = r.tolist()
         r_min = min(r_list)
         if _near_station(r_min, self._singularity_tolerance):
             raise NearSingularError(
                 f"point at distance {r_min} from a station (tol {self._singularity_tolerance})")
-        return d, r, r_list
+        return r_list
 
     def _station_pass(self, x):
         """F(x), the unit vectors u (2N, M) from the stations to x and their
-        distances r (2N,), from ``_station_distances`` at the checked x."""
-        d, r, _ = self._station_distances(x)
+        distances r (2N,), at the point x that ``check_point`` or
+        ``_finite_list`` checked: the array head, which forms the differences
+        d = x - stations (2N, M) and their lengths, tested by
+        ``_checked_distances``."""
+        d = x - self._stations                          # (2N, M)
+        r = _lengths(d)                                 # (2N,)
+        self._checked_distances(r)
         u = d / r[:, None]
         N = self.N
         return (u[:N] + u[N:]).T, u, r
@@ -221,13 +230,17 @@ class RadarFrameFamily(FrameFamily):
         over pair n's two stations.  No (2N, M, M) projector and no (M, N)
         rate matrix is built.
 
-        For M = 2 one loop over the pairs forms u, F's entries, u . v and
-        kappa in Python floats on ``_station_distances``, which on a few
-        pairs costs less than numpy's dispatch on (2N, 2) arrays; M = 3
-        takes the same formulas in numpy on ``_station_pass``, with
-        ``ndarray.dot`` for u . v.  Neither warns: a Python float overflows
-        to inf silently, and the numpy kappa runs under ``np.errstate``, so
-        kappa is inf or NaN for a v whose |v|^2 / r passes the float range.
+        For M = 2 the row head takes x as two Python floats and forms the
+        station differences per coordinate row, dx = x0 - sx and dy = x1 - sy
+        (2N,), and their ``_lengths``, with ``_station_pass``'s operations
+        and bits and ``_checked_distances``'s test; then one indexed loop
+        over the pairs forms u, F's entries, u . v and kappa in Python floats
+        from the three rows as lists, which on a few pairs costs less than
+        numpy's dispatch on (2N, 2) arrays.  M = 3 takes the same formulas in
+        numpy on ``_station_pass``, with ``ndarray.dot`` for u . v.  Neither
+        warns: a Python float overflows to inf silently, and the numpy kappa
+        runs under ``np.errstate``, so kappa is inf or NaN for a v whose
+        |v|^2 / r passes the float range.
         Lists x and v of finite Python floats, as the tracking stages pass,
         are checked in place by ``_finite_list`` on both paths; an array x
         by ``check_point``, as in ``frame``; anything else is converted and
@@ -242,17 +255,26 @@ class RadarFrameFamily(FrameFamily):
                 uv = u.dot(v)                               # (2N,)
                 c = (v.dot(v) - uv * uv) / r
             return F.tolist(), (c[:N] + c[N:]).tolist()
-        d, _, r_list = self._station_distances(x)
+        x0, x1 = x if type(x) is list else x.tolist()
+        sx, sy = self._station_rows
+        # each difference rounds as its entry of _station_pass's x - stations
+        dx = x0 - sx                                        # (2N,)
+        dy = x1 - sy
+        r = self._checked_distances(_lengths((dx, dy), axis=0))
+        dx = dx.tolist()
+        dy = dy.tolist()
         v0, v1 = _finite_list(v, self.P, "velocity")
         vv = v0 * v0 + v1 * v1
-        d = d.tolist()
         a, b, kappa = [], [], []
-        # pair n: u to its transmitter (row n of d), s to its receiver (row N + n)
-        for (d0, d1), (e0, e1), r0, r1 in zip(d[:N], d[N:], r_list[:N], r_list[N:]):
-            u0 = d0 / r0
-            u1 = d1 / r0
-            s0 = e0 / r1
-            s1 = e1 / r1
+        # pair n: u to its transmitter (station n), s to its receiver (N + n)
+        for n in range(N):
+            m = N + n
+            r0 = r[n]
+            r1 = r[m]
+            u0 = dx[n] / r0
+            u1 = dy[n] / r0
+            s0 = dx[m] / r1
+            s1 = dy[m] / r1
             uv = u0 * v0 + u1 * v1
             sv = s0 * v0 + s1 * v1
             a.append(u0 + s0)

@@ -22,8 +22,8 @@ import operator
 import numpy as np
 
 from .core import (
-    FrameFamily, _check_positions, _finite_list, _planar_energy, all_finite,
-    check_vector, dual_coefficients, frame_svd, read_json, record,
+    FrameFamily, _check_positions, _finite_list, _float_array, _planar_energy,
+    all_finite, check_vector, dual_coefficients, frame_svd, read_json, record,
 )
 from .errors import (
     AllCandidatesFailedError,
@@ -45,14 +45,16 @@ class TimeSeries:
     edge_order=2)``, are computed once.  Raises ScenarioValidationError when
     the rates or the trapezoid sum of |w_k|^2 overflow, so ``shooting_search``
     integrates no candidate on data whose functional is past the float range.
+    Every time and value must be a number by ``check_vector``'s rule
+    (``_float_array``), or DimensionMismatchError is raised.
     """
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.atleast_2d(np.asarray(self.values, dtype=float))
+        t = _float_array(self.times, "time series times")
+        v = np.atleast_2d(_float_array(self.values, "time series values"))
         if t.ndim != 1 or len(t) < 3:
             raise ScenarioValidationError("time series needs at least 3 samples")
         if v.ndim != 2 or v.shape[0] != len(t):
@@ -90,16 +92,18 @@ class TimeSeries:
 
 @record
 class Trajectory:
-    """Positions and velocities on a shared time grid."""
+    """Positions and velocities on a shared time grid.  Every entry must be a
+    number by ``check_vector``'s rule (``_float_array``), or
+    DimensionMismatchError is raised."""
 
     times: np.ndarray
     positions: np.ndarray   # (K, M)
     velocities: np.ndarray  # (K, M)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        x = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        v = np.atleast_2d(np.asarray(self.velocities, dtype=float))
+        t = _float_array(self.times, "trajectory times")
+        x = np.atleast_2d(_float_array(self.positions, "trajectory positions"))
+        v = np.atleast_2d(_float_array(self.velocities, "trajectory velocities"))
         if x.shape != v.shape or x.shape[0] != len(t):
             raise DimensionMismatchError("trajectory arrays are not congruent")
         object.__setattr__(self, "times", t)

@@ -1113,6 +1113,23 @@ def test_measurement_and_points_read_numbers_as_before():
     assert core._float_array(a, "x") is a  # a float64 array is not copied
 
 
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_lengths_over_either_axis_and_on_rows_agree_bitwise(K):
+    # one rule, np.hypot of the coordinates in turn: over the last axis, over
+    # the first, and on the first axis given as a list or tuple of rows
+    rng = np.random.default_rng(K)
+    d = rng.normal(size=(7, 4, K)) * 10.0 ** rng.uniform(-150.0, 150.0, size=(7, 1, 1))
+    r = core._lengths(d)
+    ref = np.abs(d[..., 0]) if K == 1 else np.hypot(d[..., 0], d[..., 1])
+    for m in range(2, K):
+        ref = np.hypot(ref, d[..., m])
+    rows = np.ascontiguousarray(np.moveaxis(d, -1, 0))
+    for lengths in (r, core._lengths(rows, axis=0), core._lengths(list(rows), axis=0),
+                    core._lengths(tuple(rows), axis=0)):
+        assert lengths.shape == (7, 4)
+        assert lengths.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
 def _families_2x4():
     """One family of each kind with M = P = 2 and N = 4."""
     rng = np.random.default_rng(5)

@@ -306,6 +306,34 @@ class TestRadarGeometry:
         with pytest.raises(DimensionMismatchError):
             RadarGeometry(transmitters, receivers)
 
+    @pytest.mark.parametrize(
+        "stations",
+        [
+            [["100", 0], [True, 86.6], [-50, -86.6]],
+            [[100, 0], [-50, 86.6], [-50]],
+            [[100, 0], [-50, "a"], [-50, -86.6]],
+            [[100, 0], [-50, 86.6 + 1j], [-50, -86.6]],
+            np.array([[100, 0], [-50, 86.6], [-50, -86.6]], dtype=complex),
+            [[100, 0], [-50, None], [-50, -86.6]],
+        ],
+        ids=["string_and_bool", "ragged", "letter", "complex", "complex_array", "none"],
+    )
+    @pytest.mark.parametrize("side", ["transmitters", "receivers"])
+    def test_rejects_coordinates_that_are_not_numbers(self, stations, side):
+        # by check_vector's rule: no entry reads as 1.0, a parsed float or NaN
+        other = [[0, 100], [-86.6, -50], [86.6, -50]]
+        args = (stations, other) if side == "transmitters" else (other, stations)
+        with pytest.raises(DimensionMismatchError, match=f"^{side} has entries that are not numbers"):
+            RadarGeometry(*args)
+
+    def test_accepts_python_and_numpy_numbers(self):
+        ref = RadarGeometry([[100.0, 0.0], [-50.0, 86.6]], [[0.0, 100.0], [-86.6, -50.0]])
+        geom = RadarGeometry([[100, 0], [np.int64(-50), np.float64(86.6)]],
+                             np.array([[0, 100], [-86.6, -50]]))
+        assert geom == ref
+        with pytest.raises(DimensionMismatchError, match="non-finite"):
+            RadarGeometry([[10**400, 0]], [[0, 1]])
+
 
 class TestRadarFamily:
     def test_single_pair_never_a_frame_in_2d(self):
@@ -461,7 +489,7 @@ class TestFrameCurvature:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         dim=st.sampled_from([2, 3]),
-        num_pairs=st.integers(2, 6),
+        num_pairs=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
         where=st.sampled_from(["inside", "inside", "near_station", "non_finite"]),
     )
@@ -484,6 +512,14 @@ class TestFrameCurvature:
             assert isinstance(exc, (NearSingularError, DimensionMismatchError))
             with pytest.raises(type(exc)):
                 family.frame_curvature(x, v)
+            if isinstance(exc, NearSingularError):
+                # the one near-station test and message, on either head
+                with pytest.raises(NearSingularError) as frame_error:
+                    family.frame(x)
+                for point in (x, x.tolist()):
+                    with pytest.raises(NearSingularError) as error:
+                        family.frame_curvature(point, v)
+                    assert str(error.value) == str(frame_error.value)
             return
         rows, kappa = family.frame_curvature(x, v)
         rows_ref, kappa_ref = FrameFamily.frame_curvature(family, x, v)
@@ -501,6 +537,40 @@ class TestFrameCurvature:
         r = np.linalg.norm(x - geom.stations, axis=1)
         scale = (v @ v) * np.sum(1.0 / r)
         assert np.max(np.abs(np.subtract(kappa, kappa_ref))) <= 1e-12 * scale
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(num_pairs=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_planar_equals_the_per_pair_formula_bitwise(self, num_pairs, seed):
+        # the reference: the (2N, 2) differences x - stations, their np.hypot
+        # lengths, and one pair at a time in Python floats, over scenes from
+        # 1e-150 to 1e150 in size
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-150.0, 150.0)
+        geom = RadarGeometry(scale * rng.uniform(-100.0, 100.0, size=(num_pairs, 2)),
+                             scale * rng.uniform(-100.0, 100.0, size=(num_pairs, 2)))
+        x = scale * rng.uniform(-50.0, 50.0, size=2)
+        v = rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3)
+        d = x - geom.stations
+        r = np.hypot(d[:, 0], d[:, 1]).tolist()
+        assume(min(r) > geom.singularity_tolerance)
+        d = d.tolist()
+        v0, v1 = v.tolist()
+        vv = v0 * v0 + v1 * v1
+        a, b, kappa = [], [], []
+        for n in range(num_pairs):
+            (d0, d1), (e0, e1) = d[n], d[num_pairs + n]
+            r0, r1 = r[n], r[num_pairs + n]
+            u0, u1, s0, s1 = d0 / r0, d1 / r0, e0 / r1, e1 / r1
+            uv = u0 * v0 + u1 * v1
+            sv = s0 * v0 + s1 * v1
+            a.append(u0 + s0)
+            b.append(u1 + s1)
+            kappa.append((vv - uv * uv) / r0 + (vv - sv * sv) / r1)
+        family = radar_family(geom)
+        for point in (x, x.tolist()):
+            rows, kappa_out = family.frame_curvature(point, v.tolist())
+            assert np.array(rows).tobytes() == np.array([a, b]).tobytes()
+            assert np.array(kappa_out).tobytes() == np.array(kappa).tobytes()
 
     @pytest.mark.parametrize(
         "v", [[1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]], [np.nan, 1.0], [1.0, -np.inf]],

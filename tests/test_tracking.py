@@ -134,6 +134,28 @@ class TestTimeSeries:
         with pytest.raises(ScenarioValidationError, match="strictly increasing"):
             TimeSeries(times, [[0.0], [0.0], [0.0]])
 
+    @pytest.mark.parametrize(
+        "times, values, what",
+        [
+            (["0", 0.5, True], [[1.0], [2.0], [3.0]], "time series times"),
+            ([0.0, 0.5, 1.0], [[1.0, 2.0, "3"], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]],
+             "time series values"),
+            ([0.0, 0.5, 1.0], [[1.0, 2.0], [1.0], [1.0, 2.0]], "time series values"),
+            ([0.0, 0.5, 1.0j], [[1.0], [2.0], [3.0]], "time series times"),
+            ([0.0, 0.5, 1.0], [["a"], [2.0], [3.0]], "time series values"),
+            ([0.0, None, 1.0], [[1.0], [2.0], [3.0]], "time series times"),
+        ],
+        ids=["string_and_bool_times", "string_value", "ragged", "complex", "letter", "none"],
+    )
+    def test_rejects_entries_that_are_not_numbers(self, times, values, what):
+        # by check_vector's rule: no entry reads as 1.0, a parsed float or NaN
+        with pytest.raises(DimensionMismatchError, match=f"^{what} has entries that are not numbers"):
+            TimeSeries(times, values)
+
+    def test_accepts_python_and_numpy_integers(self):
+        series = TimeSeries([0, 1, np.int64(2)], [[1], [2], [np.int32(3)]])
+        assert series == TimeSeries([0.0, 1.0, 2.0], [[1.0], [2.0], [3.0]])
+
     def test_rejects_values_of_more_than_two_axes(self):
         # a (K, N, 1) array has N in its second axis but is no K x N table
         with pytest.raises(ScenarioValidationError, match="K x N"):
@@ -199,6 +221,23 @@ class TestFunctionalValue:
     def test_incongruent_trajectory_rejected(self, positions, velocities):
         with pytest.raises(DimensionMismatchError, match="not congruent"):
             Trajectory(np.linspace(0.0, 1.0, 5), positions, velocities)
+
+    @pytest.mark.parametrize(
+        "field, entries",
+        [
+            ("times", ["0", 0.5, True]),
+            ("positions", [[1.0, "2"], [1.0, 2.0], [1.0, 2.0]]),
+            ("velocities", [[1.0, 2.0], [1.0], [1.0, 2.0]]),
+            ("velocities", [[1.0, 2.0], [1.0, 2.0 + 1j], [1.0, 2.0]]),
+        ],
+        ids=["string_and_bool_times", "string_position", "ragged_velocities", "complex"],
+    )
+    def test_rejects_entries_that_are_not_numbers(self, field, entries):
+        arrays = {"times": [0.0, 0.5, 1.0], "positions": np.ones((3, 2)),
+                  "velocities": np.ones((3, 2)), field: entries}
+        with pytest.raises(DimensionMismatchError,
+                           match=f"^trajectory {field} has entries that are not numbers"):
+            Trajectory(**arrays)
 
 
 class TestElAcceleration:
